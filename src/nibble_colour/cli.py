@@ -41,9 +41,11 @@ from .instance_io import (
     load_instance,
 )
 from .nibble import (
+    SCHEDULE_MODES,
     NibbleFailureError,
     ParameterDomainError,
     NibbleParams,
+    RoundStructure,
     ScheduleCollapseError,
     drive,
     simulate_schedule,
@@ -83,6 +85,20 @@ def _write_manifest(path: Path, command: str, params: dict, seed: int | None,
 
 def _err(msg: str) -> None:
     print(msg, file=sys.stderr)
+
+
+def _load_valid_instance(path) -> Instance | None:
+    """The instance at `path`, or None after reporting why it cannot be
+    loaded or what makes it invalid."""
+    try:
+        inst = load_instance(path)
+    except InstanceError as exc:
+        _err(f"input error: {exc}")
+        return None
+    problems = validate_instance(inst.graph, inst.sigma, inst.lists, inst.universe)
+    for p in problems[:10]:
+        _err(str(p))
+    return None if problems else inst
 
 
 def _trace_csv(rows) -> str:
@@ -158,25 +174,20 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _auto_eps(inst: Instance) -> float:
-    audit = neighbourhood_audit(inst.graph, inst.lists, inst.sigma)
-    if audit.max_neighbourhood <= 0:
+def _auto_eps(struct: RoundStructure) -> float:
+    """eps from the ratio of the smallest list weight to the largest
+    neighbourhood weight of the instance's round structure."""
+    max_neighbourhood = struct.max_neighbourhood()[0]
+    if max_neighbourhood <= 0:
         return 0.25
-    ratio = audit.min_list_weight / audit.max_neighbourhood
+    ratio = min(struct.list_weights().values(), default=0.0) / max_neighbourhood
     return min(0.25, max(0.01, (ratio - 1.0) / 2.0))
 
 
 def cmd_colour(args) -> int:
     started = time.monotonic()
-    try:
-        inst = load_instance(args.instance)
-    except InstanceError as exc:
-        _err(f"input error: {exc}")
-        return EXIT_INPUT
-    problems = validate_instance(inst.graph, inst.sigma, inst.lists, inst.universe)
-    if problems:
-        for p in problems[:10]:
-            _err(str(p))
+    inst = _load_valid_instance(args.instance)
+    if inst is None:
         return EXIT_INPUT
 
     prefix = Path(args.out_prefix)
@@ -197,12 +208,13 @@ def cmd_colour(args) -> int:
             _err(f"brute force: node cap {args.node_cap} exceeded")
             status = EXIT_CAP
     else:
-        eps = args.eps if args.eps is not None else _auto_eps(inst)
         if args.mode == "nibble+finish":
+            struct = RoundStructure.build(inst.graph, inst.lists, inst.sigma)
+            eps = args.eps if args.eps is not None else _auto_eps(struct)
             try:
                 result = drive(
                     inst.graph, inst.lists, inst.sigma, eps=eps, seed=args.seed,
-                    retry_cap=args.retry_cap,
+                    retry_cap=args.retry_cap, struct=struct,
                 )
             except NibbleFailureError as exc:
                 _err(f"nibble failure: {exc}; diagnostics: {exc.diagnostics}")
@@ -283,8 +295,10 @@ def cmd_brute(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    inst = _load_valid_instance(args.instance)
+    if inst is None:
+        return EXIT_INPUT
     try:
-        inst = load_instance(args.instance)
         colouring, _ = load_colouring(args.colouring)
     except InstanceError as exc:
         _err(f"input error: {exc}")
@@ -370,10 +384,8 @@ def cmd_diag(args) -> int:
     if args.trials < 1:
         _err("usage error: --trials must be >= 1")
         return EXIT_INPUT
-    try:
-        inst = load_instance(args.instance)
-    except InstanceError as exc:
-        _err(f"input error: {exc}")
+    inst = _load_valid_instance(args.instance)
+    if inst is None:
         return EXIT_INPUT
     audit = neighbourhood_audit(inst.graph, inst.lists, inst.sigma)
     L = args.L if args.L is not None else audit.min_list_weight
@@ -459,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--mode", choices=["eps8", "eps2"], default="eps8")
+    p.add_argument("--mode", choices=SCHEDULE_MODES, default="eps8")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_schedule)
 

@@ -122,15 +122,16 @@ class EdgeCorrespondence:
     def is_trivial(self) -> bool:
         return not self.maps
 
+    def map_for(self, e: int, f: int) -> Mapping[int, int] | None:
+        """The partial map sigma_{e,f}: the one stored for (e, f), else the
+        inverse of the one stored for (f, e), else None (the identity)."""
+        m = self.maps.get((e, f))
+        return m if m is not None else self._inverses.get((e, f))
+
     def image(self, e: int, f: int, c: int) -> int | None:
         """sigma_{e,f}(c), or None when the stored partial map leaves c free."""
-        m = self.maps.get((e, f))
-        if m is not None:
-            return m.get(c)
-        m = self._inverses.get((e, f))  # pair stored in the other direction
-        if m is not None:
-            return m.get(c)
-        return c  # identity default
+        m = self.map_for(e, f)
+        return c if m is None else m.get(c)
 
     def blocks(self, e: int, c: int, f: int, c_other: int) -> bool:
         """Does (e, c) block (f, c_other)?"""

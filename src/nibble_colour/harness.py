@@ -443,20 +443,14 @@ def neighbourhood_audit(
     sigma: EdgeCorrespondence,
 ) -> AuditReport:
     """Exact extrema of the quantities the colouring theorems condition on:
-    the largest weighted colour neighbourhood (with its witness), the
-    smallest weighted list, and the per-vertex per-colour weight sums."""
-    max_n, max_w = 0.0, None
-    for e in lists.edge_ids():
-        for v in graph.edges[e]:
-            for c in lists.colours(e):
-                w = sum(lists.weight(f, c2) for f, c2 in colour_neighbours(graph, lists, sigma, e, v, c))
-                if w > max_n:
-                    max_n, max_w = w, (e, v, c)
-    min_l, min_e = math.inf, None
-    for e in lists.edge_ids():
-        w = lists.list_weight(e)
-        if w < min_l:
-            min_l, min_e = w, e
+    the largest weighted colour neighbourhood (with its witness, the first
+    maximum in (edge, vertex, colour) order), the smallest weighted list,
+    and the per-vertex per-colour weight sums.  The first two are read from
+    the round structure, so they are the values the nibble uses."""
+    struct = RoundStructure.build(graph, lists, sigma)
+    max_n, max_w, _ = struct.max_neighbourhood()
+    list_weights = struct.list_weights()
+    min_e = min(list_weights, key=list_weights.get) if list_weights else None
     sums: dict[tuple[int, int], float] = {}
     for e in lists.edge_ids():
         for v in graph.edges[e]:
@@ -471,7 +465,7 @@ def neighbourhood_audit(
     return AuditReport(
         max_neighbourhood=max_n,
         max_neighbourhood_witness=max_w,
-        min_list_weight=min_l if min_e is not None else 0.0,
+        min_list_weight=list_weights[min_e] if min_e is not None else 0.0,
         min_list_edge=min_e,
         max_colour_sum=max_sum,
         max_colour_sum_witness=max_key,

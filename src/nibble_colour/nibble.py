@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -189,24 +190,32 @@ def simulate_schedule(eps: float, k: int, delta: float, mode: str = "eps8") -> l
 # Round structure: flattened (edge, colour) pairs and their neighbourhoods.
 # ---------------------------------------------------------------------------
 
+# Rows whose equalizing factors are gathered at once: a few MB at most,
+# so the factors of a whole round never sit in memory together.
+EQUALIZING_BLOCK = 1 << 14
+
 
 @dataclass
 class RoundStructure:
     """Immutable per-round view of an instance.
 
-    Pairs (e, c) are flattened in ascending order; `nbrs[p][j]` holds the
-    pair indices of N(e, v_j, c) where v_j is the j-th vertex of e in
-    ascending order.  By linearity these neighbourhoods are disjoint
-    across vertex slots, and by bijectivity across colours of one edge.
+    Pairs (e, c) are flattened in ascending order.  The colour
+    neighbourhoods form one CSR (compressed sparse row) layout: row
+    r = p*k + j holds N(e, v_j, c) of pair p = (e, c), where v_j is the
+    j-th vertex of e in ascending order, as the ascending pair indices
+    `nbr_idx[ptr[r]:ptr[r+1]]`.  By linearity these neighbourhoods are
+    disjoint across vertex slots, and by bijectivity across colours of
+    one edge; the rows of pair p are contiguous, so p's whole
+    neighbourhood is `nbr_idx[ptr[p*k]:ptr[(p+1)*k]]`.
     """
 
     pairs: list[tuple[int, int]]
-    pair_pos: dict[tuple[int, int], int]
     mu: np.ndarray
     edge_of: np.ndarray
     colour_of: np.ndarray
     vertex_of: np.ndarray  # (P, k) vertex ids
-    nbrs: list[list[np.ndarray]]
+    ptr: np.ndarray  # (P*k + 1,) row offsets into nbr_idx
+    nbr_idx: np.ndarray  # int32 pair indices
     edge_slices: dict[int, tuple[int, int]]
     edges: tuple[int, ...]
     k: int
@@ -222,59 +231,35 @@ class RoundStructure:
         if active is None:
             active = set(lists.edge_ids())
         edges = tuple(sorted(active))
-        pairs: list[tuple[int, int]] = []
-        for e in edges:
-            for c in lists.colours(e):
-                pairs.append((e, c))
-        pair_pos = {pc: i for i, pc in enumerate(pairs)}
-        P = len(pairs)
+        pairs = [(e, c) for e in edges for c in lists.colours(e)]
+        k = graph.k
         mu = np.array([lists.weight(e, c) for e, c in pairs], dtype=np.float64)
         edge_of = np.array([e for e, _ in pairs], dtype=np.int64)
         colour_of = np.array([c for _, c in pairs], dtype=np.int64)
-        k = graph.k
-        vertex_of = np.zeros((P, k), dtype=np.int64)
-        nbrs: list[list[np.ndarray]] = [[] for _ in range(P)]
+        edge_vertices = np.array(graph.edges, dtype=np.int64).reshape(-1, k)
+        vertex_of = edge_vertices[edge_of]
 
-        trivial = sigma.is_trivial
-        bucket: dict[tuple[int, int], list[int]] = {}
-        if trivial:
-            # Identity correspondence: N(e, v, c) is simply the other pairs
-            # with colour c at v, so bucket pairs by (vertex, colour) once.
-            for p, (e, c) in enumerate(pairs):
-                for v in graph.edges[e]:
-                    bucket.setdefault((v, c), []).append(p)
-
-        for p, (e, c) in enumerate(pairs):
-            everts = graph.edges[e]
-            for j, v in enumerate(everts):
-                vertex_of[p, j] = v
-                if trivial:
-                    near = [q for q in bucket.get((v, c), ()) if q != p]
-                else:
-                    near = []
-                    for f in graph.edges_at(v):
-                        if f == e or f not in active:
-                            continue
-                        c_other = sigma.image(e, f, c)
-                        if c_other is not None and (f, c_other) in pair_pos:
-                            near.append(pair_pos[(f, c_other)])
-                nbrs[p].append(np.array(sorted(near), dtype=np.int64))
-
+        # Pair range [first[f], stop[f]) of every edge id; empty when inactive.
+        first = np.zeros(graph.edge_count, dtype=np.int64)
+        stop = np.zeros(graph.edge_count, dtype=np.int64)
         edge_slices: dict[int, tuple[int, int]] = {}
-        start = 0
-        for i in range(P + 1):
-            if i == P or (i > 0 and pairs[i][0] != pairs[i - 1][0]):
-                if i > start:
-                    edge_slices[pairs[start][0]] = (start, i)
-                start = i
+        a = 0
+        for e in edges:
+            b = a + len(lists.colours(e))
+            if b > a:
+                edge_slices[e] = (a, b)
+                first[e], stop[e] = a, b
+            a = b
+
+        ptr, nbr_idx = _neighbourhood_rows(graph, sigma, colour_of, edge_vertices, first, stop)
         return cls(
             pairs=pairs,
-            pair_pos=pair_pos,
             mu=mu,
             edge_of=edge_of,
             colour_of=colour_of,
             vertex_of=vertex_of,
-            nbrs=nbrs,
+            ptr=ptr,
+            nbr_idx=nbr_idx,
             edge_slices=edge_slices,
             edges=edges,
             k=k,
@@ -284,20 +269,39 @@ class RoundStructure:
     def pair_count(self) -> int:
         return len(self.pairs)
 
-    def neighbourhood_weight(self, p: int, j: int) -> float:
-        idx = self.nbrs[p][j]
-        return float(self.mu[idx].sum()) if idx.size else 0.0
+    @cached_property
+    def row_weights(self) -> np.ndarray:
+        """|N(e, v_j, c)|_mu per row r = p*k + j.
+
+        Rows of one length are gathered into a (rows, length) block and
+        summed along it, which gives the same float as summing each row
+        on its own; `np.add.reduceat` would not (it accumulates in
+        another order from three members up)."""
+        lengths = np.diff(self.ptr)
+        out = np.zeros(lengths.size, dtype=np.float64)
+        for n in np.unique(lengths[lengths > 0]):
+            rows = np.flatnonzero(lengths == n)
+            members = self.nbr_idx[self.ptr[rows, None] + np.arange(n)]
+            out[rows] = self.mu[members].sum(axis=1)
+        return out
 
     def max_neighbourhood(self) -> tuple[float, tuple[int, int, int] | None, int]:
-        """(max weighted size, witnessing (e, v, c), max cardinality)."""
-        best, witness, best_card = 0.0, None, 0
-        for p, (e, c) in enumerate(self.pairs):
-            for j in range(self.k):
-                w = self.neighbourhood_weight(p, j)
-                best_card = max(best_card, int(self.nbrs[p][j].size))
-                if w > best:
-                    best, witness = w, (e, int(self.vertex_of[p, j]), c)
-        return best, witness, best_card
+        """(max weighted size, witnessing (e, v, c), max cardinality).
+
+        The witness is the first maximum in (edge, vertex, colour) order,
+        or None when every neighbourhood is empty."""
+        weights = self.row_weights
+        if weights.size == 0:
+            return 0.0, None, 0
+        best = float(weights.max())
+        card = int(np.diff(self.ptr).max())
+        if best <= 0.0:
+            return best, None, card
+        rows = np.flatnonzero(weights == best)
+        p, j = rows // self.k, rows % self.k
+        first = int(np.lexsort((p, j, self.edge_of[p]))[0])
+        p, j = int(p[first]), int(j[first])
+        return best, (self.pairs[p][0], int(self.vertex_of[p, j]), self.pairs[p][1]), card
 
     def list_weights(self) -> dict[int, float]:
         out = {e: 0.0 for e in self.edges}
@@ -314,28 +318,89 @@ class RoundStructure:
     def equalizing(self, params: NibbleParams) -> tuple[np.ndarray, int]:
         """Eq values per (pair, vertex slot), clamped to <= 1; returns the
         number of clamped entries (hypothesis |N(e,v,c)|_mu <= N failed)."""
-        scale = params.activation_scale
-        K = params.K
-        eq = np.empty((self.pair_count, self.k), dtype=np.float64)
-        clamped = 0
-        for p in range(self.pair_count):
-            for j in range(self.k):
-                idx = self.nbrs[p][j]
-                if idx.size:
-                    factors = 1.0 - self.mu[idx] / scale
-                    if np.any(factors <= 0.0):
-                        raise DegenerateWeightError(
-                            f"equalizing factor <= 0 for pair {self.pairs[p]} at slot {j}"
-                        )
-                    denom = float(np.prod(factors))
-                else:
-                    denom = 1.0
-                value = K / denom
-                if value > 1.0:
-                    value = 1.0
-                    clamped += 1
-                eq[p, j] = value
-        return eq, clamped
+        denom = np.ones(self.ptr.size - 1, dtype=np.float64)
+        # Empty rows are left out: reduceat would give them the element at
+        # their offset instead of the empty product 1.
+        rows = np.flatnonzero(np.diff(self.ptr))
+        for a in range(0, rows.size, EQUALIZING_BLOCK):
+            block = rows[a : a + EQUALIZING_BLOCK]
+            lo, hi = self.ptr[block[0]], self.ptr[block[-1] + 1]
+            factors = self.mu[self.nbr_idx[lo:hi]]  # 1 - mu/(L ln N), in place
+            factors /= params.activation_scale
+            np.subtract(1.0, factors, out=factors)
+            bad = np.flatnonzero(factors <= 0.0)
+            if bad.size:
+                r = int(np.searchsorted(self.ptr, lo + bad[0], side="right")) - 1
+                raise DegenerateWeightError(
+                    f"equalizing factor <= 0 for pair {self.pairs[r // self.k]} at slot {r % self.k}"
+                )
+            denom[block] = np.multiply.reduceat(factors, self.ptr[block] - lo)
+        eq = params.K / denom
+        over = eq > 1.0
+        eq[over] = 1.0
+        return eq.reshape(self.pair_count, self.k), int(over.sum())
+
+
+def _neighbourhood_rows(
+    graph: LinearHypergraph,
+    sigma: EdgeCorrespondence,
+    colour_of: np.ndarray,
+    edge_vertices: np.ndarray,
+    first: np.ndarray,
+    stop: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(ptr, nbr_idx) of the CSR rows N(e, v_j, c), built one vertex at a
+    time so that temporaries stay proportional to the pairs at a vertex.
+
+    At vertex v, every pair (e, c) of an edge e at v and every other edge f
+    at v give the candidate (f, c') with c' = sigma_{e,f}(c) (c' = c when
+    no map is stored); candidates that are pairs are neighbours."""
+    k = edge_vertices.shape[1]
+    P = colour_of.size
+    # A map image absent from the lists: less than every colour of a pair.
+    free = int(colour_of.min()) - 1 if P else -1
+    counts = np.zeros(P * k, dtype=np.int64)
+    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for v in range(graph.vertex_count):
+        at_v = np.array(graph.edges_at(v), dtype=np.int64)
+        at_v = at_v[stop[at_v] > first[at_v]]
+        d = at_v.size
+        if d < 2:
+            continue
+        lens = stop[at_v] - first[at_v]
+        offsets = np.cumsum(lens) - lens
+        src = np.arange(int(lens.sum())) + np.repeat(first[at_v] - offsets, lens)  # pairs at v
+        src_edge = np.repeat(np.arange(d), lens)  # position of each pair's edge in at_v
+        slot = np.repeat(np.argmax(edge_vertices[at_v] == v, axis=1), lens)
+        colours, rank = np.unique(colour_of[src], return_inverse=True)
+        lookup = np.full(d * colours.size, -1, dtype=np.int32)  # (edge at v, colour) -> pair
+        lookup[src_edge * colours.size + rank] = src
+
+        # candidate [i, g]: the image on edge at_v[g] of source pair src[i]
+        target = np.repeat(colour_of[src][:, None], d, axis=1)
+        if not sigma.is_trivial:
+            edges = at_v.tolist()
+            for a, e in enumerate(edges):
+                own = slice(offsets[a], offsets[a] + lens[a])  # the pairs of e among src
+                cols = colour_of[first[e] : stop[e]].tolist()
+                for g, f in enumerate(edges):
+                    m = sigma.map_for(e, f) if g != a else None
+                    if m is not None:
+                        target[own, g] = [m.get(c, free) for c in cols]
+        pos = np.minimum(np.searchsorted(colours, target), colours.size - 1)
+        nbr = lookup[np.arange(d) * colours.size + pos]
+        ok = (colours[pos] == target) & (nbr >= 0) & (src_edge[:, None] != np.arange(d))
+        rows = src * k + slot
+        n = ok.sum(axis=1)
+        counts[rows] = n  # row r belongs to vertex v_j alone
+        parts.append((rows, n, nbr[ok]))  # row-major: each row's members ascending
+
+    ptr = np.zeros(P * k + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    nbr_idx = np.empty(int(ptr[-1]), dtype=np.int32)
+    for rows, n, members in parts:
+        nbr_idx[np.repeat(ptr[rows] - (np.cumsum(n) - n), n) + np.arange(members.size)] = members
+    return ptr, nbr_idx
 
 
 def equalizing_probability(
@@ -422,13 +487,15 @@ class RoundStats:
 @dataclass(frozen=True)
 class RoundOutcome:
     coloured: dict[int, int]
-    survivors: WeightedListAssignment  # raw surviving lists, original weights
     truncated: WeightedListAssignment  # after truncate-and-rescale
     deficient: tuple[int, ...]  # edges that could not reach the target
     empty: tuple[int, ...]  # uncoloured edges whose whole list died
     l_target: float
-    n_theory: float
     stats: RoundStats
+
+
+# Activation flags gathered per chunk of trials in apply_procedure.
+CONFLICT_CHUNK = 1 << 24
 
 
 def apply_procedure(
@@ -444,11 +511,18 @@ def apply_procedure(
     pairs whose colour stays assigned to the edge, removed_ii marks pairs
     removed by conflict resolution.
     """
-    removed2 = np.zeros(activated.shape, dtype=bool)
-    for p in range(struct.pair_count):
-        idx = np.concatenate(struct.nbrs[p])
-        if idx.size:
-            removed2[..., p] = activated[..., idx].any(axis=-1)
+    P = struct.pair_count
+    flat = activated.reshape(math.prod(activated.shape[:-1]), P)
+    removed2 = np.zeros(flat.shape, dtype=bool)
+    bounds = struct.ptr[:: struct.k]  # pair p's neighbours: nbr_idx[bounds[p]:bounds[p+1]]
+    hit = np.flatnonzero(np.diff(bounds))
+    if hit.size:
+        # Trials go in chunks so the gathered flags never take trials x nnz.
+        step = max(1, CONFLICT_CHUNK // struct.nbr_idx.size)
+        for t in range(0, flat.shape[0], step):
+            gathered = flat[t : t + step][:, struct.nbr_idx]
+            removed2[t : t + step, hit] = np.logical_or.reduceat(gathered, bounds[hit], axis=1)
+    removed2 = removed2.reshape(activated.shape)
     removed3 = ~flips_ok.all(axis=-1)
     survive = ~removed2 & ~removed3
     retained = activated & survive
@@ -477,9 +551,7 @@ def run_round(
     if struct is None:
         struct = RoundStructure.build(graph, lists, sigma, active)
     if l_target is None:
-        l_target, n_theory = next_params(params)
-    else:
-        _, n_theory = schedule_step(params.L, params.N, params.K, params.k, params.eps, params.mode)
+        l_target, _ = next_params(params)
 
     u_act = rng.uniforms(seed, rng.KIND_ACTIVATION, round_index, attempt, struct.edge_of, struct.colour_of)
     activated = u_act < struct.mu / params.activation_scale
@@ -498,8 +570,6 @@ def run_round(
         if kept.size:
             coloured[e] = int(struct.colour_of[a + kept[0]])  # pairs sorted, so lowest colour
 
-    surv_lists: dict[int, tuple[int, ...]] = {}
-    surv_weights: dict[tuple[int, int], float] = {}
     trunc_lists: dict[int, tuple[int, ...]] = {}
     trunc_weights: dict[tuple[int, int], float] = {}
     deficient: list[int] = []
@@ -510,8 +580,6 @@ def run_round(
         a, b = struct.edge_slices.get(e, (0, 0))
         kept_colours = tuple(int(c) for c in struct.colour_of[a:b][survive[a:b]])
         wmap = {c: lists.weight(e, c) for c in kept_colours}
-        surv_lists[e] = kept_colours
-        surv_weights.update({(e, c): w for c, w in wmap.items()})
         if not kept_colours:
             empty.append(e)
             trunc_lists[e] = ()
@@ -533,12 +601,10 @@ def run_round(
     )
     return RoundOutcome(
         coloured=coloured,
-        survivors=WeightedListAssignment(lists=surv_lists, weights=surv_weights),
         truncated=WeightedListAssignment(lists=trunc_lists, weights=trunc_weights),
         deficient=tuple(deficient),
         empty=tuple(empty),
         l_target=l_target,
-        n_theory=n_theory,
         stats=stats,
     )
 
@@ -588,6 +654,7 @@ def drive(
     initial_N: float | None = None,
     max_rounds: int | None = None,
     mode: str = "eps8",
+    struct: RoundStructure | None = None,
 ) -> DriveResult:
     """Iterate rounds until the list/neighbourhood ratio supports the
     finisher (L/N >= 3ek) or the regime runs out.
@@ -606,6 +673,9 @@ def drive(
     exceed e^2, the ratio must lie strictly between 1 + eps and 3ek, the
     schedule must not collapse, and the truncation target must keep at
     least half of the expected surviving weight L K^k.
+
+    `struct`, when given, is the round structure of `lists` over all of
+    its edges, so a caller that already built it does not pay twice.
     """
     k = graph.k
     target_ratio = 3.0 * math.e * k
@@ -614,7 +684,8 @@ def drive(
     active = set(lists.edge_ids())
     result = DriveResult(colouring=colouring, lists=cur_lists, L=0.0, N=0.0)
 
-    struct = RoundStructure.build(graph, cur_lists, sigma, active)
+    if struct is None:
+        struct = RoundStructure.build(graph, cur_lists, sigma, active)
     weights_by_edge = struct.list_weights()
     L = initial_L if initial_L is not None else (min(weights_by_edge.values()) if weights_by_edge else 0.0)
     N_emp, _, max_card = struct.max_neighbourhood()
@@ -643,7 +714,7 @@ def drive(
             break
         params = NibbleParams(eps=eps, k=k, L=L, N=N, mode=mode)
         try:
-            l_target, n_theory = next_params(params)
+            l_target, _ = next_params(params)
         except ScheduleCollapseError:
             result.stop_reason = "schedule-collapse"
             return result

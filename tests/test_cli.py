@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
 from pathlib import Path
 
 import pytest
 
+from nibble_colour import cli
 from nibble_colour.cli import main
 from nibble_colour.instance_io import (
     Instance,
@@ -13,6 +15,7 @@ from nibble_colour.instance_io import (
     load_instance,
 )
 from nibble_colour.core import EdgeCorrespondence, LinearHypergraph, WeightedListAssignment
+from nibble_colour.nibble import RoundStructure, simulate_schedule
 
 
 def run(argv):
@@ -125,6 +128,79 @@ def test_colour_nibble_finish_deterministic(tmp_path):
     assert {k: v for k, v in m1.items() if k != "outputs"} == {k: v for k, v in m2.items() if k != "outputs"}
 
 
+# Digests of colouring.json, finish.json and trace.csv written for the
+# instance `gen --kind regular --n 40 --d 16 --eps 0.5 --seed 3` by
+# `colour --seed 3` before the round engine moved to CSR rows.
+N40_FINISH_ONLY = (
+    "66fe0f8b5a7a070c2774e3e7938c089c13f51c44afb45e80b1e6e6b6fcd842f7",
+    "147936daaf199233aff4763824bb8e2de90c4e8251c51fecfacb2c99233edc6a",
+    "ba308db12906d75e1a3d6f922998d434e1a951f854843bcc8a9deba73265e00f",
+)
+N40_NIBBLE_FINISH = (
+    "6291af3bef88bdbad8221bd7b1e5ce9c2e367dcd30945c2ca66364ff15885f76",
+    "1dd225bfb01b8c00409c767145197ddd5898883b32f0c21067b282187ad0d781",
+    "f3e23f551211cc66d9151a0ef2704492ec4e62cf9241187c25706733f0449a21",
+)
+
+
+def _digests(prefix: Path) -> tuple[str, ...]:
+    return tuple(
+        hashlib.sha256(Path(f"{prefix}.{name}").read_bytes()).hexdigest()
+        for name in ("colouring.json", "finish.json", "trace.csv")
+    )
+
+
+def _n40_instance(tmp_path) -> Path:
+    out = tmp_path / "n40.json"
+    assert run(["gen", "--kind", "regular", "--n", 40, "--d", 16, "--eps", "0.5", "--seed", 3, "--out", out]) == 0
+    return out
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("called")
+
+
+def test_colour_finish_only_builds_no_structure(tmp_path, monkeypatch):
+    inst = _n40_instance(tmp_path)
+    monkeypatch.setattr(RoundStructure, "build", _refuse)
+    monkeypatch.setattr(cli, "neighbourhood_audit", _refuse)
+    prefix = tmp_path / "finish"
+    assert run(["colour", inst, "--mode", "finish-only", "--seed", 3, "--out-prefix", prefix]) == 0
+    assert _digests(prefix) == N40_FINISH_ONLY
+
+
+def test_colour_nibble_builds_structure_once_for_eps_and_drive(tmp_path, monkeypatch):
+    inst = _n40_instance(tmp_path)
+    builds = []
+    original = RoundStructure.build.__func__
+
+    def counted(cls, graph, lists, sigma, active=None):
+        builds.append(len(lists.edge_ids()) if active is None else len(active))
+        return original(cls, graph, lists, sigma, active)
+
+    monkeypatch.setattr(RoundStructure, "build", classmethod(counted))
+    monkeypatch.setattr(cli, "neighbourhood_audit", _refuse)
+    prefix = tmp_path / "nibble"
+    assert run(["colour", inst, "--seed", 3, "--out-prefix", prefix]) == 0
+    assert _digests(prefix) == N40_NIBBLE_FINISH
+    # one build of all 320 edges for auto-eps and round 0, one after round 0
+    assert builds == [320, 242]
+
+
+def test_verify_and_diag_validate_the_instance(tmp_path, capsys):
+    data = {"k": 2, "vertex_count": 3, "edges": [[0, 1], [1, 5]],
+            "colour_universe": [0, 9], "lists": {"0": [1, 2], "1": [1, 2]}}
+    inst = tmp_path / "out_of_range.json"
+    inst.write_text(json.dumps(data))
+    col = tmp_path / "col.json"
+    col.write_text(json.dumps({"complete": True, "colours": {"0": 1, "1": 2}}))
+    capsys.readouterr()
+    assert run(["verify", inst, col]) == 2
+    assert "out-of-range vertex 5" in capsys.readouterr().err
+    assert run(["diag", inst, "--trials", 5, "--L", 40, "--N", 20]) == 2
+    assert "out-of-range vertex 5" in capsys.readouterr().err
+
+
 def test_verify_detects_block_and_unknown_edge(tmp_path):
     inst = _p3_instance(tmp_path)
     col = tmp_path / "col.json"
@@ -177,6 +253,14 @@ def test_schedule_eps2_mode(capsys):
     assert lines_eps2[1] == lines_eps8[1]  # round 0 state agrees
     assert lines_eps2[2] != lines_eps8[2]  # recursion differs from round 1
     assert float(lines_eps2[-1].split(",")[3]) >= 3 * math.e * 2
+
+
+def test_schedule_exp51_mode_matches_library(capsys):
+    assert run(["schedule", "--eps", "0.25", "--k", 2, "--delta", "1e13", "--mode", "exp51"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = simulate_schedule(0.25, 2, 1e13, mode="exp51")
+    assert lines == ["round,L,N,ratio"] + [f"{r.round},{r.L!r},{r.N!r},{r.ratio!r}" for r in rows]
+    assert rows != simulate_schedule(0.25, 2, 1e13, mode="eps8")
 
 
 def test_schedule_collapse_exit_3(capsys):

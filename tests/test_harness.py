@@ -225,6 +225,28 @@ def test_audit_regular_shared_lists():
     assert audit.min_list_weight == pytest.approx(3.0)
 
 
+def test_audit_witness_is_first_maximum_in_edge_vertex_colour_order():
+    # Edge 0 = (0, 1) meets edge 1 at vertex 1 on colour 0 and edge 2 at
+    # vertex 0 on colour 1: two neighbourhoods of weight 1 tie for the
+    # maximum.  (edge, vertex, colour) order takes vertex 0 first, although
+    # colour 0 comes first among the pairs of edge 0.
+    g = LinearHypergraph.build(4, [(0, 1), (1, 2), (0, 3)], k=2)
+    lists = WeightedListAssignment.build(
+        {0: [0, 1], 1: [0], 2: [1]},
+        {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 1.0, (2, 1): 1.0},
+    )
+    audit = neighbourhood_audit(g, lists, EdgeCorrespondence())
+    assert audit.max_neighbourhood == 1.0
+    assert audit.max_neighbourhood_witness == (0, 0, 1)
+    # a strict maximum later in that order wins
+    lighter = WeightedListAssignment.build(lists.lists, {**lists.weights, (2, 1): 0.5})
+    audit = neighbourhood_audit(g, lighter, EdgeCorrespondence())
+    assert audit.max_neighbourhood == 1.0
+    assert audit.max_neighbourhood_witness == (0, 1, 0)
+    audit = neighbourhood_audit(g, lists, EdgeCorrespondence(maps={(0, 2): {1: 5}}))
+    assert audit.max_neighbourhood_witness == (0, 1, 0)  # colour 1 of edge 0 no longer meets edge 2
+
+
 def test_audit_disjoint_lists():
     g = path_graph(3)
     lists = WeightedListAssignment.unit({0: [0], 1: [1], 2: [2]})

@@ -5,9 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nibble_colour.core import EdgeCorrespondence, LinearHypergraph, WeightedListAssignment, validate_colouring
+from nibble_colour import nibble
+from nibble_colour.core import (
+    EdgeCorrespondence,
+    LinearHypergraph,
+    WeightedListAssignment,
+    colour_neighbours,
+    validate_colouring,
+)
 from nibble_colour.nibble import (
     CannotTruncateError,
+    DegenerateWeightError,
     NibbleParams,
     ParameterDomainError,
     RoundStructure,
@@ -23,7 +31,7 @@ from nibble_colour.nibble import (
     truncate_and_rescale,
     truncate_edge,
 )
-from conftest import path_graph, star_graph
+from conftest import fano_hypergraph, path_graph, random_micro_instance, star_graph
 
 mp.mp.dps = 50
 
@@ -110,9 +118,9 @@ def test_equalizing_at_weight_exactly_N_is_at_most_one():
     params = NibbleParams(eps=0.25, k=2, L=10.0, N=7.5)
     eq = equalizing_probability(g, lists, EdgeCorrespondence(), params, 0, 0, 0)
     struct = RoundStructure.build(g, lists, EdgeCorrespondence())
-    p = struct.pair_pos[(0, 0)]
+    p = struct.pairs.index((0, 0))
     slot = list(struct.vertex_of[p]).index(0)
-    assert struct.neighbourhood_weight(p, slot) == pytest.approx(7.5)
+    assert struct.row_weights[p * struct.k + slot] == pytest.approx(7.5)
     assert 0.0 < eq <= 1.0
 
 
@@ -176,6 +184,146 @@ def test_equalizing_struct_matches_op():
             for j, v in enumerate(struct.vertex_of[p]):
                 expected = equalizing_probability(graph, lists, sigma, params, e, int(v), c)
                 assert eq[p, j] == pytest.approx(expected, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# RoundStructure: CSR rows of the colour neighbourhoods
+# ---------------------------------------------------------------------------
+
+
+def _row(struct, p, j):
+    return struct.nbr_idx[struct.ptr[p * struct.k + j] : struct.ptr[p * struct.k + j + 1]]
+
+
+def _assert_rows_match_definition(graph, lists, sigma, active=None):
+    """Every row equals core.colour_neighbours as ascending pair indices."""
+    struct = RoundStructure.build(graph, lists, sigma, active)
+    defined = lists if active is None else lists.restrict_to_edges(active)
+    index = {pc: i for i, pc in enumerate(struct.pairs)}
+    assert struct.ptr.size == struct.pair_count * struct.k + 1
+    assert struct.nbr_idx.dtype == np.int32
+    for p, (e, c) in enumerate(struct.pairs):
+        for j, v in enumerate(graph.edges[e]):
+            assert struct.vertex_of[p, j] == v
+            expected = sorted(index[q] for q in colour_neighbours(graph, defined, sigma, e, v, c))
+            assert _row(struct, p, j).tolist() == expected
+    return struct
+
+
+def _partial_map_fano():
+    """k = 3 with stored maps: partial ones, one stored in both directions,
+    and an image outside the target's list."""
+    graph = fano_hypergraph()  # every two lines meet in one point
+    lists = WeightedListAssignment.build(
+        {e: [(e + i) % 6 for i in range(4)] for e in range(graph.edge_count)},
+        {(e, (e + i) % 6): 0.3 + 0.1 * i for e in range(graph.edge_count) for i in range(4)},
+    )
+    sigma = EdgeCorrespondence(maps={
+        (0, 1): {0: 2, 1: 3},  # partial: colours 2, 3 of edge 0 correspond to nothing
+        (1, 0): {2: 0, 3: 1},  # the inverse, stored as well
+        (3, 2): {3: 5, 4: 4, 5: 9},  # 9 is on no list
+        (2, 6): {2: 2},
+        (4, 5): {},  # stored but empty: the pair blocks nothing
+    })
+    return graph, lists, sigma
+
+
+def test_structure_rows_match_colour_neighbours():
+    for seed in range(40):
+        graph, lists, sigma, _ = random_micro_instance(seed)
+        _assert_rows_match_definition(graph, lists, sigma)
+    graph, lists, sigma = _partial_map_fano()
+    struct = _assert_rows_match_definition(graph, lists, sigma)
+    assert struct.nbr_idx.size > 0
+    _assert_rows_match_definition(graph, lists, sigma, active={0, 2, 3, 5})
+
+
+def test_structure_empty_rows_and_no_pairs():
+    g = path_graph(3)
+    lists = WeightedListAssignment.unit({0: [1, 2], 1: [3], 2: [1]})  # nothing shared at a vertex
+    struct = _assert_rows_match_definition(g, lists, EdgeCorrespondence())
+    assert struct.nbr_idx.size == 0 and not struct.ptr.any()
+    assert struct.max_neighbourhood() == (0.0, None, 0)
+    params = NibbleParams(eps=0.25, k=2, L=10.0, N=7.5)
+    eq, clamped = struct.equalizing(params)
+    assert clamped == 0 and (eq == params.K).all()
+    survive, _, removed = apply_procedure(struct, np.ones(4, dtype=bool), np.ones((4, 2), dtype=bool))
+    assert survive.all() and not removed.any()
+
+    for lists in (WeightedListAssignment.unit({}), WeightedListAssignment.unit({0: [], 1: []})):
+        struct = RoundStructure.build(g, lists, EdgeCorrespondence())
+        assert struct.pair_count == 0 and struct.ptr.tolist() == [0] and struct.nbr_idx.size == 0
+        assert struct.max_neighbourhood() == (0.0, None, 0)
+        eq, clamped = struct.equalizing(params)
+        assert eq.shape == (0, 2) and clamped == 0
+        survive, retained, removed = apply_procedure(struct, np.zeros((3, 0), dtype=bool), np.zeros((3, 0, 2), dtype=bool))
+        assert survive.shape == retained.shape == removed.shape == (3, 0)
+
+
+def test_row_weights_equal_per_row_sums():
+    """Same-length rows summed as a block give each row's own float sum,
+    for every row length from 1 to 79."""
+    leaves = 81
+    g = star_graph(leaves)
+    colours = {e: list(range(max(0, e - 1), 79)) for e in range(leaves)}  # colour c on c + 2 leaves
+    weights = {(e, c): 0.05 + 0.95 * ((e * 7919 + c * 104729) % 1000) / 997 for e in colours for c in colours[e]}
+    struct = RoundStructure.build(g, WeightedListAssignment.build(colours, weights), EdgeCorrespondence())
+    lengths = np.diff(struct.ptr)
+    assert set(range(1, 80)) <= set(lengths.tolist())
+    for r in range(lengths.size):
+        members = struct.nbr_idx[struct.ptr[r] : struct.ptr[r + 1]]
+        expected = struct.mu[members].sum() if members.size else 0.0
+        assert struct.row_weights[r] == expected
+    assert struct.max_neighbourhood()[0] == struct.row_weights.max()
+    assert struct.max_neighbourhood()[2] == 79
+
+
+@pytest.mark.parametrize("block", [nibble.EQUALIZING_BLOCK, 1])
+def test_equalizing_degenerate_names_first_pair_and_slot(monkeypatch, block):
+    monkeypatch.setattr(nibble, "EQUALIZING_BLOCK", block)
+    g = path_graph(3)
+    lists = WeightedListAssignment.build({0: [0], 1: [0], 2: [0]}, {(0, 0): 1.0, (1, 0): 1.0, (2, 0): 50.0})
+    struct = RoundStructure.build(g, lists, EdgeCorrespondence())
+    params = NibbleParams(eps=0.25, k=2, L=10.0, N=7.5)  # L ln N ~ 20 < 50
+    with pytest.raises(DegenerateWeightError, match=r"for pair \(1, 0\) at slot 1$"):
+        struct.equalizing(params)
+
+
+@pytest.mark.parametrize("block", [nibble.EQUALIZING_BLOCK, 5])
+def test_equalizing_counts_clamped_entries(monkeypatch, block):
+    # 12 leaves share colour 0: at the centre each pair has 11 unit
+    # neighbours, so K / prod(1 - 1/(L ln N)) exceeds 1 and is clamped.
+    monkeypatch.setattr(nibble, "EQUALIZING_BLOCK", block)
+    leaves = 12
+    g = star_graph(leaves)
+    lists = WeightedListAssignment.unit({e: [0] for e in range(leaves)})
+    params = NibbleParams(eps=0.25, k=2, L=10.0, N=7.5)
+    struct = RoundStructure.build(g, lists, EdgeCorrespondence())
+    eq, clamped = struct.equalizing(params)
+    raw = np.array([[params.K / np.prod(1.0 - struct.mu[_row(struct, p, j)] / params.activation_scale)
+                     for j in range(2)] for p in range(struct.pair_count)])
+    assert clamped == int((raw > 1.0).sum()) == leaves
+    assert (eq == np.minimum(raw, 1.0)).all()
+
+
+def test_apply_procedure_trials_axis_matches_single_trials(monkeypatch):
+    graph, lists, sigma = _partial_map_fano()
+    struct = RoundStructure.build(graph, lists, sigma)
+    gen = np.random.default_rng(5)
+    trials = 7
+    activated = gen.random((trials, struct.pair_count)) < 0.15
+    flips = gen.random((trials, struct.pair_count, struct.k)) < 0.9
+    # chunks of two trials, the last one short
+    monkeypatch.setattr(nibble, "CONFLICT_CHUNK", 2 * struct.nbr_idx.size)
+    batched = apply_procedure(struct, activated, flips)
+    for t in range(trials):
+        single = apply_procedure(struct, activated[t], flips[t])
+        for got, want in zip(batched, single):
+            assert np.array_equal(got[t], want)
+        # step (II) by the definition: some neighbour in any slot was activated
+        removed = [any(activated[t, q] for j in range(struct.k) for q in _row(struct, p, j))
+                   for p in range(struct.pair_count)]
+        assert batched[2][t].tolist() == removed
 
 
 def test_exp51_mode_formula():
