@@ -39,11 +39,9 @@ from .nibble import (
     ScheduleCollapseError,
     drive,
     equalizing_probability,
-    keep_probability,
     next_params,
     run_round,
     simulate_schedule,
-    truncate_and_rescale,
 )
 from .polytope import (
     EnumerationLimitError,

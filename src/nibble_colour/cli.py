@@ -180,7 +180,7 @@ def _auto_eps(struct: RoundStructure) -> float:
     max_neighbourhood = struct.max_neighbourhood()[0]
     if max_neighbourhood <= 0:
         return 0.25
-    ratio = min(struct.list_weights().values(), default=0.0) / max_neighbourhood
+    ratio = struct.min_list_weight()[0] / max_neighbourhood
     return min(0.25, max(0.01, (ratio - 1.0) / 2.0))
 
 
@@ -197,7 +197,11 @@ def cmd_colour(args) -> int:
     colours: dict[int, int] = {}
     status = EXIT_OK
 
-    if args.mode == "brute":
+    empty = [e for e in inst.lists.edge_ids() if not inst.lists.colours(e)]
+    if empty:
+        _err(f"edge {empty[0]} has an empty list: proven unsatisfiable")
+        status = EXIT_VERIFY
+    elif args.mode == "brute":
         result = brute_force_colour(inst.graph, inst.lists, inst.sigma, node_cap=args.node_cap)
         if result.status == "found":
             colours = result.colouring
@@ -228,12 +232,8 @@ def cmd_colour(args) -> int:
             lists_left = inst.lists
         if remaining:
             cap = args.iteration_cap if args.iteration_cap is not None else 100 * len(remaining)
-            try:
-                link = to_link_instance(inst.graph, lists_left, inst.sigma, active=remaining)
-                finish_colours, finish_log = finish(link, seed=args.seed, iteration_cap=cap)
-            except Exception as exc:  # empty lists and similar dead ends
-                _err(f"finisher failed: {exc}")
-                return EXIT_CAP
+            link = to_link_instance(inst.graph, lists_left, inst.sigma, active=remaining)
+            finish_colours, finish_log = finish(link, seed=args.seed, iteration_cap=cap)
             if finish_log.outcome != "success":
                 _err(f"finisher exhausted its iteration cap ({cap})")
                 status = EXIT_CAP
@@ -272,10 +272,8 @@ def cmd_colour(args) -> int:
 
 
 def cmd_brute(args) -> int:
-    try:
-        inst = load_instance(args.instance)
-    except InstanceError as exc:
-        _err(f"input error: {exc}")
+    inst = _load_valid_instance(args.instance)
+    if inst is None:
         return EXIT_INPUT
     result = brute_force_colour(inst.graph, inst.lists, inst.sigma, node_cap=args.node_cap)
     payload = {"status": result.status, "nodes": result.nodes}
@@ -355,11 +353,13 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_polytope(args) -> int:
+    inst = _load_valid_instance(args.graph)
+    if inst is None:
+        return EXIT_INPUT
     try:
-        inst = load_instance(args.graph)
         vector_raw = json.loads(Path(args.vector).read_text())
         x = {int(e): float(v) for e, v in vector_raw.items()}
-    except (InstanceError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, AttributeError, TypeError, ValueError) as exc:
         _err(f"input error: {exc}")
         return EXIT_INPUT
     try:

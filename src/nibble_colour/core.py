@@ -181,15 +181,6 @@ class WeightedListAssignment:
     def edge_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self.lists))
 
-    def replace_edge(self, e: int, colours: Iterable[int], weights: Mapping[int, float]) -> "WeightedListAssignment":
-        new_lists = dict(self.lists)
-        new_weights = {k: v for k, v in self.weights.items() if k[0] != e}
-        cs = tuple(sorted(colours))
-        new_lists[e] = cs
-        for c in cs:
-            new_weights[(e, c)] = weights[c]
-        return WeightedListAssignment(lists=new_lists, weights=new_weights)
-
     def restrict_to_edges(self, edge_ids: Iterable[int]) -> "WeightedListAssignment":
         keep = set(edge_ids)
         return WeightedListAssignment(
@@ -211,16 +202,8 @@ class PartialColouring:
     def get(self, e: int) -> int | None:
         return self.colours.get(e)
 
-    def domain(self) -> tuple[int, ...]:
-        return tuple(sorted(self.colours))
-
     def items(self) -> list[tuple[int, int]]:
         return sorted(self.colours.items())
-
-    def merged(self, other: Mapping[int, int]) -> "PartialColouring":
-        merged = dict(self.colours)
-        merged.update(other)
-        return PartialColouring(merged)
 
     def __len__(self) -> int:
         return len(self.colours)
@@ -282,14 +265,12 @@ def validate_colouring(
             continue
         if not lists.has(e, c):
             violations.append(Violation("list", (e, c), f"edge {e} coloured {c} which is not in its list"))
-    seen: set[tuple[int, int]] = set()
     for e, c in sorted(colours.items()):
         if e < 0 or e >= graph.edge_count:
             continue
         for f in graph.adjacent_edges(e):
-            if f not in colours or (min(e, f), max(e, f)) in seen:
-                continue
-            seen.add((min(e, f), max(e, f)))
+            if f < e or f not in colours:
+                continue  # each incident pair is checked once, from its lower edge
             if sigma.blocks(e, c, f, colours[f]):
                 violations.append(
                     Violation(

@@ -42,10 +42,9 @@ class VertexInstance:
     lists: WeightedListAssignment
     adjacency: Mapping[int, tuple[int, ...]]
     sigma: EdgeCorrespondence
-    shared_vertices: Mapping[tuple[int, int], int]
 
     def node_pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.shared_vertices)
+        return [(u, w) for u in self.nodes for w in self.adjacency[u] if u < w]
 
     def neighbourhood(self, u: int, c: int) -> tuple[tuple[int, int], ...]:
         """All (w, c') with w adjacent to u that block (u, c); this is the
@@ -72,23 +71,11 @@ def to_link_instance(
     if active is None:
         active = set(lists.edge_ids())
     nodes = tuple(sorted(active))
-    adjacency: dict[int, list[int]] = {u: [] for u in nodes}
-    shared: dict[tuple[int, int], int] = {}
-    for v in range(graph.vertex_count):
-        at_v = [e for e in graph.edges_at(v) if e in active]
-        for i, e in enumerate(at_v):
-            for f in at_v[i + 1 :]:
-                key = (e, f)
-                if key not in shared:
-                    shared[key] = v
-                    adjacency[e].append(f)
-                    adjacency[f].append(e)
     return VertexInstance(
         nodes=nodes,
         lists=lists.restrict_to_edges(active),
-        adjacency={u: tuple(sorted(set(ws))) for u, ws in adjacency.items()},
+        adjacency={u: tuple(f for f in graph.adjacent_edges(u) if f in active) for u in nodes},
         sigma=sigma,
-        shared_vertices=shared,
     )
 
 

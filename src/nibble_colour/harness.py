@@ -380,9 +380,10 @@ def expectation_diagnostic(
     if collect_samples:
         report.samples = {}
     Kk = params.K**k
-    for e in struct.edges:
-        a, b = struct.edge_slices.get(e, (0, 0))
-        samples = survive[:, a:b].astype(np.float64) @ struct.mu[a:b] if b > a else np.zeros(trials)
+    bounds = struct.edge_ptr.tolist()
+    for i, e in enumerate(struct.edges.tolist()):
+        a, b = bounds[i], bounds[i + 1]
+        samples = survive[:, a:b].astype(np.float64) @ struct.mu[a:b]
         if collect_samples:
             report.samples[e] = samples
         mean = float(samples.mean())
@@ -420,7 +421,6 @@ class AuditReport:
     min_list_edge: int | None
     max_colour_sum: float
     max_colour_sum_witness: tuple[int, int] | None  # (vertex, colour)
-    colour_sums: dict[tuple[int, int], float]
 
     def to_dict(self) -> dict:
         return {
@@ -449,8 +449,7 @@ def neighbourhood_audit(
     the round structure, so they are the values the nibble uses."""
     struct = RoundStructure.build(graph, lists, sigma)
     max_n, max_w, _ = struct.max_neighbourhood()
-    list_weights = struct.list_weights()
-    min_e = min(list_weights, key=list_weights.get) if list_weights else None
+    min_w, min_e = struct.min_list_weight()
     sums: dict[tuple[int, int], float] = {}
     for e in lists.edge_ids():
         for v in graph.edges[e]:
@@ -465,11 +464,10 @@ def neighbourhood_audit(
     return AuditReport(
         max_neighbourhood=max_n,
         max_neighbourhood_witness=max_w,
-        min_list_weight=list_weights[min_e] if min_e is not None else 0.0,
+        min_list_weight=min_w,
         min_list_edge=min_e,
         max_colour_sum=max_sum,
         max_colour_sum_witness=max_key,
-        colour_sums=sums,
     )
 
 

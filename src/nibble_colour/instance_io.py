@@ -73,29 +73,33 @@ def instance_from_dict(data: Mapping) -> Instance:
         vertex_count = int(data["vertex_count"])
         edges = [tuple(int(v) for v in edge) for edge in data["edges"]]
         lo, hi = (int(x) for x in data.get("colour_universe", (0, 0)))
-    except (KeyError, TypeError, ValueError) as exc:
+        lists: dict[int, list[int]] = {e: [] for e in range(len(edges))}
+        weights: dict[tuple[int, int], float] = {}
+        for key, entries in data.get("lists", {}).items():
+            e = int(key)
+            listed = lists.setdefault(e, [])
+            for entry in entries:
+                if isinstance(entry, dict):
+                    c = int(entry["colour"])
+                    w = float(entry.get("weight", 1.0))
+                else:  # bare colour id
+                    c, w = int(entry), 1.0
+                listed.append(c)
+                weights[(e, c)] = w
+        maps: dict[tuple[int, int], dict[int, int]] = {}
+        for item in data.get("sigma", []):
+            e, f = int(item["e"]), int(item["f"])
+            mapped = item.get("map", [])
+            if not isinstance(mapped, list):
+                raise TypeError(f"map of ({e},{f}) is not a list of pairs")
+            maps[(e, f)] = {int(c1): int(c2) for c1, c2 in mapped}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed instance: {exc}") from exc
-    graph = LinearHypergraph.build(vertex_count, edges, k=k)
-    lists: dict[int, list[int]] = {e: [] for e in range(len(edges))}
-    weights: dict[tuple[int, int], float] = {}
-    for key, entries in data.get("lists", {}).items():
-        e = int(key)
-        if not (0 <= e < len(edges)):
-            raise InstanceError(f"list declared for unknown edge {e}")
-        for entry in entries:
-            if isinstance(entry, Mapping):
-                c = int(entry["colour"])
-                w = float(entry.get("weight", 1.0))
-            else:  # bare colour id
-                c, w = int(entry), 1.0
-            lists[e].append(c)
-            weights[(e, c)] = w
-    maps: dict[tuple[int, int], dict[int, int]] = {}
-    for item in data.get("sigma", []):
-        e, f = int(item["e"]), int(item["f"])
-        maps[(e, f)] = {int(c1): int(c2) for c1, c2 in item.get("map", [])}
+    unknown = [e for e in lists if not 0 <= e < len(edges)]
+    if unknown:
+        raise InstanceError(f"list declared for unknown edge {unknown[0]}")
     return Instance(
-        graph=graph,
+        graph=LinearHypergraph.build(vertex_count, edges, k=k),
         lists=WeightedListAssignment.build(lists, weights),
         sigma=EdgeCorrespondence(maps=maps),
         universe=(lo, hi),

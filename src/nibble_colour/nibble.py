@@ -123,11 +123,6 @@ class NibbleParams:
         return self.L * math.log(self.N)
 
 
-def keep_probability(params: NibbleParams) -> float:
-    """K = 1 - (N/L)(1 + eps/8)/ln N, the uniform per-vertex keep rate."""
-    return params.K
-
-
 def schedule_step(L: float, N: float, K: float, k: int, eps: float, mode: str = "eps8") -> tuple[float, float]:
     """One step of the parameter recursion; pure in all arguments."""
     lnN = math.log(N)
@@ -195,11 +190,29 @@ def simulate_schedule(eps: float, k: int, delta: float, mode: str = "eps8") -> l
 EQUALIZING_BLOCK = 1 << 14
 
 
+def segment_sums(values: np.ndarray, ptr: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
+    """Sum of each segment `values[ptr[i]:ptr[i+1]]`, or of
+    `values[index[ptr[i]:ptr[i+1]]]` when `index` is given; 0.0 when empty.
+
+    Segments of one length are gathered into a (segments, length) block
+    and summed along it, which gives the same float as summing each
+    segment on its own; `np.add.reduceat` would not (it accumulates in
+    another order from three members up)."""
+    lengths = np.diff(ptr)
+    out = np.zeros(lengths.size, dtype=np.float64)
+    for n in np.unique(lengths[lengths > 0]):
+        rows = np.flatnonzero(lengths == n)
+        members = ptr[rows, None] + np.arange(n)
+        out[rows] = values[members if index is None else index[members]].sum(axis=1)
+    return out
+
+
 @dataclass
 class RoundStructure:
     """Immutable per-round view of an instance.
 
-    Pairs (e, c) are flattened in ascending order.  The colour
+    Pairs (e, c) are flattened in ascending order; the pairs of edge
+    `edges[i]` are `edge_ptr[i]:edge_ptr[i+1]`.  The colour
     neighbourhoods form one CSR (compressed sparse row) layout: row
     r = p*k + j holds N(e, v_j, c) of pair p = (e, c), where v_j is the
     j-th vertex of e in ascending order, as the ascending pair indices
@@ -209,15 +222,14 @@ class RoundStructure:
     neighbourhood is `nbr_idx[ptr[p*k]:ptr[(p+1)*k]]`.
     """
 
-    pairs: list[tuple[int, int]]
     mu: np.ndarray
     edge_of: np.ndarray
     colour_of: np.ndarray
     vertex_of: np.ndarray  # (P, k) vertex ids
     ptr: np.ndarray  # (P*k + 1,) row offsets into nbr_idx
     nbr_idx: np.ndarray  # int32 pair indices
-    edge_slices: dict[int, tuple[int, int]]
-    edges: tuple[int, ...]
+    edges: np.ndarray  # ascending edge ids, empty lists included
+    edge_ptr: np.ndarray  # (len(edges) + 1,) pair offsets per edge
     k: int
 
     @classmethod
@@ -226,64 +238,45 @@ class RoundStructure:
         graph: LinearHypergraph,
         lists: WeightedListAssignment,
         sigma: EdgeCorrespondence,
-        active: set[int] | None = None,
     ) -> "RoundStructure":
-        if active is None:
-            active = set(lists.edge_ids())
-        edges = tuple(sorted(active))
-        pairs = [(e, c) for e in edges for c in lists.colours(e)]
+        ids = lists.edge_ids()
+        edges = np.array(ids, dtype=np.int64)
+        sizes = np.array([len(lists.colours(e)) for e in ids], dtype=np.int64)
+        edge_ptr = np.zeros(edges.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=edge_ptr[1:])
         k = graph.k
-        mu = np.array([lists.weight(e, c) for e, c in pairs], dtype=np.float64)
-        edge_of = np.array([e for e, _ in pairs], dtype=np.int64)
-        colour_of = np.array([c for _, c in pairs], dtype=np.int64)
+        mu = np.array([lists.weight(e, c) for e in ids for c in lists.colours(e)], dtype=np.float64)
+        edge_of = np.repeat(edges, sizes)
+        colour_of = np.array([c for e in ids for c in lists.colours(e)], dtype=np.int64)
         edge_vertices = np.array(graph.edges, dtype=np.int64).reshape(-1, k)
         vertex_of = edge_vertices[edge_of]
 
-        # Pair range [first[f], stop[f]) of every edge id; empty when inactive.
+        # Pair range [first[f], stop[f]) of every edge id; empty when absent.
         first = np.zeros(graph.edge_count, dtype=np.int64)
         stop = np.zeros(graph.edge_count, dtype=np.int64)
-        edge_slices: dict[int, tuple[int, int]] = {}
-        a = 0
-        for e in edges:
-            b = a + len(lists.colours(e))
-            if b > a:
-                edge_slices[e] = (a, b)
-                first[e], stop[e] = a, b
-            a = b
+        first[edges], stop[edges] = edge_ptr[:-1], edge_ptr[1:]
 
         ptr, nbr_idx = _neighbourhood_rows(graph, sigma, colour_of, edge_vertices, first, stop)
         return cls(
-            pairs=pairs,
             mu=mu,
             edge_of=edge_of,
             colour_of=colour_of,
             vertex_of=vertex_of,
             ptr=ptr,
             nbr_idx=nbr_idx,
-            edge_slices=edge_slices,
             edges=edges,
+            edge_ptr=edge_ptr,
             k=k,
         )
 
     @property
     def pair_count(self) -> int:
-        return len(self.pairs)
+        return self.mu.size
 
     @cached_property
     def row_weights(self) -> np.ndarray:
-        """|N(e, v_j, c)|_mu per row r = p*k + j.
-
-        Rows of one length are gathered into a (rows, length) block and
-        summed along it, which gives the same float as summing each row
-        on its own; `np.add.reduceat` would not (it accumulates in
-        another order from three members up)."""
-        lengths = np.diff(self.ptr)
-        out = np.zeros(lengths.size, dtype=np.float64)
-        for n in np.unique(lengths[lengths > 0]):
-            rows = np.flatnonzero(lengths == n)
-            members = self.nbr_idx[self.ptr[rows, None] + np.arange(n)]
-            out[rows] = self.mu[members].sum(axis=1)
-        return out
+        """|N(e, v_j, c)|_mu per row r = p*k + j."""
+        return segment_sums(self.mu, self.ptr, self.nbr_idx)
 
     def max_neighbourhood(self) -> tuple[float, tuple[int, int, int] | None, int]:
         """(max weighted size, witnessing (e, v, c), max cardinality).
@@ -301,19 +294,19 @@ class RoundStructure:
         p, j = rows // self.k, rows % self.k
         first = int(np.lexsort((p, j, self.edge_of[p]))[0])
         p, j = int(p[first]), int(j[first])
-        return best, (self.pairs[p][0], int(self.vertex_of[p, j]), self.pairs[p][1]), card
+        return best, (int(self.edge_of[p]), int(self.vertex_of[p, j]), int(self.colour_of[p])), card
 
-    def list_weights(self) -> dict[int, float]:
-        out = {e: 0.0 for e in self.edges}
-        for e, (a, b) in self.edge_slices.items():
-            out[e] = float(self.mu[a:b].sum())
-        return out
+    def min_list_weight(self) -> tuple[float, int | None]:
+        """(smallest |L(e)|_mu, the first edge with it); (0.0, None)
+        without edges."""
+        if self.edges.size == 0:
+            return 0.0, None
+        weights = segment_sums(self.mu, self.edge_ptr)
+        i = int(np.argmin(weights))
+        return float(weights[i]), int(self.edges[i])
 
     def min_list_size(self) -> int:
-        sizes = {e: 0 for e in self.edges}
-        for e, (a, b) in self.edge_slices.items():
-            sizes[e] = b - a
-        return min(sizes.values(), default=0)
+        return int(np.diff(self.edge_ptr).min()) if self.edges.size else 0
 
     def equalizing(self, params: NibbleParams) -> tuple[np.ndarray, int]:
         """Eq values per (pair, vertex slot), clamped to <= 1; returns the
@@ -331,8 +324,10 @@ class RoundStructure:
             bad = np.flatnonzero(factors <= 0.0)
             if bad.size:
                 r = int(np.searchsorted(self.ptr, lo + bad[0], side="right")) - 1
+                p = r // self.k
                 raise DegenerateWeightError(
-                    f"equalizing factor <= 0 for pair {self.pairs[r // self.k]} at slot {r % self.k}"
+                    f"equalizing factor <= 0 for pair {(int(self.edge_of[p]), int(self.colour_of[p]))} "
+                    f"at slot {r % self.k}"
                 )
             denom[block] = np.multiply.reduceat(factors, self.ptr[block] - lo)
         eq = params.K / denom
@@ -457,19 +452,6 @@ def truncate_edge(
     return tuple(sorted(kept)), {c: weights[c] * factor for c in kept}
 
 
-def truncate_and_rescale(lists: WeightedListAssignment, l_target: float) -> WeightedListAssignment:
-    """Apply :func:`truncate_edge` to every edge of an assignment."""
-    new_lists: dict[int, tuple[int, ...]] = {}
-    new_weights: dict[tuple[int, int], float] = {}
-    for e in lists.edge_ids():
-        colours = lists.colours(e)
-        kept, scaled = truncate_edge(colours, {c: lists.weight(e, c) for c in colours}, l_target, edge=e)
-        new_lists[e] = kept
-        for c in kept:
-            new_weights[(e, c)] = scaled[c]
-    return WeightedListAssignment(lists=new_lists, weights=new_weights)
-
-
 # ---------------------------------------------------------------------------
 # One round.
 # ---------------------------------------------------------------------------
@@ -539,7 +521,6 @@ def run_round(
     attempt: int = 0,
     l_target: float | None = None,
     struct: RoundStructure | None = None,
-    active: set[int] | None = None,
 ) -> RoundOutcome:
     """One full round: draw, apply the procedure, colour, truncate.
 
@@ -549,7 +530,7 @@ def run_round(
     worker count.
     """
     if struct is None:
-        struct = RoundStructure.build(graph, lists, sigma, active)
+        struct = RoundStructure.build(graph, lists, sigma)
     if l_target is None:
         l_target, _ = next_params(params)
 
@@ -564,22 +545,23 @@ def run_round(
 
     survive, retained, removed_ii = apply_procedure(struct, activated, flips_ok)
 
-    coloured: dict[int, int] = {}
-    for e, (a, b) in struct.edge_slices.items():
-        kept = np.nonzero(retained[a:b])[0]
-        if kept.size:
-            coloured[e] = int(struct.colour_of[a + kept[0]])  # pairs sorted, so lowest colour
+    # Pairs are sorted, so the first retained pair of an edge has its lowest colour.
+    hit = np.flatnonzero(retained)
+    hit_edges, first_hit = np.unique(struct.edge_of[hit], return_index=True)
+    coloured = dict(zip(hit_edges.tolist(), struct.colour_of[hit[first_hit]].tolist()))
 
     trunc_lists: dict[int, tuple[int, ...]] = {}
     trunc_weights: dict[tuple[int, int], float] = {}
     deficient: list[int] = []
     empty: list[int] = []
-    for e in struct.edges:
+    bounds = struct.edge_ptr.tolist()
+    for i, e in enumerate(struct.edges.tolist()):
         if e in coloured:
             continue
-        a, b = struct.edge_slices.get(e, (0, 0))
-        kept_colours = tuple(int(c) for c in struct.colour_of[a:b][survive[a:b]])
-        wmap = {c: lists.weight(e, c) for c in kept_colours}
+        a, b = bounds[i], bounds[i + 1]
+        alive = survive[a:b]
+        kept_colours = tuple(struct.colour_of[a:b][alive].tolist())
+        wmap = dict(zip(kept_colours, struct.mu[a:b][alive].tolist()))
         if not kept_colours:
             empty.append(e)
             trunc_lists[e] = ()
@@ -685,9 +667,8 @@ def drive(
     result = DriveResult(colouring=colouring, lists=cur_lists, L=0.0, N=0.0)
 
     if struct is None:
-        struct = RoundStructure.build(graph, cur_lists, sigma, active)
-    weights_by_edge = struct.list_weights()
-    L = initial_L if initial_L is not None else (min(weights_by_edge.values()) if weights_by_edge else 0.0)
+        struct = RoundStructure.build(graph, cur_lists, sigma)
+    L = initial_L if initial_L is not None else struct.min_list_weight()[0]
     N_emp, _, max_card = struct.max_neighbourhood()
     N = initial_N if initial_N is not None else N_emp
     result.L, result.N = L, N
@@ -771,7 +752,7 @@ def drive(
             result.L, result.N = l_target, 0.0
             result.stop_reason = "all-coloured"
             return result
-        struct = RoundStructure.build(graph, cur_lists, sigma, active)
+        struct = RoundStructure.build(graph, cur_lists, sigma)
         N_emp, _, max_card = struct.max_neighbourhood()
         L, N = l_target, N_emp
         result.L, result.N = L, N

@@ -29,7 +29,6 @@ KIND_SAMPLE = 3
 KIND_RESAMPLE = 4
 KIND_GENERATE = 5
 KIND_LISTS = 6
-KIND_RETRY = 7
 KIND_TRIAL = 8
 
 

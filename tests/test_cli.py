@@ -174,9 +174,9 @@ def test_colour_nibble_builds_structure_once_for_eps_and_drive(tmp_path, monkeyp
     builds = []
     original = RoundStructure.build.__func__
 
-    def counted(cls, graph, lists, sigma, active=None):
-        builds.append(len(lists.edge_ids()) if active is None else len(active))
-        return original(cls, graph, lists, sigma, active)
+    def counted(cls, graph, lists, sigma):
+        builds.append(len(lists.edge_ids()))
+        return original(cls, graph, lists, sigma)
 
     monkeypatch.setattr(RoundStructure, "build", classmethod(counted))
     monkeypatch.setattr(cli, "neighbourhood_audit", _refuse)
@@ -199,6 +199,65 @@ def test_verify_and_diag_validate_the_instance(tmp_path, capsys):
     assert "out-of-range vertex 5" in capsys.readouterr().err
     assert run(["diag", inst, "--trials", 5, "--L", 40, "--N", 20]) == 2
     assert "out-of-range vertex 5" in capsys.readouterr().err
+
+
+def test_brute_and_polytope_validate_the_instance(tmp_path, capsys):
+    out_of_range = {"k": 2, "vertex_count": 3, "edges": [[0, 1], [1, 5]],
+                    "colour_universe": [0, 9], "lists": {"0": [1, 2], "1": [1, 2]}}
+    nan_weight = {**out_of_range, "edges": [[0, 1], [1, 2]],
+                  "lists": {"0": [{"colour": 1, "weight": math.nan}, 2], "1": [1, 2]}}
+    inst = tmp_path / "bad.json"
+    vec = tmp_path / "vec.json"
+    vec.write_text(json.dumps({"0": 0.5, "1": 0.5}))
+    capsys.readouterr()
+    for data, reported in ((out_of_range, "out-of-range vertex 5"), (nan_weight, "weight nan")):
+        inst.write_text(json.dumps(data))
+        for argv in (["brute", inst], ["polytope", inst, vec]):
+            assert run(argv) == 2
+            assert reported in capsys.readouterr().err
+    vec.write_text("[0.5, 0.5]")  # a vector that is not an object
+    assert run(["polytope", _p3_instance(tmp_path), vec]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["nibble+finish", "finish-only", "brute"])
+def test_colour_empty_list_exit_1_names_the_edge(tmp_path, capsys, mode):
+    inst = _p3_instance(tmp_path, lists={0: [1, 2], 1: []})
+    assert run(["colour", inst, "--mode", mode, "--out-prefix", tmp_path / "run"]) == 1
+    assert "edge 1 has an empty list" in capsys.readouterr().err
+
+
+# Shapes that instance_from_dict must turn into an InstanceError, each
+# merged into an otherwise valid two-edge instance.
+MALFORMED = {
+    "list entry without colour": {"lists": {"0": [{"weight": 0.5}]}},
+    "lists as an array": {"lists": [[1, 2]]},
+    "list entry of a wrong type": {"lists": {"0": [[1]]}},
+    "list key not an edge id": {"lists": {"x": [1]}},
+    "sigma entry without e": {"sigma": [{"f": 1, "map": [[1, 2]]}]},
+    "sigma entry of a wrong type": {"sigma": [[0, 1]]},
+    "map item not a pair": {"sigma": [{"e": 0, "f": 1, "map": [[1]]}]},
+    "map as an object": {"sigma": [{"e": 0, "f": 1, "map": {"12": 3}}]},
+}
+
+
+@pytest.mark.parametrize("command", ["colour", "verify", "brute"])
+@pytest.mark.parametrize("shape", sorted(MALFORMED))
+def test_malformed_instance_shapes_exit_2(tmp_path, capsys, command, shape):
+    data = {"k": 2, "vertex_count": 3, "edges": [[0, 1], [1, 2]], "colour_universe": [0, 9],
+            "lists": {"0": [1, 2], "1": [1, 2]}, **MALFORMED[shape]}
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps(data))
+    col = tmp_path / "col.json"
+    col.write_text(json.dumps({"complete": True, "colours": {"0": 1, "1": 2}}))
+    argv = {
+        "colour": ["colour", inst, "--out-prefix", tmp_path / "run"],
+        "verify": ["verify", inst, col],
+        "brute": ["brute", inst],
+    }[command]
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert "malformed instance" in capsys.readouterr().err
 
 
 def test_verify_detects_block_and_unknown_edge(tmp_path):

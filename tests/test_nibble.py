@@ -23,12 +23,10 @@ from nibble_colour.nibble import (
     apply_procedure,
     drive,
     equalizing_probability,
-    keep_probability,
     next_params,
     run_round,
     schedule_step,
     simulate_schedule,
-    truncate_and_rescale,
     truncate_edge,
 )
 from conftest import fano_hypergraph, path_graph, random_micro_instance, star_graph
@@ -51,27 +49,27 @@ def mp_step(L, N, eps, k, coeff_num=1, coeff_den=8):
 
 
 # ---------------------------------------------------------------------------
-# keep_probability
+# keep probability K
 # ---------------------------------------------------------------------------
 
 
 def test_keep_probability_example_e10():
     N = math.exp(10)
     params = NibbleParams(eps=0.25, k=2, L=1.25 * N, N=N)
-    assert keep_probability(params) == pytest.approx(0.9175, abs=1e-12)
-    assert keep_probability(params) == pytest.approx(float(mp_keep(1.25 * N, N, 0.25)), abs=1e-12)
+    assert params.K == pytest.approx(0.9175, abs=1e-12)
+    assert params.K == pytest.approx(float(mp_keep(1.25 * N, N, 0.25)), abs=1e-12)
 
 
 def test_keep_probability_example_e20():
     N = math.exp(20)
     params = NibbleParams(eps=0.25, k=2, L=1.25 * N, N=N)
-    assert keep_probability(params) == pytest.approx(0.958750, abs=1e-12)
+    assert params.K == pytest.approx(0.958750, abs=1e-12)
 
 
 def test_keep_probability_limit():
     N = math.exp(10)
     params = NibbleParams(eps=0.25, k=2, L=1e12 * N, N=N)
-    assert 1 - 1e-9 < keep_probability(params) <= 1.0
+    assert 1 - 1e-9 < params.K <= 1.0
 
 
 def test_params_domain_errors():
@@ -118,7 +116,7 @@ def test_equalizing_at_weight_exactly_N_is_at_most_one():
     params = NibbleParams(eps=0.25, k=2, L=10.0, N=7.5)
     eq = equalizing_probability(g, lists, EdgeCorrespondence(), params, 0, 0, 0)
     struct = RoundStructure.build(g, lists, EdgeCorrespondence())
-    p = struct.pairs.index((0, 0))
+    p = int(np.flatnonzero((struct.edge_of == 0) & (struct.colour_of == 0))[0])
     slot = list(struct.vertex_of[p]).index(0)
     assert struct.row_weights[p * struct.k + slot] == pytest.approx(7.5)
     assert 0.0 < eq <= 1.0
@@ -180,7 +178,7 @@ def test_equalizing_struct_matches_op():
         params = NibbleParams(eps=0.25, k=graph.k, L=40.0, N=20.0)
         struct = RoundStructure.build(graph, lists, sigma)
         eq, _ = struct.equalizing(params)
-        for p, (e, c) in enumerate(struct.pairs):
+        for p, (e, c) in enumerate(zip(struct.edge_of.tolist(), struct.colour_of.tolist())):
             for j, v in enumerate(struct.vertex_of[p]):
                 expected = equalizing_probability(graph, lists, sigma, params, e, int(v), c)
                 assert eq[p, j] == pytest.approx(expected, rel=1e-15)
@@ -197,12 +195,14 @@ def _row(struct, p, j):
 
 def _assert_rows_match_definition(graph, lists, sigma, active=None):
     """Every row equals core.colour_neighbours as ascending pair indices."""
-    struct = RoundStructure.build(graph, lists, sigma, active)
     defined = lists if active is None else lists.restrict_to_edges(active)
-    index = {pc: i for i, pc in enumerate(struct.pairs)}
+    struct = RoundStructure.build(graph, defined, sigma)
+    pairs = list(zip(struct.edge_of.tolist(), struct.colour_of.tolist()))
+    assert pairs == [(e, c) for e in defined.edge_ids() for c in defined.colours(e)]
+    index = {pc: i for i, pc in enumerate(pairs)}
     assert struct.ptr.size == struct.pair_count * struct.k + 1
     assert struct.nbr_idx.dtype == np.int32
-    for p, (e, c) in enumerate(struct.pairs):
+    for p, (e, c) in enumerate(pairs):
         for j, v in enumerate(graph.edges[e]):
             assert struct.vertex_of[p, j] == v
             expected = sorted(index[q] for q in colour_neighbours(graph, defined, sigma, e, v, c))
@@ -250,14 +250,46 @@ def test_structure_empty_rows_and_no_pairs():
     survive, _, removed = apply_procedure(struct, np.ones(4, dtype=bool), np.ones((4, 2), dtype=bool))
     assert survive.all() and not removed.any()
 
-    for lists in (WeightedListAssignment.unit({}), WeightedListAssignment.unit({0: [], 1: []})):
+    for lists, lightest in ((WeightedListAssignment.unit({}), None), (WeightedListAssignment.unit({0: [], 1: []}), 0)):
         struct = RoundStructure.build(g, lists, EdgeCorrespondence())
         assert struct.pair_count == 0 and struct.ptr.tolist() == [0] and struct.nbr_idx.size == 0
+        assert struct.min_list_weight() == (0.0, lightest) and struct.min_list_size() == 0
         assert struct.max_neighbourhood() == (0.0, None, 0)
         eq, clamped = struct.equalizing(params)
         assert eq.shape == (0, 2) and clamped == 0
         survive, retained, removed = apply_procedure(struct, np.zeros((3, 0), dtype=bool), np.zeros((3, 0, 2), dtype=bool))
         assert survive.shape == retained.shape == removed.shape == (3, 0)
+
+
+def test_segment_sums_equal_per_segment_sums():
+    """Same-length segments summed as a block give each segment's own
+    float sum, for every length from 1 to 200, read directly and through
+    an index; empty segments give 0.0."""
+    gen = np.random.default_rng(11)
+    lengths = np.repeat(np.arange(201), 3)
+    gen.shuffle(lengths)
+    ptr = np.concatenate(([0], np.cumsum(lengths)))
+    values = gen.uniform(0.01, 1.0, ptr[-1])
+    index = gen.permutation(ptr[-1])
+    direct = nibble.segment_sums(values, ptr)
+    through = nibble.segment_sums(values, ptr, index)
+    for i in range(lengths.size):
+        assert direct[i] == values[ptr[i] : ptr[i + 1]].sum()
+        assert through[i] == values[index[ptr[i] : ptr[i + 1]]].sum()
+    assert (direct[lengths == 0] == 0.0).all() and (through[lengths == 0] == 0.0).all()
+
+
+def test_min_list_weight_first_edge_on_tie_and_empty_list():
+    g = path_graph(3)
+    weights = {(0, 1): 0.5, (0, 2): 0.4, (1, 3): 0.75, (2, 4): 0.5, (2, 5): 0.25}
+    lists = WeightedListAssignment.build({0: [1, 2], 1: [3], 2: [4, 5]}, weights)
+    struct = RoundStructure.build(g, lists, EdgeCorrespondence())
+    assert struct.min_list_weight() == (0.75, 1)  # edges 1 and 2 both weigh 0.75
+    assert struct.min_list_size() == 1
+    lists = WeightedListAssignment.build({0: [1, 2], 1: [3], 2: []}, weights)
+    struct = RoundStructure.build(g, lists, EdgeCorrespondence())
+    assert struct.min_list_weight() == (0.0, 2)
+    assert struct.min_list_size() == 0
 
 
 def test_row_weights_equal_per_row_sums():
@@ -383,7 +415,7 @@ def test_simulate_schedule_rejects_tiny_delta():
 
 
 # ---------------------------------------------------------------------------
-# truncate_and_rescale
+# truncate_edge
 # ---------------------------------------------------------------------------
 
 
@@ -431,13 +463,6 @@ def test_truncate_contract(data):
     for c in kept:
         assert scaled[c] <= weights[c] + 1e-15
         assert scaled[c] >= (1 - 2 / L) * weights[c] - 1e-15
-
-
-def test_truncate_and_rescale_assignment():
-    lists = WeightedListAssignment.unit({0: [1, 2, 3, 4, 5], 1: [1, 2, 3, 4]})
-    out = truncate_and_rescale(lists, 3.5)
-    assert sum(out.weight(0, c) for c in out.colours(0)) == pytest.approx(3.5, abs=1e-12)
-    assert sum(out.weight(1, c) for c in out.colours(1)) == pytest.approx(3.5, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
