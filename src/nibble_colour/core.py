@@ -16,9 +16,13 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from itertools import chain
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 
 class InstanceError(ValueError):
@@ -76,6 +80,23 @@ class LinearHypergraph:
                 if 0 <= v < self.vertex_count:
                     table[v].append(eid)
         return tuple(tuple(row) for row in table)
+
+    @cached_property
+    def incident_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every pair of distinct edges that share a vertex, once: int64
+        arrays (e, f) with e < f, in ascending (e, f) order."""
+        m = max(self.edge_count, 1)
+        sizes = np.fromiter(map(len, self.incidence), np.int64, self.vertex_count)
+        at = np.fromiter(chain.from_iterable(self.incidence), np.int64, int(sizes.sum()))
+        # Pair each entry of a vertex's (ascending) row with the entries after it.
+        later = np.repeat(np.cumsum(sizes), sizes) - np.arange(at.size) - 1
+        first = np.repeat(np.arange(at.size), later)
+        offset = np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
+        e, f = at[first], at[first + 1 + offset]
+        keep = e < f  # an edge listing a vertex twice meets itself there
+        key = np.sort(e[keep] * m + f[keep])
+        key = key[np.diff(key, prepend=-1) != 0]  # non-linear pairs meet twice
+        return key // m, key % m
 
     @property
     def edge_count(self) -> int:
@@ -249,6 +270,44 @@ def colour_neighbours(
     return tuple(sorted(out))
 
 
+_INT64 = range(-(1 << 63), 1 << 63)
+
+
+def blocking_pairs(
+    sigma: EdgeCorrespondence,
+    e: np.ndarray,
+    f: np.ndarray,
+    colour_of: Sequence | Mapping[int, object],
+    ids: Sequence[int],
+    size: int,
+) -> np.ndarray:
+    """Ascending indices i at which (e[i], colour_of[e[i]]) blocks
+    (f[i], colour_of[f[i]]).
+
+    `ids` lists every edge id in e and f, each below `size`.  Pairs without
+    a stored map whose two colours are ints in the int64 range are
+    compared as arrays (the identity blocks equal colours); every other
+    pair goes through `sigma.blocks`, so any colour value is handled."""
+    value = np.zeros(size, dtype=np.int64)
+    exact = np.zeros(size, dtype=bool)
+    for u in ids:
+        c = colour_of[u]
+        if type(c) is int and c in _INT64:
+            value[u] = c
+            exact[u] = True
+    scalar = ~(exact[e] & exact[f])
+    if sigma.maps:  # pairs with a stored map in either direction
+        stored = [min(a, b) * size + max(a, b) for a, b in sigma.maps if 0 <= a < size and 0 <= b < size]
+        scalar |= np.isin(np.minimum(e, f) * size + np.maximum(e, f), stored)
+    hit = ~scalar & (value[e] == value[f])
+    at = np.flatnonzero(scalar)
+    hit[at] = [
+        sigma.blocks(a, colour_of[a], b, colour_of[b])
+        for a, b in zip(e[at].tolist(), f[at].tolist())
+    ]
+    return np.flatnonzero(hit)
+
+
 def validate_colouring(
     graph: LinearHypergraph,
     lists: WeightedListAssignment,
@@ -256,29 +315,29 @@ def validate_colouring(
     colouring: PartialColouring | Mapping[int, int],
 ) -> list[Violation]:
     """Empty iff every coloured edge uses a listed colour and no coloured
-    pair blocks another coloured pair.  Total: never raises."""
+    pair blocks another coloured pair.  Total: never raises.
+
+    Blocking is checked over `graph.incident_pairs`, so each incident
+    pair is checked once and reported in ascending (e, f) order."""
     colours = colouring.colours if isinstance(colouring, PartialColouring) else colouring
     violations: list[Violation] = []
+    known: list[int] = []
     for e, c in sorted(colours.items()):
         if e < 0 or e >= graph.edge_count:
             violations.append(Violation("unknown-edge", (e,), f"edge {e} not in instance"))
             continue
+        known.append(operator.index(e))
         if not lists.has(e, c):
             violations.append(Violation("list", (e, c), f"edge {e} coloured {c} which is not in its list"))
-    for e, c in sorted(colours.items()):
-        if e < 0 or e >= graph.edge_count:
-            continue
-        for f in graph.adjacent_edges(e):
-            if f < e or f not in colours:
-                continue  # each incident pair is checked once, from its lower edge
-            if sigma.blocks(e, c, f, colours[f]):
-                violations.append(
-                    Violation(
-                        "blocking",
-                        (e, f, c, colours[f]),
-                        f"({e},{c}) blocks ({f},{colours[f]})",
-                    )
-                )
+    coloured = np.zeros(graph.edge_count, dtype=bool)
+    coloured[known] = True
+    pe, pf = graph.incident_pairs
+    both = coloured[pe] & coloured[pf]
+    pe, pf = pe[both], pf[both]
+    at = blocking_pairs(sigma, pe, pf, colours, known, graph.edge_count)
+    for e, f in zip(pe[at].tolist(), pf[at].tolist()):
+        c, cf = colours[e], colours[f]
+        violations.append(Violation("blocking", (e, f, c, cf), f"({e},{c}) blocks ({f},{cf})"))
     return violations
 
 

@@ -14,8 +14,12 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Mapping
+from itertools import accumulate
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from . import rng
 from .core import (
@@ -23,9 +27,39 @@ from .core import (
     LinearHypergraph,
     PreconditionError,
     WeightedListAssignment,
+    blocking_pairs,
 )
 
 THREE_E = 3.0 * math.e
+
+
+class LinkAdjacency(Mapping[int, tuple[int, ...]]):
+    """Adjacency of a link graph as flat arrays, read as a mapping from
+    node to its ascending tuple of neighbours.
+
+    Rows are indexed by edge id over the whole graph: the neighbours of
+    node u are `idx[ptr[u]:ptr[u+1]]`, and `member[u]` says whether u is
+    a node (rows of other edges are empty)."""
+
+    def __init__(self, ptr: np.ndarray, idx: np.ndarray, member: np.ndarray):
+        self.ptr, self.idx, self.member = ptr, idx, member
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each adjacent pair once: arrays (u, w) with u < w, ascending."""
+        src = np.repeat(np.arange(self.member.size), np.diff(self.ptr))
+        lower = src < self.idx
+        return src[lower], self.idx[lower]
+
+    def __getitem__(self, u: int) -> tuple[int, ...]:
+        if not (0 <= u < self.member.size and self.member[u]):
+            raise KeyError(u)
+        return tuple(self.idx[self.ptr[u] : self.ptr[u + 1]].tolist())
+
+    def __iter__(self):
+        return iter(np.flatnonzero(self.member).tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.member))
 
 
 @dataclass(frozen=True)
@@ -40,11 +74,8 @@ class VertexInstance:
 
     nodes: tuple[int, ...]
     lists: WeightedListAssignment
-    adjacency: Mapping[int, tuple[int, ...]]
+    adjacency: LinkAdjacency
     sigma: EdgeCorrespondence
-
-    def node_pairs(self) -> list[tuple[int, int]]:
-        return [(u, w) for u in self.nodes for w in self.adjacency[u] if u < w]
 
     def neighbourhood(self, u: int, c: int) -> tuple[tuple[int, int], ...]:
         """All (w, c') with w adjacent to u that block (u, c); this is the
@@ -67,14 +98,24 @@ def to_link_instance(
     """Build the link-graph instance over `active` edges (default: all
     edges carrying lists).  Lists, weights and correspondences transfer
     unchanged; node ids equal edge ids so colourings transport back as-is.
+    The adjacency is `graph.incident_pairs` restricted to the active edges.
     """
-    if active is None:
-        active = set(lists.edge_ids())
+    active = set(lists.edge_ids()) if active is None else set(active)
     nodes = tuple(sorted(active))
+    if nodes and not (0 <= nodes[0] and nodes[-1] < graph.edge_count):
+        raise PreconditionError(f"active edges must be edge ids below {graph.edge_count}")
+    member = np.zeros(graph.edge_count, dtype=bool)
+    member[list(nodes)] = True
+    e, f = graph.incident_pairs
+    both = member[e] & member[f]
+    src = np.concatenate([e[both], f[both]])
+    dst = np.concatenate([f[both], e[both]])
+    ptr = np.zeros(graph.edge_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=graph.edge_count), out=ptr[1:])
     return VertexInstance(
         nodes=nodes,
-        lists=lists.restrict_to_edges(active),
-        adjacency={u: tuple(f for f in graph.adjacent_edges(u) if f in active) for u in nodes},
+        lists=lists if lists.lists.keys() <= active else lists.restrict_to_edges(active),
+        adjacency=LinkAdjacency(ptr, dst[np.lexsort((dst, src))], member),
         sigma=sigma,
     )
 
@@ -132,27 +173,39 @@ class ResampleLog:
         }
 
 
-def sample_colour(lists: WeightedListAssignment, node: int, seed: int, counter: int) -> int:
-    """Draw a colour for `node` with probability mu(node, c)/|L(node)|_mu,
-    deterministically from the (seed, node, counter) stream."""
+def _cumulative_weights(lists: WeightedListAssignment, node: int) -> tuple[tuple[int, ...], list[float]]:
+    """The colours of `node` and their cumulative weights, summed left to
+    right; the last one is the list's weighted size."""
     colours = lists.colours(node)
     if not colours:
         raise PreconditionError(f"node {node} has an empty list")
-    total = sum(lists.weight(node, c) for c in colours)
-    u = rng.uniform(seed, rng.KIND_SAMPLE if counter == 0 else rng.KIND_RESAMPLE, node, counter) * total
-    acc = 0.0
-    for c in colours:
-        acc += lists.weight(node, c)
-        if u < acc:
+    try:
+        return colours, list(accumulate([lists.weights[node, c] for c in colours]))
+    except KeyError:
+        for c in colours:
+            lists.weight(node, c)  # raises MissingWeightError naming the colour
+        raise
+
+
+def _pick(colours: Sequence[int], cumulative: Sequence[float], u: float) -> int:
+    """The first colour whose cumulative weight exceeds u * total, where
+    total is the last cumulative weight; the last colour guards against
+    accumulated rounding."""
+    target = u * cumulative[-1]
+    for c, acc in zip(colours, cumulative):
+        if target < acc:
             return c
-    return colours[-1]  # guard against accumulated rounding
+    return colours[-1]
 
 
-def _violation(inst: VertexInstance, colours: dict[int, int], u: int, w: int) -> tuple[int, int, int, int] | None:
-    cu, cw = colours[u], colours[w]
-    if inst.sigma.blocks(u, cu, w, cw):
-        return (u, w, cu, cw)
-    return None
+def sample_colour(lists: WeightedListAssignment, node: int, seed: int, counter: int) -> int:
+    """Draw a colour for `node` with probability mu(node, c)/|L(node)|_mu,
+    deterministically from the (seed, node, counter) stream.  |L(node)|_mu
+    is the left-to-right sum of the weights in colour order, so the draw
+    does not depend on how the Python version implements `sum`."""
+    colours, cumulative = _cumulative_weights(lists, node)
+    kind = rng.KIND_SAMPLE if counter == 0 else rng.KIND_RESAMPLE
+    return _pick(colours, cumulative, rng.uniform(seed, kind, node, counter))
 
 
 def finish(
@@ -164,47 +217,70 @@ def finish(
     blocks, resample both endpoints of the lexicographically lowest
     violated (u, w, c, c') and repeat.
 
-    Returns the colouring (possibly still invalid when the cap runs out)
-    together with the log; `log.outcome` is "success" or "cap-exhausted".
-    The default cap is 100 times the node count.
+    Every draw follows `sample_colour`'s rule: the first samples are drawn
+    as one array, the resamples one node at a time.  Returns the colouring
+    (possibly still invalid when the cap runs out) together with the log;
+    `log.outcome` is "success" or "cap-exhausted".  The default cap is 100
+    times the node count.
     """
     if iteration_cap is None:
         iteration_cap = 100 * len(inst.nodes)
     log = ResampleLog()
-    colours: dict[int, int] = {}
+    lists, sigma, adj = inst.lists, inst.sigma, inst.adjacency
+    size = adj.member.size
+
+    # Cumulative weights of every node, rows indexed by node id.
+    sizes = np.zeros(size, dtype=np.int64)
+    cumulative = array("d")
     for u in inst.nodes:
-        colours[u] = sample_colour(inst.lists, u, seed, 0)
+        colours, cum = _cumulative_weights(lists, u)
+        sizes[u] = len(colours)
+        cumulative.extend(cum)
+    ptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=ptr[1:])
+    cum_all = np.frombuffer(cumulative, dtype=np.float64)
+
+    # First samples: one draw per node, then the first cumulative weight
+    # above the target in each (nonempty) row, or the row's last colour.
+    current: list = [None] * size
+    if inst.nodes:
+        nodes = np.asarray(inst.nodes, dtype=np.int64)
+        start, stop = ptr[nodes], ptr[nodes + 1]
+        target = rng.uniforms(seed, rng.KIND_SAMPLE, nodes, 0) * cum_all[stop - 1]
+        above = cum_all > np.repeat(target, stop - start)
+        first = np.minimum.reduceat(np.where(above, np.arange(cum_all.size), cum_all.size), start)
+        chosen = np.where(first < cum_all.size, first, stop - 1) - start
+        for u, j in zip(inst.nodes, chosen.tolist()):
+            current[u] = lists.colours(u)[j]
 
     # Violated constraints live in a lazy min-heap of (u, w, c, c') events;
     # stale entries (colours moved on) are dropped at pop time.
-    heap: list[tuple[int, int, int, int]] = []
-    pairs = inst.node_pairs()
-    for e, f in pairs:
-        u, w = min(e, f), max(e, f)
-        ev = _violation(inst, colours, u, w)
-        if ev:
-            heapq.heappush(heap, ev)
+    pe, pf = adj.pairs()
+    at = blocking_pairs(sigma, pe, pf, current, inst.nodes, size)
+    heap = [(u, w, current[u], current[w]) for u, w in zip(pe[at].tolist(), pf[at].tolist())]
+    heapq.heapify(heap)
 
-    resample_counter = 0
+    blocks = sigma.blocks if sigma.maps else (lambda e, c, f, c_other: c == c_other)
+    nbr_ptr, nbr_idx = adj.ptr, adj.idx
     while heap:
         if log.iterations >= iteration_cap:
             log.outcome = "cap-exhausted"
-            return colours, log
+            break
         ev = heapq.heappop(heap)
         u, w, cu, cw = ev
-        if colours[u] != cu or colours[w] != cw or not inst.sigma.blocks(u, cu, w, cw):
-            continue  # stale
-        log.iterations += 1
+        if current[u] != cu or current[w] != cw:
+            continue  # stale; with the same colours the pair still blocks
+        log.iterations += 1  # also the counter of this resample's draws
         log.resampled.append(ev)
-        resample_counter += 1
-        colours[u] = sample_colour(inst.lists, u, seed, resample_counter)
-        colours[w] = sample_colour(inst.lists, w, seed, resample_counter)
         for x in (u, w):
-            for y in inst.adjacency[x]:
-                a, b = min(x, y), max(x, y)
-                nev = _violation(inst, colours, a, b)
-                if nev:
-                    heapq.heappush(heap, nev)
-
-    log.outcome = "success"
-    return colours, log
+            current[x] = _pick(
+                lists.colours(x),
+                cum_all[ptr[x] : ptr[x + 1]].tolist(),
+                rng.uniform(seed, rng.KIND_RESAMPLE, x, log.iterations),
+            )
+        for x in (u, w):
+            for y in nbr_idx[nbr_ptr[x] : nbr_ptr[x + 1]].tolist():
+                a, b = (x, y) if x < y else (y, x)
+                if blocks(a, current[a], b, current[b]):
+                    heapq.heappush(heap, (a, b, current[a], current[b]))
+    return {u: current[u] for u in inst.nodes}, log

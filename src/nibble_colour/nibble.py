@@ -435,10 +435,16 @@ def truncate_edge(
     """Delete colours (ascending weight, ties by colour id) while the
     remaining weighted size stays >= l_target, then rescale so the size is
     exactly l_target.  Raises CannotTruncateError if the list is deficient.
+
+    The weighted size starts as the left-to-right sum of the weights in
+    `colours` order, not `sum`, whose float result depends on the Python
+    version (3.12 compensates the rounding).
     """
     if l_target <= 0.0:
         raise PreconditionError(f"truncation target must be positive, got {l_target}")
-    total = sum(weights[c] for c in colours)
+    total = 0.0
+    for c in colours:
+        total += weights[c]
     if total < l_target:
         raise CannotTruncateError(
             f"edge {edge}: weighted list size {total:.6g} below target {l_target:.6g}", edge=edge

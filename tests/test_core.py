@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +17,9 @@ from nibble_colour.core import (
     validate_instance,
     weighted_size,
 )
-from conftest import path_graph, star_graph, triangle_graph, random_sigma, random_micro_instance
+from conftest import fano_hypergraph, path_graph, star_graph, triangle_graph, random_sigma, random_micro_instance
+
+from nibble_colour import rng
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +171,77 @@ def test_validate_sub_colouring_of_valid_is_valid():
         assert validate_colouring(graph, lists, sigma, full) == []
         sub = {e: c for e, c in full.items() if e % 2 == 0}
         assert validate_colouring(graph, lists, sigma, sub) == []
+
+
+def reference_validate_colouring(graph, lists, sigma, colours):
+    """validate_colouring as first written: adjacent edges as sorted sets,
+    `sigma.blocks` pair by pair from the lower edge."""
+    violations = []
+    for e, c in sorted(colours.items()):
+        if e < 0 or e >= graph.edge_count:
+            violations.append(("unknown-edge", (e,)))
+        elif not lists.has(e, c):
+            violations.append(("list", (e, c)))
+    for e, c in sorted(colours.items()):
+        if e < 0 or e >= graph.edge_count:
+            continue
+        for f in graph.adjacent_edges(e):
+            if f > e and f in colours and sigma.blocks(e, c, f, colours[f]):
+                violations.append(("blocking", (e, f, c, colours[f])))
+    return violations
+
+
+def _kinds(violations):
+    return [(v.kind, v.subject) for v in violations]
+
+
+def test_incident_pairs_are_the_intersecting_pairs_in_order():
+    graphs = [path_graph(4), star_graph(5), triangle_graph(), fano_hypergraph(),
+              LinearHypergraph.build(6, [(0, 1), (2, 3), (4, 5)], k=2),
+              LinearHypergraph.build(4, [(0, 1, 2), (0, 1, 3), (1, 2, 3)], k=3),  # not linear
+              LinearHypergraph.build(3, [(0, 0), (0, 1)], k=2),  # a repeated vertex
+              LinearHypergraph(vertex_count=0, edges=(), k=2)]
+    graphs += [random_micro_instance(seed)[0] for seed in range(20)]
+    for g in graphs:
+        expected = [
+            (e, f) for e, f in itertools.combinations(range(g.edge_count), 2)
+            if set(g.edges[e]) & set(g.edges[f])
+        ]
+        e, f = g.incident_pairs
+        assert e.dtype == f.dtype == np.int64
+        assert list(zip(e.tolist(), f.tolist())) == expected
+
+
+def test_validate_colouring_matches_reference_on_random_colourings():
+    odd_values = [2**70, -(2**70), -1, True, 1.0, None, "a"]
+    for seed in range(60):
+        graph, lists, sigma, _ = random_micro_instance(seed)
+        for trial in range(4):
+            colours = {}
+            for e in range(-1, graph.edge_count + 1):
+                if rng.uniform(seed, 97, trial, e) < 0.8:
+                    colours[e] = int(rng.uniform(seed, 98, trial, e) * 6)
+            if trial == 3:  # odd colour values on two edges
+                colours[0] = odd_values[seed % len(odd_values)]
+                colours[graph.edge_count - 1] = odd_values[(seed + 3) % len(odd_values)]
+            got = validate_colouring(graph, lists, sigma, colours)
+            assert _kinds(got) == reference_validate_colouring(graph, lists, sigma, colours)
+
+
+def test_validate_colouring_blocking_order_and_stored_maps():
+    g = fano_hypergraph()  # every pair of lines meets
+    lists = WeightedListAssignment.unit({e: [0, 1, 2] for e in range(7)})
+    sigma = EdgeCorrespondence(maps={(5, 2): {0: 1}, (1, 6): {1: 2}})
+    colours = {e: 0 for e in range(7)}
+    colours[6] = 2
+    got = validate_colouring(g, lists, sigma, colours)
+    assert _kinds(got) == reference_validate_colouring(g, lists, sigma, colours)
+    pairs = [v.subject[:2] for v in got]
+    assert pairs == sorted(pairs) and (2, 5) not in pairs and (1, 6) not in pairs
+    colours[1], colours[5] = 1, 1
+    got = validate_colouring(g, lists, sigma, colours)
+    assert _kinds(got) == reference_validate_colouring(g, lists, sigma, colours)
+    assert ("blocking", (1, 6, 1, 2)) in _kinds(got)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import heapq
 import itertools
 import math
 
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -12,6 +14,7 @@ from nibble_colour.core import (
     validate_colouring,
 )
 from nibble_colour.finisher import (
+    ResampleLog,
     feasibility_check,
     finish,
     lll_symmetric_check,
@@ -19,7 +22,7 @@ from nibble_colour.finisher import (
     to_link_instance,
     weighted_binom_bound,
 )
-from conftest import fano_hypergraph, random_micro_instance, random_sigma, triangle_graph
+from conftest import fano_hypergraph, path_graph, random_micro_instance, random_sigma, triangle_graph
 
 from nibble_colour import rng
 
@@ -72,6 +75,39 @@ def test_link_instance_preserves_blocking():
                         assert edge_blocks == node_blocks
                         if edge_blocks:
                             assert (f, c2) in link.neighbourhood(e, c)
+
+
+def test_link_adjacency_is_adjacent_edges_within_active():
+    cases = [(fano_hypergraph(), None), (triangle_graph(), {0, 2})]
+    for seed in range(30):
+        graph, lists, sigma, _ = random_micro_instance(seed)
+        cases.append((graph, None))
+        cases.append((graph, {e for e in range(graph.edge_count) if e % 2 == seed % 2}))
+    for graph, active in cases:
+        lists = WeightedListAssignment.unit({e: [0] for e in range(graph.edge_count)})
+        link = to_link_instance(graph, lists, EdgeCorrespondence(), active=active)
+        keep = set(range(graph.edge_count)) if active is None else active
+        expected = {u: tuple(f for f in graph.adjacent_edges(u) if f in keep) for u in sorted(keep)}
+        assert link.nodes == tuple(sorted(keep))
+        assert list(link.adjacency) == list(expected)
+        assert all(link.adjacency[u] == expected[u] for u in expected)
+        assert link.adjacency == expected
+        u, w = link.adjacency.pairs()
+        assert list(zip(u.tolist(), w.tolist())) == [(a, b) for a in expected for b in expected[a] if a < b]
+        for outside in (-1, graph.edge_count, *(set(range(graph.edge_count)) - keep)):
+            with pytest.raises(KeyError):
+                link.adjacency[outside]
+
+
+def test_link_instance_keeps_lists_that_active_covers():
+    g = path_graph(3)
+    lists = WeightedListAssignment.unit({0: [1], 1: [2], 2: [3]})
+    assert to_link_instance(g, lists, EdgeCorrespondence()).lists is lists
+    assert to_link_instance(g, lists, EdgeCorrespondence(), active={0, 1, 2}).lists is lists
+    sub = to_link_instance(g, lists, EdgeCorrespondence(), active={0, 2}).lists
+    assert sub.lists == {0: (1,), 2: (3,)} and sub.weights == {(0, 1): 1.0, (2, 3): 1.0}
+    with pytest.raises(PreconditionError):
+        to_link_instance(g, lists, EdgeCorrespondence(), active={0, 3})
 
 
 def test_link_neighbourhood_groups_per_vertex_sets():
@@ -224,6 +260,138 @@ def test_finish_empty_list_raises():
     link = to_link_instance(g, lists, EdgeCorrespondence())
     with pytest.raises(PreconditionError):
         finish(link, seed=0)
+
+
+def reference_sample(lists, node, seed, counter):
+    """The sampler as first written, with the total summed left to right
+    and the draw taken from the array evaluation of the stream."""
+    colours = lists.colours(node)
+    if not colours:
+        raise PreconditionError(f"node {node} has an empty list")
+    total = 0.0
+    for c in colours:
+        total += lists.weight(node, c)
+    kind = rng.KIND_SAMPLE if counter == 0 else rng.KIND_RESAMPLE
+    u = float(rng.uniforms(seed, kind, node, counter)) * total
+    acc = 0.0
+    for c in colours:
+        acc += lists.weight(node, c)
+        if u < acc:
+            return c
+    return colours[-1]
+
+
+def reference_finish(inst, seed=0, iteration_cap=None):
+    """The resample loop as first written: one scalar draw per sample,
+    `sigma.blocks` per pair, a lazy heap of violations."""
+    if iteration_cap is None:
+        iteration_cap = 100 * len(inst.nodes)
+    log = ResampleLog()
+    colours = {u: reference_sample(inst.lists, u, seed, 0) for u in inst.nodes}
+
+    def violation(u, w):
+        cu, cw = colours[u], colours[w]
+        return (u, w, cu, cw) if inst.sigma.blocks(u, cu, w, cw) else None
+
+    heap = []
+    for u in inst.nodes:
+        for w in inst.adjacency[u]:
+            if u < w and (ev := violation(u, w)):
+                heapq.heappush(heap, ev)
+    counter = 0
+    while heap:
+        if log.iterations >= iteration_cap:
+            log.outcome = "cap-exhausted"
+            return colours, log
+        ev = heapq.heappop(heap)
+        u, w, cu, cw = ev
+        if colours[u] != cu or colours[w] != cw or not inst.sigma.blocks(u, cu, w, cw):
+            continue
+        log.iterations += 1
+        log.resampled.append(ev)
+        counter += 1
+        colours[u] = reference_sample(inst.lists, u, seed, counter)
+        colours[w] = reference_sample(inst.lists, w, seed, counter)
+        for x in (u, w):
+            for y in inst.adjacency[x]:
+                if nev := violation(min(x, y), max(x, y)):
+                    heapq.heappush(heap, nev)
+    return colours, log
+
+
+def _oracle_cases():
+    """(label, link instance, seed, cap): 65 small instances."""
+    for seed in range(30):  # stored partial correspondences in about half
+        graph, lists, sigma, _ = random_micro_instance(seed)
+        yield "micro", to_link_instance(graph, lists, sigma), seed, None
+    for seed in range(10):  # non-unit weights, many violations
+        g, lists = _cycle_instance(12, 3, 5, seed, weights_unit=False)
+        yield "cycle", to_link_instance(g, lists, EdgeCorrespondence()), seed, None
+    for seed in range(10):  # a cap the loop runs into
+        g, lists = _cycle_instance(10, 2, 3, seed, weights_unit=False)
+        yield "cap", to_link_instance(g, lists, EdgeCorrespondence()), seed, 1 + seed % 3
+    for seed in range(5):  # isolated nodes beside a path
+        g = LinearHypergraph.build(9, [(0, 1), (1, 2), (2, 3), (4, 5), (6, 7)], k=2)
+        lists = WeightedListAssignment.build(
+            {e: [0, 1] for e in range(5)},
+            {(e, c): 0.25 + 0.75 * rng.uniform(seed, 61, e, c) for e in range(5) for c in (0, 1)},
+        )
+        yield "isolated", to_link_instance(g, lists, EdgeCorrespondence()), seed, None
+    for seed in range(10):  # an active subset
+        graph, lists, sigma, _ = random_micro_instance(100 + seed)
+        active = {e for e in lists.edge_ids() if rng.uniform(seed, 62, e) < 0.7} or {0}
+        yield "active", to_link_instance(graph, lists, sigma, active=active), seed, None
+
+
+def test_finish_matches_reference_oracle():
+    seen = set()
+    for label, link, seed, cap in _oracle_cases():
+        colours, log = finish(link, seed=seed, iteration_cap=cap)
+        ref_colours, ref_log = reference_finish(link, seed=seed, iteration_cap=cap)
+        assert colours == ref_colours, (label, seed)
+        assert (log.iterations, log.resampled, log.outcome) == (
+            ref_log.iterations, ref_log.resampled, ref_log.outcome,
+        ), (label, seed)
+        seen.add(label)
+        if log.iterations:
+            seen.add("resampled")
+        if log.outcome == "cap-exhausted":
+            seen.add("cap-exhausted")
+        if link.sigma.maps and log.iterations:
+            seen.add("stored maps resampled")
+    assert seen >= {"micro", "cycle", "cap", "isolated", "active", "resampled",
+                    "cap-exhausted", "stored maps resampled"}
+
+
+def test_sampler_total_is_the_left_to_right_sum(monkeypatch):
+    # Left to right, ten weights of 0.1 sum to 0.9999999999999999; a
+    # compensated sum (Python 3.12's `sum`) gives 1.0.  With the draw
+    # u = 0.1 the target u * total is then just below the first colour's
+    # cumulative weight 0.1, so colour 0 is drawn; a total of 1.0 would
+    # put the target on it and draw colour 1.
+    total = 0.0
+    for _ in range(10):
+        total += 0.1
+    assert total == 0.9999999999999999 and 0.1 * total < 0.1
+    g = LinearHypergraph.build(2, [(0, 1)], k=2)
+    lists = WeightedListAssignment.build({0: range(10)}, {(0, c): 0.1 for c in range(10)})
+    monkeypatch.setattr(rng, "uniform", lambda *key: 0.1)
+    monkeypatch.setattr(rng, "uniforms", lambda seed, kind, *words: np.full(np.broadcast(*words).shape, 0.1))
+    assert sample_colour(lists, 0, seed=5, counter=0) == 0
+    assert sample_colour(lists, 0, seed=5, counter=3) == 0
+    colours, _ = finish(to_link_instance(g, lists, EdgeCorrespondence()), seed=5)
+    assert colours == {0: 0}
+
+
+def test_finish_missing_weight_raises_like_the_reference():
+    from nibble_colour.core import MissingWeightError
+
+    g = path_graph(3)
+    lists = WeightedListAssignment(lists={0: (1,), 1: (1, 2), 2: ()}, weights={(0, 1): 1.0, (1, 1): 1.0})
+    link = to_link_instance(g, lists, EdgeCorrespondence())
+    for fn in (finish, reference_finish):
+        with pytest.raises(MissingWeightError, match="edge 1, colour 2"):
+            fn(link, seed=0)
 
 
 def test_sampling_distribution_chi_squared():

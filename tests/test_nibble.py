@@ -441,6 +441,16 @@ def test_truncate_deficient():
         truncate_edge((1, 2), {1: 1.0, 2: 1.0}, 3.0, edge=7)
 
 
+def test_truncate_size_is_the_left_to_right_sum():
+    # Ten weights of 0.1 sum to 0.9999999999999999 left to right but to 1.0
+    # with Python 3.12's compensated `sum`; the size must not depend on it.
+    weights = {c: 0.1 for c in range(10)}
+    with pytest.raises(CannotTruncateError):
+        truncate_edge(tuple(range(10)), weights, 1.0)
+    kept, scaled = truncate_edge(tuple(range(10)), weights, 0.9999999999999999)
+    assert kept == tuple(range(10)) and scaled == weights
+
+
 def test_truncate_deletion_order_by_weight():
     colours = (1, 2, 3)
     weights = {1: 0.9, 2: 0.1, 3: 0.8}
@@ -455,7 +465,9 @@ def test_truncate_deletion_order_by_weight():
 def test_truncate_contract(data):
     n = data.draw(st.integers(1, 30))
     weights = {c: data.draw(st.floats(0.01, 1.0)) for c in range(n)}
-    total = sum(weights.values())
+    total = 0.0  # left to right, as truncate_edge sums
+    for w in weights.values():
+        total += w
     l_target = data.draw(st.floats(min(0.5, total / 2), total))
     L = data.draw(st.floats(l_target, 2 * (l_target + 1)))
     kept, scaled = truncate_edge(tuple(range(n)), weights, l_target)

@@ -1,4 +1,8 @@
+import struct
+
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from nibble_colour import rng
 
@@ -40,3 +44,50 @@ def test_permutation_and_subset():
 
 def test_negative_seed_allowed():
     assert 0 <= rng.uniform(-17, rng.KIND_SAMPLE, 0, 0) < 1
+
+
+# The scalar `uniform` hashes on Python ints; it must give the bits of the
+# array evaluation for every key `uniforms` accepts.
+_EDGES = [-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1]
+_KEY = st.one_of(
+    st.integers(-(2**63), 2**64 - 1),
+    st.sampled_from(_EDGES),
+    st.booleans(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.integers(-128, 127).map(np.int8),
+    st.integers(0, 2**32 - 1).map(np.uint32),
+    st.booleans().map(np.bool_),
+)
+
+
+@given(seed=_KEY, kind=_KEY, words=st.lists(_KEY, max_size=6))
+@settings(max_examples=500, deadline=None)
+def test_uniform_is_bitwise_the_array_element(seed, kind, words):
+    scalar = rng.uniform(seed, kind, *words)
+    array = rng.uniforms(seed, kind, *words)
+    assert type(scalar) is float and array.shape == ()
+    assert struct.pack("<d", scalar) == array.astype("<f8").tobytes()
+    # and the same element of a broadcast evaluation
+    vec = rng.uniforms(seed, kind, *words, np.arange(3))
+    assert struct.pack("<d", rng.uniform(seed, kind, *words, 2)) == vec[2:3].astype("<f8").tobytes()
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+@pytest.mark.parametrize("bad", [1.0, np.float64(2.0), np.float32(0.5)])
+def test_float_key_raises_type_error(position, bad):
+    key = [5, rng.KIND_SAMPLE, 7]
+    key[position] = bad
+    for fn in (rng.uniform, rng.uniforms):
+        with pytest.raises(TypeError, match="^stream keys must be integers$"):
+            fn(*key)
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+@pytest.mark.parametrize("bad", [2**64, -(2**63) - 1])
+def test_out_of_range_key_raises_overflow_error(position, bad):
+    key = [5, rng.KIND_SAMPLE, 7]
+    key[position] = bad
+    for fn in (rng.uniform, rng.uniforms):
+        with pytest.raises(OverflowError):
+            fn(*key)
