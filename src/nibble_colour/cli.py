@@ -197,8 +197,8 @@ def cmd_colour(args) -> int:
     colours: dict[int, int] = {}
     status = EXIT_OK
 
-    empty = [e for e in inst.lists.edge_ids() if not inst.lists.colours(e)]
-    if empty:
+    empty = inst.lists.edges[inst.lists.edge_ptr[1:] == inst.lists.edge_ptr[:-1]]
+    if empty.size:
         _err(f"edge {empty[0]} has an empty list: proven unsatisfiable")
         status = EXIT_VERIFY
     elif args.mode == "brute":
@@ -225,14 +225,12 @@ def cmd_colour(args) -> int:
                 return EXIT_CAP
             colours.update(result.colouring)
             trace_rows = result.trace
-            remaining = set(result.remaining_edges)
             lists_left = result.lists
         else:  # finish-only
-            remaining = set(inst.lists.edge_ids())
             lists_left = inst.lists
-        if remaining:
-            cap = args.iteration_cap if args.iteration_cap is not None else 100 * len(remaining)
-            link = to_link_instance(inst.graph, lists_left, inst.sigma, active=remaining)
+        if lists_left.edges.size:
+            cap = args.iteration_cap if args.iteration_cap is not None else 100 * lists_left.edges.size
+            link = to_link_instance(inst.graph, lists_left, inst.sigma)
             finish_colours, finish_log = finish(link, seed=args.seed, iteration_cap=cap)
             if finish_log.outcome != "success":
                 _err(f"finisher exhausted its iteration cap ({cap})")

@@ -6,8 +6,8 @@ Conventions used throughout the package:
 * A graph is a 2-uniform hypergraph; there is no separate graph type.
 * Edges are stored as sorted tuples of vertex ids `0..vertex_count-1` and
   addressed by their index in the edge list.
-* Colours are nonnegative integers from a finite universe declared per
-  instance.
+* Colours are integers in the int64 range from a finite universe declared
+  per instance.
 * `(e, c)` blocks `(f, c')` when the correspondence maps c on e to c' on f.
   A valid colouring contains no blocking pair between incident edges.
 * All structures are immutable after construction; operations that modify
@@ -72,22 +72,26 @@ class LinearHypergraph:
         return cls(vertex_count=vertex_count, edges=normalised, k=k)
 
     @cached_property
-    def incidence(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex tuple of incident edge ids, ascending."""
-        table: list[list[int]] = [[] for _ in range(self.vertex_count)]
+    def incidence(self) -> dict[int, tuple[int, ...]]:
+        """Incident edge ids, ascending, of every in-range vertex that lies
+        on an edge, in ascending vertex order; vertices on no edge are
+        absent, so the cost does not grow with `vertex_count`."""
+        table: dict[int, list[int]] = {}
         for eid, edge in enumerate(self.edges):
             for v in edge:
                 if 0 <= v < self.vertex_count:
-                    table[v].append(eid)
-        return tuple(tuple(row) for row in table)
+                    table.setdefault(v, []).append(eid)
+        return {v: tuple(table[v]) for v in sorted(table)}
 
     @cached_property
-    def incident_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every pair of distinct edges that share a vertex, once: int64
-        arrays (e, f) with e < f, in ascending (e, f) order."""
+    def _meetings(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(e, f, repeated): every pair of distinct edges that share a
+        vertex, once, as int64 arrays with e < f in ascending (e, f) order,
+        and whether the pair shares more than one vertex."""
         m = max(self.edge_count, 1)
-        sizes = np.fromiter(map(len, self.incidence), np.int64, self.vertex_count)
-        at = np.fromiter(chain.from_iterable(self.incidence), np.int64, int(sizes.sum()))
+        rows = self.incidence.values()
+        sizes = np.fromiter(map(len, rows), np.int64, len(rows))
+        at = np.fromiter(chain.from_iterable(rows), np.int64, int(sizes.sum()))
         # Pair each entry of a vertex's (ascending) row with the entries after it.
         later = np.repeat(np.cumsum(sizes), sizes) - np.arange(at.size) - 1
         first = np.repeat(np.arange(at.size), later)
@@ -95,18 +99,27 @@ class LinearHypergraph:
         e, f = at[first], at[first + 1 + offset]
         keep = e < f  # an edge listing a vertex twice meets itself there
         key = np.sort(e[keep] * m + f[keep])
-        key = key[np.diff(key, prepend=-1) != 0]  # non-linear pairs meet twice
-        return key // m, key % m
+        start = np.flatnonzero(np.diff(key, prepend=-1))  # one run per pair, one entry per shared vertex
+        repeated = np.diff(start, append=key.size) > 1
+        key = key[start]
+        return key // m, key % m, repeated
+
+    @property
+    def incident_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every pair of distinct edges that share a vertex, once: int64
+        arrays (e, f) with e < f, in ascending (e, f) order."""
+        e, f, _ = self._meetings
+        return e, f
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
     def edges_at(self, v: int) -> tuple[int, ...]:
-        return self.incidence[v]
+        return self.incidence.get(v, ())
 
     def degree(self, v: int) -> int:
-        return len(self.incidence[v])
+        return len(self.incidence.get(v, ()))
 
     def shared_vertex(self, e: int, f: int) -> int | None:
         """The (by linearity unique) common vertex of two edges, or None."""
@@ -159,55 +172,107 @@ class EdgeCorrespondence:
         return self.image(e, f, c) == c_other
 
 
-@dataclass(frozen=True)
+def segment_blocks(ptr: np.ndarray):
+    """Yield (rows, members) per distinct nonzero length of the segments
+    `ptr[i]:ptr[i+1]`: the segments of that length and their member
+    positions as a (rows, length) array, reduced along axis 1."""
+    lengths = np.diff(ptr)
+    distinct = np.sort(lengths)
+    for n in distinct[np.diff(distinct, prepend=0) > 0].tolist():
+        rows = np.flatnonzero(lengths == n)
+        yield rows, ptr[rows, None] + np.arange(n)
+
+
+@dataclass(frozen=True, eq=False)
 class WeightedListAssignment:
-    """Per-edge colour lists with weights mu(e, c) in (0, 1].
+    """Per-edge colour lists with weights mu(e, c) in (0, 1], as one pair
+    table in CSR (compressed sparse row) shape: `edges` holds the ids of
+    the edges with a list (empty lists included) ascending, the pairs of
+    `edges[i]` are `edge_ptr[i]:edge_ptr[i+1]`, with int64 colours
+    `colour_of` ascending within each edge and float64 weights `mu`.
+    Other structures share these arrays, so nothing writes to them.
 
     The weighted size |A|_mu of a set A of (edge, colour) pairs is the sum
     of the member weights, accumulated in ascending (edge, colour) order
     for reproducibility.
     """
 
-    lists: Mapping[int, tuple[int, ...]]
-    weights: Mapping[tuple[int, int], float]
+    edges: np.ndarray
+    edge_ptr: np.ndarray
+    colour_of: np.ndarray
+    mu: np.ndarray
+
+    @classmethod
+    def from_pairs(cls, edges: Sequence[int], edge_of: Sequence[int], colour_of: Sequence[int], mu: Sequence[float]) -> "WeightedListAssignment":
+        """The table of the ascending edge ids `edges` and the pairs
+        (edge_of[i], colour_of[i]) of weight mu[i], given in any order; a
+        pair given twice keeps its last weight.  Every edge_of must be in
+        `edges`."""
+        colours = np.asarray(colour_of, dtype=np.int64)
+        edge_of = np.asarray(edge_of, dtype=np.int64)
+        order = np.lexsort((colours, edge_of))  # stable: repeats stay in input order
+        edge_of, colours, weights = edge_of[order], colours[order], np.asarray(mu, dtype=np.float64)[order]
+        last = np.ones(order.size, dtype=bool)
+        last[:-1] = (edge_of[1:] != edge_of[:-1]) | (colours[1:] != colours[:-1])
+        edge_of = edge_of[last]
+        edges = np.asarray(edges, dtype=np.int64)
+        edge_ptr = np.append(np.searchsorted(edge_of, edges), edge_of.size)
+        return cls(edges=edges, edge_ptr=edge_ptr, colour_of=colours[last], mu=weights[last])
 
     @classmethod
     def build(cls, lists: Mapping[int, Iterable[int]], weights: Mapping[tuple[int, int], float] | None = None) -> "WeightedListAssignment":
-        norm = {e: tuple(sorted(set(cs))) for e, cs in lists.items()}
-        if weights is None:
-            weights = {(e, c): 1.0 for e, cs in norm.items() for c in cs}
-        else:
-            weights = dict(weights)
-        return cls(lists=norm, weights=weights)
+        """Lists sorted and deduplicated; weights default to 1.0.  Raises
+        MissingWeightError for a listed colour without a weight."""
+        pairs = [(e, c) for e, cs in lists.items() for c in cs]
+        try:
+            mu = [1.0 if weights is None else weights[pair] for pair in pairs]
+        except KeyError as exc:
+            e, c = exc.args[0]
+            raise MissingWeightError(f"no weight for edge {e}, colour {c}") from None
+        return cls.from_pairs(sorted(lists), [e for e, _ in pairs], [c for _, c in pairs], mu)
 
     @classmethod
     def unit(cls, lists: Mapping[int, Iterable[int]]) -> "WeightedListAssignment":
         return cls.build(lists)
 
+    @cached_property
+    def edge_of(self) -> np.ndarray:
+        """The edge id of every pair."""
+        return np.repeat(self.edges, np.diff(self.edge_ptr))
+
+    def span(self, e: int) -> tuple[int, int]:
+        """The pair range (a, b) of edge e; (0, 0) when e has no list."""
+        i = int(np.searchsorted(self.edges, e))
+        if i < self.edges.size and self.edges[i] == e:
+            return int(self.edge_ptr[i]), int(self.edge_ptr[i + 1])
+        return 0, 0
+
     def colours(self, e: int) -> tuple[int, ...]:
-        return self.lists.get(e, ())
+        a, b = self.span(e)
+        return tuple(self.colour_of[a:b].tolist())
 
     def has(self, e: int, c: int) -> bool:
-        return (e, c) in self.weights
+        return c in self.colours(e)
 
     def weight(self, e: int, c: int) -> float:
+        a, b = self.span(e)
         try:
-            return self.weights[(e, c)]
-        except KeyError:
+            return float(self.mu[a + self.colour_of[a:b].tolist().index(c)])
+        except ValueError:
             raise MissingWeightError(f"no weight for edge {e}, colour {c}") from None
 
     def list_weight(self, e: int) -> float:
-        return sum(self.weights[(e, c)] for c in self.colours(e))
+        a, b = self.span(e)
+        return sum(self.mu[a:b].tolist())
 
     def edge_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.lists))
+        return tuple(self.edges.tolist())
 
     def restrict_to_edges(self, edge_ids: Iterable[int]) -> "WeightedListAssignment":
         keep = set(edge_ids)
-        return WeightedListAssignment(
-            lists={e: cs for e, cs in self.lists.items() if e in keep},
-            weights={(e, c): w for (e, c), w in self.weights.items() if e in keep},
-        )
+        rows = np.array([e in keep for e in self.edges.tolist()], dtype=bool)
+        pairs = np.repeat(rows, np.diff(self.edge_ptr))
+        return self.from_pairs(self.edges[rows], self.edge_of[pairs], self.colour_of[pairs], self.mu[pairs])
 
 
 @dataclass(frozen=True)
@@ -273,6 +338,20 @@ def colour_neighbours(
 _INT64 = range(-(1 << 63), 1 << 63)
 
 
+def _int64_colours(colour_of: Sequence | Mapping[int, object], ids: Sequence[int], size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(value, exact) over edge ids below `size`: exact[u] says that
+    colour_of[u] (u in `ids`) is an int in the int64 range, and value[u]
+    holds it; both are zero elsewhere."""
+    value = np.zeros(size, dtype=np.int64)
+    exact = np.zeros(size, dtype=bool)
+    for u in ids:
+        c = colour_of[u]
+        if type(c) is int and c in _INT64:
+            value[u] = c
+            exact[u] = True
+    return value, exact
+
+
 def blocking_pairs(
     sigma: EdgeCorrespondence,
     e: np.ndarray,
@@ -288,13 +367,7 @@ def blocking_pairs(
     a stored map whose two colours are ints in the int64 range are
     compared as arrays (the identity blocks equal colours); every other
     pair goes through `sigma.blocks`, so any colour value is handled."""
-    value = np.zeros(size, dtype=np.int64)
-    exact = np.zeros(size, dtype=bool)
-    for u in ids:
-        c = colour_of[u]
-        if type(c) is int and c in _INT64:
-            value[u] = c
-            exact[u] = True
+    value, exact = _int64_colours(colour_of, ids, size)
     scalar = ~(exact[e] & exact[f])
     if sigma.maps:  # pairs with a stored map in either direction
         stored = [min(a, b) * size + max(a, b) for a, b in sigma.maps if 0 <= a < size and 0 <= b < size]
@@ -320,21 +393,29 @@ def validate_colouring(
     Blocking is checked over `graph.incident_pairs`, so each incident
     pair is checked once and reported in ascending (e, f) order."""
     colours = colouring.colours if isinstance(colouring, PartialColouring) else colouring
+    m = graph.edge_count
+    items = sorted(colours.items())
+    known = [operator.index(e) for e, _ in items if 0 <= e < m]
+    # List membership of the int64 colours, read off the pair table; any
+    # other colour value goes through `lists.has`.
+    value, exact = _int64_colours(colours, known, m)
+    edge_of = lists.edge_of
+    p = np.flatnonzero((edge_of >= 0) & (edge_of < m))
+    p = p[exact[edge_of[p]] & (value[edge_of[p]] == lists.colour_of[p])]
+    listed = np.zeros(m, dtype=bool)
+    listed[edge_of[p]] = True
     violations: list[Violation] = []
-    known: list[int] = []
-    for e, c in sorted(colours.items()):
-        if e < 0 or e >= graph.edge_count:
+    for e, c in items:
+        if not 0 <= e < m:
             violations.append(Violation("unknown-edge", (e,), f"edge {e} not in instance"))
-            continue
-        known.append(operator.index(e))
-        if not lists.has(e, c):
+        elif not (listed[e] if exact[e] else lists.has(e, c)):
             violations.append(Violation("list", (e, c), f"edge {e} coloured {c} which is not in its list"))
-    coloured = np.zeros(graph.edge_count, dtype=bool)
+    coloured = np.zeros(m, dtype=bool)
     coloured[known] = True
     pe, pf = graph.incident_pairs
     both = coloured[pe] & coloured[pf]
     pe, pf = pe[both], pf[both]
-    at = blocking_pairs(sigma, pe, pf, colours, known, graph.edge_count)
+    at = blocking_pairs(sigma, pe, pf, colours, known, m)
     for e, f in zip(pe[at].tolist(), pf[at].tolist()):
         c, cf = colours[e], colours[f]
         violations.append(Violation("blocking", (e, f, c, cf), f"({e},{c}) blocks ({f},{cf})"))
@@ -357,18 +438,17 @@ def restrict_lists(
     colours = colouring.colours if isinstance(colouring, PartialColouring) else colouring
     # List membership is only checkable for edges still carrying a list:
     # colourings produced by earlier rounds refer to lists already dropped.
+    listed = set(lists.edge_ids())
     problems = [
         v
         for v in validate_colouring(graph, lists, sigma, colours)
-        if not (v.kind == "list" and v.subject[0] not in lists.lists)
+        if not (v.kind == "list" and v.subject[0] not in listed)
     ]
     if problems:
         raise PreconditionError(f"colouring invalid: {problems[0]}")
-    new_lists: dict[int, tuple[int, ...]] = {}
-    new_weights: dict[tuple[int, int], float] = {}
-    for e in lists.edge_ids():
-        if e in colours:
-            continue
+    kept = np.zeros(lists.mu.size, dtype=bool)
+    uncoloured = [e for e in lists.edge_ids() if e not in colours]
+    for e in uncoloured:
         blocked: set[int] = set()
         for f in graph.adjacent_edges(e):
             cf = colours.get(f)
@@ -377,11 +457,9 @@ def restrict_lists(
             image = sigma.image(f, e, cf)
             if image is not None:
                 blocked.add(image)
-        kept = tuple(c for c in lists.colours(e) if c not in blocked)
-        new_lists[e] = kept
-        for c in kept:
-            new_weights[(e, c)] = lists.weight(e, c)
-    return WeightedListAssignment(lists=new_lists, weights=new_weights)
+        a, b = lists.span(e)
+        kept[a:b] = [c not in blocked for c in lists.colour_of[a:b].tolist()]
+    return WeightedListAssignment.from_pairs(uncoloured, lists.edge_of[kept], lists.colour_of[kept], lists.mu[kept])
 
 
 def validate_instance(
@@ -393,6 +471,8 @@ def validate_instance(
     """Structural report: uniformity, linearity, correspondence consistency,
     weight range, universe membership.  Total: never raises."""
     violations: list[Violation] = []
+    if graph.k < 1:
+        violations.append(Violation("uniformity", (), f"uniformity k = {graph.k} is below 1"))
     for eid, edge in enumerate(graph.edges):
         if len(set(edge)) != graph.k:
             violations.append(
@@ -401,23 +481,9 @@ def validate_instance(
         for v in edge:
             if not (0 <= v < graph.vertex_count):
                 violations.append(Violation("vertex-range", (eid, v), f"edge {eid} uses out-of-range vertex {v}"))
-    # Linearity: an unordered edge pair may share at most one vertex, so it
-    # may appear at most once across the per-vertex incidence lists.
-    seen_pairs: set[tuple[int, int]] = set()
-    reported: set[tuple[int, int]] = set()
-    for v in range(graph.vertex_count):
-        at_v = graph.edges_at(v)
-        for i, e in enumerate(at_v):
-            for f in at_v[i + 1 :]:
-                pair = (e, f)
-                if pair in seen_pairs:
-                    if pair not in reported:
-                        reported.add(pair)
-                        violations.append(
-                            Violation("linearity", pair, f"edges {e} and {f} share more than one vertex")
-                        )
-                else:
-                    seen_pairs.add(pair)
+    e, f, repeated = graph._meetings  # pairs that meet at two vertices or more
+    for e, f in zip(e[repeated].tolist(), f[repeated].tolist()):
+        violations.append(Violation("linearity", (e, f), f"edges {e} and {f} share more than one vertex"))
     for (e, f), m in sorted(sigma.maps.items()):
         if e == f:
             violations.append(Violation("sigma-self", (e, f), f"correspondence stored for edge {e} with itself"))
@@ -443,11 +509,14 @@ def validate_instance(
                     violations.append(
                         Violation("sigma-universe", (e, f, c1, c2), f"correspondence entry ({c1},{c2}) outside colour universe")
                     )
-    for e in lists.edge_ids():
-        for c in lists.colours(e):
-            w = lists.weight(e, c)
-            if not (0.0 < w <= 1.0):
-                violations.append(Violation("weight-range", (e, c), f"weight {w} for edge {e} colour {c} outside (0,1]"))
-            if universe is not None and not (universe[0] <= c <= universe[1]):
-                violations.append(Violation("colour-universe", (e, c), f"colour {c} on edge {e} outside declared universe"))
+    # The lists, read off the pair table in ascending (edge, colour) order.
+    bad_weight = ~((lists.mu > 0.0) & (lists.mu <= 1.0))
+    lo, hi = universe if universe is not None else (-np.inf, np.inf)
+    outside = (lists.colour_of < lo) | (lists.colour_of > hi)
+    for p in np.flatnonzero(bad_weight | outside).tolist():
+        e, c, w = int(lists.edge_of[p]), int(lists.colour_of[p]), float(lists.mu[p])
+        if bad_weight[p]:
+            violations.append(Violation("weight-range", (e, c), f"weight {w} for edge {e} colour {c} outside (0,1]"))
+        if outside[p]:
+            violations.append(Violation("colour-universe", (e, c), f"colour {c} on edge {e} outside declared universe"))
     return violations

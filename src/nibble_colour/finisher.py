@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from array import array
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -28,6 +26,7 @@ from .core import (
     PreconditionError,
     WeightedListAssignment,
     blocking_pairs,
+    segment_blocks,
 )
 
 THREE_E = 3.0 * math.e
@@ -69,7 +68,8 @@ class VertexInstance:
     Nodes carry the original edge ids; two nodes are adjacent iff the
     edges share a vertex, and the blocking relation between a node pair is
     the original correspondence of that edge pair (restricted, by
-    linearity, to their single shared vertex).
+    linearity, to their single shared vertex).  `lists` has a row for
+    each node and for nothing else.
     """
 
     nodes: tuple[int, ...]
@@ -114,7 +114,7 @@ def to_link_instance(
     np.cumsum(np.bincount(src, minlength=graph.edge_count), out=ptr[1:])
     return VertexInstance(
         nodes=nodes,
-        lists=lists if lists.lists.keys() <= active else lists.restrict_to_edges(active),
+        lists=lists if active.issuperset(lists.edge_ids()) else lists.restrict_to_edges(active),
         adjacency=LinkAdjacency(ptr, dst[np.lexsort((dst, src))], member),
         sigma=sigma,
     )
@@ -173,20 +173,6 @@ class ResampleLog:
         }
 
 
-def _cumulative_weights(lists: WeightedListAssignment, node: int) -> tuple[tuple[int, ...], list[float]]:
-    """The colours of `node` and their cumulative weights, summed left to
-    right; the last one is the list's weighted size."""
-    colours = lists.colours(node)
-    if not colours:
-        raise PreconditionError(f"node {node} has an empty list")
-    try:
-        return colours, list(accumulate([lists.weights[node, c] for c in colours]))
-    except KeyError:
-        for c in colours:
-            lists.weight(node, c)  # raises MissingWeightError naming the colour
-        raise
-
-
 def _pick(colours: Sequence[int], cumulative: Sequence[float], u: float) -> int:
     """The first colour whose cumulative weight exceeds u * total, where
     total is the last cumulative weight; the last colour guards against
@@ -203,9 +189,11 @@ def sample_colour(lists: WeightedListAssignment, node: int, seed: int, counter: 
     deterministically from the (seed, node, counter) stream.  |L(node)|_mu
     is the left-to-right sum of the weights in colour order, so the draw
     does not depend on how the Python version implements `sum`."""
-    colours, cumulative = _cumulative_weights(lists, node)
+    a, b = lists.span(node)
+    if a == b:
+        raise PreconditionError(f"node {node} has an empty list")
     kind = rng.KIND_SAMPLE if counter == 0 else rng.KIND_RESAMPLE
-    return _pick(colours, cumulative, rng.uniform(seed, kind, node, counter))
+    return _pick(lists.colour_of[a:b].tolist(), np.cumsum(lists.mu[a:b]).tolist(), rng.uniform(seed, kind, node, counter))
 
 
 def finish(
@@ -229,29 +217,31 @@ def finish(
     lists, sigma, adj = inst.lists, inst.sigma, inst.adjacency
     size = adj.member.size
 
-    # Cumulative weights of every node, rows indexed by node id.
-    sizes = np.zeros(size, dtype=np.int64)
-    cumulative = array("d")
-    for u in inst.nodes:
-        colours, cum = _cumulative_weights(lists, u)
-        sizes[u] = len(colours)
-        cumulative.extend(cum)
-    ptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(sizes, out=ptr[1:])
-    cum_all = np.frombuffer(cumulative, dtype=np.float64)
+    # The pair range [lo[u], hi[u]) of every node u.
+    lo = np.zeros(size, dtype=np.int64)
+    hi = np.zeros(size, dtype=np.int64)
+    lo[lists.edges], hi[lists.edges] = lists.edge_ptr[:-1], lists.edge_ptr[1:]
+    nodes = np.asarray(inst.nodes, dtype=np.int64)
+    bare = np.flatnonzero(lo[nodes] == hi[nodes])
+    if bare.size:
+        raise PreconditionError(f"node {inst.nodes[bare[0]]} has an empty list")
+    # Each row's cumulative weights, summed left to right (np.cumsum adds
+    # in sequence); the last one of a row is its weighted size.
+    cumulative = np.empty_like(lists.mu)
+    for _, members in segment_blocks(lists.edge_ptr):
+        cumulative[members] = np.cumsum(lists.mu[members], axis=1)
 
     # First samples: one draw per node, then the first cumulative weight
-    # above the target in each (nonempty) row, or the row's last colour.
+    # above the target in each row, or the row's last colour.
     current: list = [None] * size
     if inst.nodes:
-        nodes = np.asarray(inst.nodes, dtype=np.int64)
-        start, stop = ptr[nodes], ptr[nodes + 1]
-        target = rng.uniforms(seed, rng.KIND_SAMPLE, nodes, 0) * cum_all[stop - 1]
-        above = cum_all > np.repeat(target, stop - start)
-        first = np.minimum.reduceat(np.where(above, np.arange(cum_all.size), cum_all.size), start)
-        chosen = np.where(first < cum_all.size, first, stop - 1) - start
-        for u, j in zip(inst.nodes, chosen.tolist()):
-            current[u] = lists.colours(u)[j]
+        start, stop = lists.edge_ptr[:-1], lists.edge_ptr[1:]
+        target = rng.uniforms(seed, rng.KIND_SAMPLE, nodes, 0) * cumulative[stop - 1]
+        above = cumulative > np.repeat(target, stop - start)
+        first = np.minimum.reduceat(np.where(above, np.arange(above.size), above.size), start)
+        chosen = np.where(first < above.size, first, stop - 1)
+        for u, c in zip(inst.nodes, lists.colour_of[chosen].tolist()):
+            current[u] = c
 
     # Violated constraints live in a lazy min-heap of (u, w, c, c') events;
     # stale entries (colours moved on) are dropped at pop time.
@@ -274,8 +264,8 @@ def finish(
         log.resampled.append(ev)
         for x in (u, w):
             current[x] = _pick(
-                lists.colours(x),
-                cum_all[ptr[x] : ptr[x + 1]].tolist(),
+                lists.colour_of[lo[x] : hi[x]].tolist(),
+                cumulative[lo[x] : hi[x]].tolist(),
                 rng.uniform(seed, rng.KIND_RESAMPLE, x, log.iterations),
             )
         for x in (u, w):

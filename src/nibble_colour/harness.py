@@ -136,8 +136,9 @@ def build_local_lists(
     per-colour weight sums at most 1."""
     if mode not in ("unit-weight", "degree-weighted"):
         raise GenerationError(f"unknown list mode {mode!r}")
-    lists: dict[int, list[int]] = {}
-    weights: dict[tuple[int, int], float] = {}
+    edge_of: list[int] = []
+    colour_of: list[int] = []
+    mu: list[float] = []
     for e, edge in enumerate(graph.edges):
         maxdeg = max(graph.degree(v) for v in edge)
         size = math.ceil((1.0 + eps) * maxdeg)
@@ -145,12 +146,10 @@ def build_local_lists(
             raise GenerationError(
                 f"edge {e} needs a list of {size} colours but the universe has {universe_size}"
             )
-        colours = [int(c) for c in rng.subset(seed, rng.KIND_LISTS, universe_size, size, e)]
-        lists[e] = colours
-        mu = 1.0 if mode == "unit-weight" else 1.0 / maxdeg
-        for c in colours:
-            weights[(e, c)] = mu
-    return WeightedListAssignment.build(lists, weights)
+        edge_of += [e] * size
+        colour_of += rng.subset(seed, rng.KIND_LISTS, universe_size, size, e).tolist()
+        mu += [1.0 if mode == "unit-weight" else 1.0 / maxdeg] * size
+    return WeightedListAssignment.from_pairs(range(graph.edge_count), edge_of, colour_of, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +272,7 @@ class DiagnosticsReport:
 
 def bernoulli_trial_count(lists: WeightedListAssignment, k: int) -> int:
     """Activations (one per pair) plus flips (k per pair)."""
-    return (1 + k) * sum(len(lists.colours(e)) for e in lists.edge_ids())
+    return (1 + k) * lists.mu.size
 
 
 def exact_expectations(
@@ -451,11 +450,9 @@ def neighbourhood_audit(
     max_n, max_w, _ = struct.max_neighbourhood()
     min_w, min_e = struct.min_list_weight()
     sums: dict[tuple[int, int], float] = {}
-    for e in lists.edge_ids():
-        for v in graph.edges[e]:
-            for c in lists.colours(e):
-                key = (v, c)
-                sums[key] = sums.get(key, 0.0) + lists.weight(e, c)
+    for vertices, c, w in zip(struct.vertex_of.tolist(), struct.colour_of.tolist(), struct.mu.tolist()):
+        for v in vertices:
+            sums[v, c] = sums.get((v, c), 0.0) + w
     if sums:
         max_key = max(sorted(sums), key=lambda kv: sums[kv])
         max_sum = sums[max_key]

@@ -11,8 +11,11 @@ Instance format::
       "sigma": [{"e": 0, "f": 1, "map": [[1, 7]]}]
     }
 
-Weights omitted from a list entry default to 1.0.  `sigma` entries are
-ordered pairs; pairs not mentioned use the identity correspondence.
+Weights omitted from a list entry default to 1.0; a colour listed twice
+for one edge keeps its last weight.  `sigma` entries are ordered pairs;
+pairs not mentioned use the identity correspondence.  `k`,
+`vertex_count`, the universe bounds, list colours and map entries lie in
+the int64 range [-2^63, 2^63).
 
 Colouring format::
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Mapping
 
@@ -46,13 +50,13 @@ class Instance:
 
 
 def instance_to_dict(inst: Instance) -> dict:
-    lists_json: dict[str, list] = {}
-    for e in inst.lists.edge_ids():
-        entries = []
-        for c in inst.lists.colours(e):
-            w = inst.lists.weight(e, c)
-            entries.append({"colour": c} if w == 1.0 else {"colour": c, "weight": w})
-        lists_json[str(e)] = entries
+    lists = inst.lists
+    entries = [
+        {"colour": c} if w == 1.0 else {"colour": c, "weight": w}
+        for c, w in zip(lists.colour_of.tolist(), lists.mu.tolist())
+    ]
+    bounds = lists.edge_ptr.tolist()
+    lists_json = {str(e): entries[bounds[i] : bounds[i + 1]] for i, e in enumerate(lists.edges.tolist())}
     sigma_json = [
         {"e": e, "f": f, "map": [[c1, c2] for c1, c2 in sorted(m.items())]}
         for (e, f), m in sorted(inst.sigma.maps.items())
@@ -73,19 +77,22 @@ def instance_from_dict(data: Mapping) -> Instance:
         vertex_count = int(data["vertex_count"])
         edges = [tuple(int(v) for v in edge) for edge in data["edges"]]
         lo, hi = (int(x) for x in data.get("colour_universe", (0, 0)))
-        lists: dict[int, list[int]] = {e: [] for e in range(len(edges))}
-        weights: dict[tuple[int, int], float] = {}
+        edge_of: list[int] = []
+        colour_of: list[int] = []
+        mu: list[float] = []
         for key, entries in data.get("lists", {}).items():
             e = int(key)
-            listed = lists.setdefault(e, [])
+            if not 0 <= e < len(edges):
+                raise InstanceError(f"list declared for unknown edge {e}")
+            listed = len(colour_of)
             for entry in entries:
                 if isinstance(entry, dict):
-                    c = int(entry["colour"])
-                    w = float(entry.get("weight", 1.0))
+                    colour_of.append(int(entry["colour"]))
+                    mu.append(float(entry.get("weight", 1.0)))
                 else:  # bare colour id
-                    c, w = int(entry), 1.0
-                listed.append(c)
-                weights[(e, c)] = w
+                    colour_of.append(int(entry))
+                    mu.append(1.0)
+            edge_of += [e] * (len(colour_of) - listed)
         maps: dict[tuple[int, int], dict[int, int]] = {}
         for item in data.get("sigma", []):
             e, f = int(item["e"]), int(item["f"])
@@ -93,14 +100,18 @@ def instance_from_dict(data: Mapping) -> Instance:
             if not isinstance(mapped, list):
                 raise TypeError(f"map of ({e},{f}) is not a list of pairs")
             maps[(e, f)] = {int(c1): int(c2) for c1, c2 in mapped}
+    except InstanceError:
+        raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed instance: {exc}") from exc
-    unknown = [e for e in lists if not 0 <= e < len(edges)]
-    if unknown:
-        raise InstanceError(f"list declared for unknown edge {unknown[0]}")
+    # k, vertex_count, the universe, list colours and map entries.
+    ints = [(k, vertex_count, lo, hi), colour_of, *chain.from_iterable((m.keys(), m.values()) for m in maps.values())]
+    for extreme in (min(chain.from_iterable(ints)), max(chain.from_iterable(ints))):
+        if not -(1 << 63) <= extreme < 1 << 63:
+            raise InstanceError(f"{extreme} lies outside the int64 range [-2^63, 2^63)")
     return Instance(
         graph=LinearHypergraph.build(vertex_count, edges, k=k),
-        lists=WeightedListAssignment.build(lists, weights),
+        lists=WeightedListAssignment.from_pairs(range(len(edges)), edge_of, colour_of, mu),
         sigma=EdgeCorrespondence(maps=maps),
         universe=(lo, hi),
     )

@@ -37,6 +37,7 @@ from .core import (
     LinearHypergraph,
     PreconditionError,
     WeightedListAssignment,
+    segment_blocks,
 )
 
 E_SQUARED = math.e**2
@@ -198,11 +199,8 @@ def segment_sums(values: np.ndarray, ptr: np.ndarray, index: np.ndarray | None =
     and summed along it, which gives the same float as summing each
     segment on its own; `np.add.reduceat` would not (it accumulates in
     another order from three members up)."""
-    lengths = np.diff(ptr)
-    out = np.zeros(lengths.size, dtype=np.float64)
-    for n in np.unique(lengths[lengths > 0]):
-        rows = np.flatnonzero(lengths == n)
-        members = ptr[rows, None] + np.arange(n)
+    out = np.zeros(ptr.size - 1, dtype=np.float64)
+    for rows, members in segment_blocks(ptr):
         out[rows] = values[members if index is None else index[members]].sum(axis=1)
     return out
 
@@ -211,9 +209,10 @@ def segment_sums(values: np.ndarray, ptr: np.ndarray, index: np.ndarray | None =
 class RoundStructure:
     """Immutable per-round view of an instance.
 
-    Pairs (e, c) are flattened in ascending order; the pairs of edge
-    `edges[i]` are `edge_ptr[i]:edge_ptr[i+1]`.  The colour
-    neighbourhoods form one CSR (compressed sparse row) layout: row
+    `mu`, `edge_of`, `colour_of`, `edges` and `edge_ptr` are the arrays of
+    the lists' pair table itself, not copies: pairs (e, c) in ascending
+    order, those of edge `edges[i]` at `edge_ptr[i]:edge_ptr[i+1]`.  The
+    colour neighbourhoods form one CSR (compressed sparse row) layout: row
     r = p*k + j holds N(e, v_j, c) of pair p = (e, c), where v_j is the
     j-th vertex of e in ascending order, as the ascending pair indices
     `nbr_idx[ptr[r]:ptr[r+1]]`.  By linearity these neighbourhoods are
@@ -239,33 +238,24 @@ class RoundStructure:
         lists: WeightedListAssignment,
         sigma: EdgeCorrespondence,
     ) -> "RoundStructure":
-        ids = lists.edge_ids()
-        edges = np.array(ids, dtype=np.int64)
-        sizes = np.array([len(lists.colours(e)) for e in ids], dtype=np.int64)
-        edge_ptr = np.zeros(edges.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=edge_ptr[1:])
         k = graph.k
-        mu = np.array([lists.weight(e, c) for e in ids for c in lists.colours(e)], dtype=np.float64)
-        edge_of = np.repeat(edges, sizes)
-        colour_of = np.array([c for e in ids for c in lists.colours(e)], dtype=np.int64)
         edge_vertices = np.array(graph.edges, dtype=np.int64).reshape(-1, k)
-        vertex_of = edge_vertices[edge_of]
 
         # Pair range [first[f], stop[f]) of every edge id; empty when absent.
         first = np.zeros(graph.edge_count, dtype=np.int64)
         stop = np.zeros(graph.edge_count, dtype=np.int64)
-        first[edges], stop[edges] = edge_ptr[:-1], edge_ptr[1:]
+        first[lists.edges], stop[lists.edges] = lists.edge_ptr[:-1], lists.edge_ptr[1:]
 
-        ptr, nbr_idx = _neighbourhood_rows(graph, sigma, colour_of, edge_vertices, first, stop)
+        ptr, nbr_idx = _neighbourhood_rows(graph, sigma, lists.colour_of, edge_vertices, first, stop)
         return cls(
-            mu=mu,
-            edge_of=edge_of,
-            colour_of=colour_of,
-            vertex_of=vertex_of,
+            mu=lists.mu,
+            edge_of=lists.edge_of,
+            colour_of=lists.colour_of,
+            vertex_of=edge_vertices[lists.edge_of],
             ptr=ptr,
             nbr_idx=nbr_idx,
-            edges=edges,
-            edge_ptr=edge_ptr,
+            edges=lists.edges,
+            edge_ptr=lists.edge_ptr,
             k=k,
         )
 
@@ -356,8 +346,8 @@ def _neighbourhood_rows(
     free = int(colour_of.min()) - 1 if P else -1
     counts = np.zeros(P * k, dtype=np.int64)
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for v in range(graph.vertex_count):
-        at_v = np.array(graph.edges_at(v), dtype=np.int64)
+    for v, at in graph.incidence.items():
+        at_v = np.array(at, dtype=np.int64)
         at_v = at_v[stop[at_v] > first[at_v]]
         d = at_v.size
         if d < 2:
@@ -556,29 +546,30 @@ def run_round(
     hit_edges, first_hit = np.unique(struct.edge_of[hit], return_index=True)
     coloured = dict(zip(hit_edges.tolist(), struct.colour_of[hit[first_hit]].tolist()))
 
-    trunc_lists: dict[int, tuple[int, ...]] = {}
-    trunc_weights: dict[tuple[int, int], float] = {}
+    # Truncated lists: the surviving pairs of uncoloured edges, rescaled.
+    rows = np.ones(struct.edges.size, dtype=bool)
+    keep = survive.copy()
+    mu = struct.mu.copy()
     deficient: list[int] = []
     empty: list[int] = []
     bounds = struct.edge_ptr.tolist()
     for i, e in enumerate(struct.edges.tolist()):
         if e in coloured:
+            rows[i] = False
+            keep[bounds[i] : bounds[i + 1]] = False
             continue
-        a, b = bounds[i], bounds[i + 1]
-        alive = survive[a:b]
-        kept_colours = tuple(struct.colour_of[a:b][alive].tolist())
-        wmap = dict(zip(kept_colours, struct.mu[a:b][alive].tolist()))
-        if not kept_colours:
+        alive = bounds[i] + np.flatnonzero(survive[bounds[i] : bounds[i + 1]])
+        if not alive.size:
             empty.append(e)
-            trunc_lists[e] = ()
             continue
+        kept_colours = struct.colour_of[alive].tolist()
         try:
-            kept, scaled = truncate_edge(kept_colours, wmap, l_target, edge=e)
+            _, scaled = truncate_edge(tuple(kept_colours), dict(zip(kept_colours, mu[alive].tolist())), l_target, edge=e)
         except CannotTruncateError:
-            deficient.append(e)
-            kept, scaled = kept_colours, wmap  # keep raw survivors, unscaled
-        trunc_lists[e] = kept
-        trunc_weights.update({(e, c): w for c, w in scaled.items()})
+            deficient.append(e)  # keeps its raw survivors, unscaled
+            continue
+        keep[alive] = [c in scaled for c in kept_colours]
+        mu[alive] = [scaled.get(c, 0.0) for c in kept_colours]
 
     stats = RoundStats(
         pairs=struct.pair_count,
@@ -589,7 +580,7 @@ def run_round(
     )
     return RoundOutcome(
         coloured=coloured,
-        truncated=WeightedListAssignment(lists=trunc_lists, weights=trunc_weights),
+        truncated=WeightedListAssignment.from_pairs(struct.edges[rows], struct.edge_of[keep], struct.colour_of[keep], mu[keep]),
         deficient=tuple(deficient),
         empty=tuple(empty),
         l_target=l_target,
@@ -669,7 +660,6 @@ def drive(
     target_ratio = 3.0 * math.e * k
     colouring: dict[int, int] = {}
     cur_lists = lists
-    active = set(lists.edge_ids())
     result = DriveResult(colouring=colouring, lists=cur_lists, L=0.0, N=0.0)
 
     if struct is None:
@@ -684,7 +674,7 @@ def drive(
 
     i = 0
     while True:
-        if not active:
+        if not cur_lists.edges.size:
             result.stop_reason = "all-coloured"
             return result
         ratio = L / N if N > 0 else math.inf
@@ -718,7 +708,7 @@ def drive(
                 graph, cur_lists, sigma, params, seed,
                 round_index=i, attempt=attempt, l_target=l_target, struct=struct,
             )
-            uncoloured = len(active) - len(candidate.coloured)
+            uncoloured = cur_lists.edges.size - len(candidate.coloured)
             frac_deficient = len(candidate.deficient) / uncoloured if uncoloured else 0.0
             if not candidate.empty and frac_deficient <= deficiency_tolerance:
                 outcome = candidate
@@ -737,7 +727,6 @@ def drive(
             )
 
         colouring.update(outcome.coloured)
-        active -= set(outcome.coloured)
         cur_lists = outcome.truncated
         result.trace.append(
             DriveRow(
@@ -746,7 +735,7 @@ def drive(
                 N=N,
                 ratio=ratio,
                 edges_coloured=len(outcome.coloured),
-                edges_remaining=len(active),
+                edges_remaining=cur_lists.edges.size,
                 retries=attempts,
                 min_list_size=entering_min_size,
                 max_neighbourhood_size=max_card,
@@ -754,7 +743,7 @@ def drive(
         )
         result.deficient_history.append((i, len(outcome.deficient)))
         result.lists = cur_lists
-        if not active:
+        if not cur_lists.edges.size:
             result.L, result.N = l_target, 0.0
             result.stop_reason = "all-coloured"
             return result

@@ -12,7 +12,7 @@ scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -120,13 +120,10 @@ def edmonds_membership(
 
 def lists_to_fractional(lists: WeightedListAssignment) -> dict[int, float]:
     """x_e = 1/|L(e)| (cardinality, not weighted size)."""
-    out = {}
-    for e in lists.edge_ids():
-        size = len(lists.colours(e))
-        if size == 0:
-            raise PreconditionError(f"edge {e} has an empty list")
-        out[e] = 1.0 / size
-    return out
+    sizes = np.diff(lists.edge_ptr)
+    if not sizes.all():
+        raise PreconditionError(f"edge {lists.edges[np.argmin(sizes)]} has an empty list")
+    return dict(zip(lists.edge_ids(), (1.0 / sizes).tolist()))
 
 
 def polytope_lists_to_weights(
@@ -158,13 +155,11 @@ def polytope_lists_to_weights(
         logging.getLogger(__name__).warning(
             "graph above enumeration limit; polytope membership not verified"
         )
-    weights: dict[tuple[int, int], float] = {}
-    for e in lists.edge_ids():
-        mu = 1.0 / ((1.0 - delta) * len(lists.colours(e)))
-        if mu > 1.0:
-            raise PreconditionError(
-                f"edge {e}: weight {mu:.4g} exceeds 1 (list too small for delta={delta})"
-            )
-        for c in lists.colours(e):
-            weights[(e, c)] = mu
-    return WeightedListAssignment(lists=dict(lists.lists), weights=weights)
+    sizes = np.diff(lists.edge_ptr)
+    mu = 1.0 / ((1.0 - delta) * sizes)
+    if (mu > 1.0).any():
+        i = int(np.argmax(mu > 1.0))
+        raise PreconditionError(
+            f"edge {lists.edges[i]}: weight {mu[i]:.4g} exceeds 1 (list too small for delta={delta})"
+        )
+    return replace(lists, mu=np.repeat(mu, sizes))

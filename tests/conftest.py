@@ -12,6 +12,18 @@ from nibble_colour.core import (
 )
 
 
+def as_dicts(lists: WeightedListAssignment) -> tuple[dict, dict]:
+    """A pair table as {edge: colours} and {(edge, colour): weight},
+    read through the scalar readers."""
+    colours = {e: lists.colours(e) for e in lists.edge_ids()}
+    return colours, {(e, c): lists.weight(e, c) for e, cs in colours.items() for c in cs}
+
+
+def pair_table(lists: WeightedListAssignment) -> tuple[list, ...]:
+    """The four arrays of a pair table as Python lists, for comparisons."""
+    return lists.edges.tolist(), lists.edge_ptr.tolist(), lists.colour_of.tolist(), lists.mu.tolist()
+
+
 def path_graph(n_edges: int) -> LinearHypergraph:
     return LinearHypergraph.build(n_edges + 1, [(i, i + 1) for i in range(n_edges)], k=2)
 

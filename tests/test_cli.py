@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -258,6 +261,85 @@ def test_malformed_instance_shapes_exit_2(tmp_path, capsys, command, shape):
     capsys.readouterr()
     assert run(argv) == 2
     assert "malformed instance" in capsys.readouterr().err
+
+
+# Every command that loads an instance, with the arguments after the
+# instance path; `verify` gets a colouring that is valid for P3.
+LOADING_COMMANDS = {
+    "colour nibble+finish": ["colour", "{inst}", "--mode", "nibble+finish", "--out-prefix", "{tmp}/run"],
+    "colour finish-only": ["colour", "{inst}", "--mode", "finish-only", "--out-prefix", "{tmp}/run"],
+    "colour brute": ["colour", "{inst}", "--mode", "brute", "--out-prefix", "{tmp}/run"],
+    "verify": ["verify", "{inst}", "{tmp}/col.json"],
+    "brute": ["brute", "{inst}"],
+    "diag": ["diag", "{inst}", "--trials", "5", "--L", "40", "--N", "20"],
+}
+
+
+def _run_loading(command, tmp_path, data):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(data))
+    (tmp_path / "col.json").write_text(json.dumps({"complete": True, "colours": {"0": 1, "1": 2}}))
+    return run([a.format(inst=inst, tmp=tmp_path) for a in LOADING_COMMANDS[command]])
+
+
+P3 = {"k": 2, "vertex_count": 3, "edges": [[0, 1], [1, 2]], "colour_universe": [0, 9],
+      "lists": {"0": [1, 2], "1": [1, 2]}}
+
+# Integers outside int64 in each place an instance can hold a colour; all
+# but the first keep the universe of P3, so that loading, not the universe
+# check, must reject them.
+OUT_OF_INT64 = {
+    "list colour and universe": {"colour_universe": [0, 2**70], "lists": {"0": [1, 2**65], "1": [1, 2]}},
+    "list colour": {"lists": {"0": [1, 2**65], "1": [1, 2]}},
+    "negative list colour": {"lists": {"0": [1, 2], "1": [-(2**64), 2]}},
+    "map key": {"sigma": [{"e": 0, "f": 1, "map": [[2**65, 1]]}]},
+    "map value": {"sigma": [{"e": 0, "f": 1, "map": [[1, 2**65]]}]},
+    "universe bound": {"colour_universe": [0, 2**70]},
+}
+
+
+@pytest.mark.parametrize("command", sorted(LOADING_COMMANDS))
+@pytest.mark.parametrize("place", sorted(OUT_OF_INT64))
+def test_integers_outside_int64_exit_2(tmp_path, capsys, command, place):
+    capsys.readouterr()
+    assert _run_loading(command, tmp_path, {**P3, **OUT_OF_INT64[place]}) == 2
+    assert "outside the int64 range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(LOADING_COMMANDS))
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_below_one_exit_2(tmp_path, capsys, command, k):
+    capsys.readouterr()
+    assert _run_loading(command, tmp_path, {"k": k, "vertex_count": 3, "edges": [], "lists": {}}) == 2
+    assert f"uniformity k = {k} is below 1" in capsys.readouterr().err
+
+
+# Child process for the unused-vertex test: address space capped, so that
+# a cost that grows with vertex_count fails fast instead of filling memory.
+_CAPPED_CHILD = """
+import resource, sys
+cap = 2 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from nibble_colour.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["colour", "{inst}", "--mode", "nibble+finish", "--out-prefix", "{tmp}/run"],
+    ["colour", "{inst}", "--mode", "finish-only", "--out-prefix", "{tmp}/run"],
+    ["verify", "{inst}", "{tmp}/col.json"],
+], ids=["nibble+finish", "finish-only", "verify"])
+def test_cost_does_not_grow_with_unused_vertices(tmp_path, argv):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({**P3, "vertex_count": 10**9}))
+    (tmp_path / "col.json").write_text(json.dumps({"complete": True, "colours": {"0": 1, "1": 2}}))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CHILD, *(a.format(inst=inst, tmp=tmp_path) for a in argv)],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_detects_block_and_unknown_edge(tmp_path):

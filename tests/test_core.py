@@ -17,9 +17,62 @@ from nibble_colour.core import (
     validate_instance,
     weighted_size,
 )
-from conftest import fano_hypergraph, path_graph, star_graph, triangle_graph, random_sigma, random_micro_instance
+from conftest import as_dicts, fano_hypergraph, pair_table, path_graph, star_graph, triangle_graph, random_sigma, random_micro_instance
 
 from nibble_colour import rng
+
+
+# ---------------------------------------------------------------------------
+# the pair table
+# ---------------------------------------------------------------------------
+
+# Colours: a few small ones so that lists repeat colours, and the int64 ends.
+_COLOUR = st.integers(-3, 3) | st.integers(-(2**63), 2**63 - 1)
+# edge -> list entries (colour, weight); a colour may repeat with another weight.
+_RAW_LISTS = st.dictionaries(
+    st.integers(0, 7), st.lists(st.tuples(_COLOUR, st.floats(0.01, 1.0)), max_size=6), max_size=6
+)
+
+
+@given(_RAW_LISTS, st.sets(st.integers(-1, 8), max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_pair_table_readers_match_a_dict_reference(raw, keep):
+    import json
+
+    from nibble_colour.instance_io import instance_from_dict, instance_to_dict
+
+    ref_lists = {e: tuple(sorted({c for c, _ in entries})) for e, entries in raw.items()}
+    ref_weights = {}
+    for e, entries in raw.items():
+        for c, w in entries:
+            ref_weights[(e, c)] = w  # the last weight wins
+    built = WeightedListAssignment.build({e: [c for c, _ in entries] for e, entries in raw.items()}, ref_weights)
+    data = {
+        "k": 2, "vertex_count": 16, "edges": [[2 * e, 2 * e + 1] for e in range(8)], "colour_universe": [0, 0],
+        "lists": {str(e): [{"colour": c, "weight": w} for c, w in entries] for e, entries in raw.items()},
+    }
+    loaded = instance_from_dict(data).lists
+    # Loading gives every edge of the instance a row, empty or not.
+    for table, ref in ((built, ref_lists), (loaded, {e: ref_lists.get(e, ()) for e in range(8)})):
+        assert table.colour_of.dtype == np.int64 and table.mu.dtype == np.float64
+        assert table.edge_ids() == tuple(sorted(ref))
+        for e in range(-1, 9):
+            listed = ref.get(e, ())
+            assert table.colours(e) == listed
+            assert table.list_weight(e) == sum(ref_weights[e, c] for c in listed)
+            for c in listed:
+                assert table.has(e, c) and table.weight(e, c) == ref_weights[e, c]
+            absent = max(listed, default=0) + 1
+            assert not table.has(e, absent)
+            with pytest.raises(MissingWeightError, match=f"edge {e}, colour {absent}"):
+                table.weight(e, absent)
+        assert as_dicts(table.restrict_to_edges(keep)) == (
+            {e: cs for e, cs in ref.items() if e in keep},
+            {(e, c): ref_weights[e, c] for e, cs in ref.items() if e in keep for c in cs},
+        )
+    dumped = json.loads(json.dumps(instance_to_dict(instance_from_dict(data))))
+    assert pair_table(instance_from_dict(dumped).lists) == pair_table(loaded)
+    assert instance_to_dict(instance_from_dict(dumped)) == dumped
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +306,14 @@ def test_restrict_lists_nothing_coloured():
     g = path_graph(2)
     lists = WeightedListAssignment.unit({0: [1, 2], 1: [1, 2]})
     restricted = restrict_lists(g, lists, EdgeCorrespondence(), {})
-    assert restricted.lists == {0: (1, 2), 1: (1, 2)}
+    assert as_dicts(restricted)[0] == {0: (1, 2), 1: (1, 2)}
 
 
 def test_restrict_lists_identity_removal():
     g = path_graph(2)
     lists = WeightedListAssignment.unit({0: [1, 2], 1: [1, 2]})
     restricted = restrict_lists(g, lists, EdgeCorrespondence(), {1: 1})
-    assert restricted.lists == {0: (2,)}
+    assert as_dicts(restricted)[0] == {0: (2,)}
 
 
 def test_restrict_lists_applies_permutation():
@@ -268,7 +321,7 @@ def test_restrict_lists_applies_permutation():
     lists = WeightedListAssignment.unit({0: [1, 7, 9], 1: [1]})
     sigma = EdgeCorrespondence(maps={(1, 0): {1: 7}})
     restricted = restrict_lists(g, lists, sigma, {1: 1})
-    assert restricted.lists == {0: (1, 9)}
+    assert as_dicts(restricted)[0] == {0: (1, 9)}
 
 
 def test_restrict_lists_rejects_invalid_colouring():
@@ -289,7 +342,7 @@ def test_restrict_lists_idempotent():
         partial = {e: c for e, c in result.colouring.items() if e % 2 == 0}
         once = restrict_lists(graph, lists, sigma, partial)
         twice = restrict_lists(graph, once, sigma, partial)
-        assert once.lists == twice.lists and once.weights == twice.weights
+        assert pair_table(once) == pair_table(twice)
 
 
 # ---------------------------------------------------------------------------

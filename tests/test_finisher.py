@@ -22,7 +22,7 @@ from nibble_colour.finisher import (
     to_link_instance,
     weighted_binom_bound,
 )
-from conftest import fano_hypergraph, path_graph, random_micro_instance, random_sigma, triangle_graph
+from conftest import as_dicts, fano_hypergraph, path_graph, random_micro_instance, random_sigma, triangle_graph
 
 from nibble_colour import rng
 
@@ -105,7 +105,7 @@ def test_link_instance_keeps_lists_that_active_covers():
     assert to_link_instance(g, lists, EdgeCorrespondence()).lists is lists
     assert to_link_instance(g, lists, EdgeCorrespondence(), active={0, 1, 2}).lists is lists
     sub = to_link_instance(g, lists, EdgeCorrespondence(), active={0, 2}).lists
-    assert sub.lists == {0: (1,), 2: (3,)} and sub.weights == {(0, 1): 1.0, (2, 3): 1.0}
+    assert as_dicts(sub) == ({0: (1,), 2: (3,)}, {(0, 1): 1.0, (2, 3): 1.0})
     with pytest.raises(PreconditionError):
         to_link_instance(g, lists, EdgeCorrespondence(), active={0, 3})
 
@@ -386,12 +386,10 @@ def test_sampler_total_is_the_left_to_right_sum(monkeypatch):
 def test_finish_missing_weight_raises_like_the_reference():
     from nibble_colour.core import MissingWeightError
 
-    g = path_graph(3)
-    lists = WeightedListAssignment(lists={0: (1,), 1: (1, 2), 2: ()}, weights={(0, 1): 1.0, (1, 1): 1.0})
-    link = to_link_instance(g, lists, EdgeCorrespondence())
-    for fn in (finish, reference_finish):
-        with pytest.raises(MissingWeightError, match="edge 1, colour 2"):
-            fn(link, seed=0)
+    # A listed colour without a weight cannot reach the finisher: the
+    # pair table refuses it at construction.
+    with pytest.raises(MissingWeightError, match="edge 1, colour 2"):
+        WeightedListAssignment.build({0: (1,), 1: (1, 2), 2: ()}, {(0, 1): 1.0, (1, 1): 1.0})
 
 
 def test_sampling_distribution_chi_squared():

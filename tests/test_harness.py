@@ -239,7 +239,10 @@ def test_audit_witness_is_first_maximum_in_edge_vertex_colour_order():
     assert audit.max_neighbourhood == 1.0
     assert audit.max_neighbourhood_witness == (0, 0, 1)
     # a strict maximum later in that order wins
-    lighter = WeightedListAssignment.build(lists.lists, {**lists.weights, (2, 1): 0.5})
+    lighter = WeightedListAssignment.build(
+        {0: [0, 1], 1: [0], 2: [1]},
+        {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 1.0, (2, 1): 0.5},
+    )
     audit = neighbourhood_audit(g, lighter, EdgeCorrespondence())
     assert audit.max_neighbourhood == 1.0
     assert audit.max_neighbourhood_witness == (0, 1, 0)

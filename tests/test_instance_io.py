@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from nibble_colour.core import EdgeCorrespondence, InstanceError, LinearHypergraph, WeightedListAssignment
@@ -27,8 +28,9 @@ def test_instance_round_trip(tmp_path):
     back = load_instance(path)
     assert back.graph.edges == inst.graph.edges
     assert back.graph.k == 2 and back.graph.vertex_count == 3
-    assert back.lists.lists == inst.lists.lists
-    assert back.lists.weights == inst.lists.weights
+    for name in ("edges", "edge_ptr", "colour_of", "mu"):
+        a, b = getattr(back.lists, name), getattr(inst.lists, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
     assert back.sigma.maps == {(0, 1): {1: 3, 2: 2}}
     assert back.universe == (0, 5)
 
