@@ -134,42 +134,256 @@ class LinearHypergraph:
         return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class EdgeCorrespondence:
-    """Colour bijections between incident edges.
+def segment_ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The positions `start[i]:start[i] + length[i]`, concatenated in order."""
+    offset = np.cumsum(length) - length
+    return np.arange(int(length.sum())) + np.repeat(start - offset, length)
 
-    `maps[(e, f)] = {c: c'}` declares that colour c on e corresponds to
-    (mutually excludes) colour c' on f.  Pairs with no stored map default
-    to the identity, so plain list colouring needs no configuration.  For
-    a stored pair, colours outside the map's domain correspond to nothing:
-    extending a partial map by the identity would in general break
-    injectivity (e.g. {1: 7} plus 7 -> 7).
+
+@dataclass(frozen=True)
+class LexCodes:
+    """Order-preserving int64 codes of (major, minor) pairs with major in
+    [0, major_count) and int64 minor values: `key = major * width + code`,
+    where code is `minor - lo` when every key of the span fits in int64,
+    else the rank of minor among `values`, the distinct minors fitted."""
+
+    width: int
+    lo: int
+    values: np.ndarray | None  # None: codes are offsets from lo
+
+    @classmethod
+    def fit(cls, major_count: int, minor: np.ndarray) -> "LexCodes":
+        if not minor.size:
+            return cls(width=1, lo=0, values=None)
+        lo = int(minor.min())
+        span = int(minor.max()) - lo + 1
+        if max(major_count, 1) * span < 1 << 63:
+            return cls(width=span, lo=lo, values=None)
+        values = np.unique(minor)
+        return cls(width=values.size, lo=0, values=values)
+
+    def codes(self, minor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(code, known): the code of each minor, and whether it has one
+        (lies in the fitted span, or among the fitted values); code is 0
+        where it has none."""
+        if self.values is None:
+            known = (minor >= self.lo) & (minor <= self.lo + self.width - 1)
+            return np.where(known, minor, self.lo) - self.lo, known
+        pos = np.minimum(np.searchsorted(self.values, minor), self.values.size - 1)
+        known = self.values[pos] == minor
+        return np.where(known, pos, 0), known
+
+    def keys(self, major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(key, known) of each pair (major[i], minor[i])."""
+        code, known = self.codes(minor)
+        return major * self.width + code, known
+
+    @classmethod
+    def fitted_keys(cls, major_count: int, major: np.ndarray, minor: np.ndarray) -> tuple["LexCodes", np.ndarray]:
+        """The codes fitted to `minor` and the key of each (major[i],
+        minor[i]), every one known."""
+        codes = cls.fit(major_count, minor)
+        if codes.values is None:
+            return codes, major * codes.width + (minor - codes.lo)
+        return codes, major * codes.width + np.searchsorted(codes.values, minor)
+
+
+class EdgeCorrespondence:
+    """Colour maps between incident edges, as one table of arrays.
+
+    An entry (c, c') of the map stored for the ordered pair (e, f) declares
+    that colour c on e corresponds to (mutually excludes) colour c' on f.
+    `pair_e` and `pair_f` hold the pairs with a stored map, ascending by
+    (e, f) and each once; the entries of pair i are
+    `entry_ptr[i]:entry_ptr[i+1]`, with int64 `entry_c` ascending and
+    distinct within the pair and int64 `entry_image`.  Pairs with no
+    stored map default to the identity, so plain list colouring needs no
+    configuration.  For a stored pair, colours outside the map's domain
+    correspond to nothing: extending a partial map by the identity would
+    in general break injectivity (e.g. {1: 7} plus 7 -> 7).  A map stored
+    for (e, f) but not for (f, e) gives sigma_{f,e} as its inverse.
+
+    `EdgeCorrespondence(maps)` takes {(e, f): {c: c'}}; `from_items` takes
+    the maps as flat arrays.  The arrays are read-only, as the readers
+    cache what they derive from them.
     """
 
-    maps: Mapping[tuple[int, int], Mapping[int, int]] = field(default_factory=dict)
+    def __init__(self, maps: Mapping[tuple[int, int], Mapping[int, int]] | None = None):
+        maps = {} if maps is None else maps
+        pairs = np.array(list(maps), dtype=np.int64).reshape(-1, 2)
+        count = np.fromiter(map(len, maps.values()), np.int64, len(maps))
+        entries = np.fromiter(
+            chain.from_iterable(chain.from_iterable(m.items() for m in maps.values())), np.int64, 2 * int(count.sum())
+        ).reshape(-1, 2)
+        self._assign(pairs[:, 0], pairs[:, 1], count, entries[:, 0], entries[:, 1])
 
-    @cached_property
-    def _inverses(self) -> dict[tuple[int, int], dict[int, int]]:
-        return {(f, e): {c2: c1 for c1, c2 in m.items()} for (e, f), m in self.maps.items()}
+    @classmethod
+    def from_items(cls, e: np.ndarray, f: np.ndarray, count: np.ndarray, c: np.ndarray, image: np.ndarray) -> "EdgeCorrespondence":
+        """The maps given as items: item i stores for (e[i], f[i]) the next
+        count[i] entries (c, image), in order.  A later item for the same
+        (e, f) replaces the whole map; a colour repeated within an item
+        keeps its last image."""
+        out = cls.__new__(cls)
+        out._assign(e, f, count, c, image)
+        return out
+
+    def _assign(self, e, f, count, c, image) -> None:
+        e, f, count = (np.asarray(a, dtype=np.int64) for a in (e, f, count))
+        c, image = np.asarray(c, dtype=np.int64), np.asarray(image, dtype=np.int64)
+        # The last item of each (e, f) keeps its entries; rows in (e, f) order.
+        order = np.lexsort((np.arange(e.size), f, e))
+        es, fs = e[order], f[order]
+        last = np.ones(e.size, dtype=bool)
+        last[:-1] = (es[1:] != es[:-1]) | (fs[1:] != fs[:-1])
+        items = order[last]
+        row_of_item = np.full(e.size, -1, dtype=np.int64)
+        row_of_item[items] = np.arange(items.size)
+        row = np.repeat(row_of_item, count)
+        kept = row >= 0
+        row, c, image = row[kept], c[kept], image[kept]
+        # Entries by (row, c); a repeated c keeps its last image.
+        key = LexCodes.fitted_keys(items.size, row, c)[1]
+        order = np.argsort(key, kind="stable")
+        key, row, c, image = key[order], row[order], c[order], image[order]
+        last = np.ones(key.size, dtype=bool)
+        last[:-1] = key[1:] != key[:-1]
+        row, c, image = row[last], c[last], image[last]
+        self.pair_e, self.pair_f = e[items], f[items]
+        self.entry_ptr = np.zeros(items.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=items.size), out=self.entry_ptr[1:])
+        self.entry_c, self.entry_image = c, image
+        for table in (self.pair_e, self.pair_f, self.entry_ptr, self.entry_c, self.entry_image):
+            table.flags.writeable = False
 
     @property
     def is_trivial(self) -> bool:
-        return not self.maps
+        return not self.pair_e.size
 
-    def map_for(self, e: int, f: int) -> Mapping[int, int] | None:
-        """The partial map sigma_{e,f}: the one stored for (e, f), else the
-        inverse of the one stored for (f, e), else None (the identity)."""
-        m = self.maps.get((e, f))
-        return m if m is not None else self._inverses.get((e, f))
+    @cached_property
+    def colour_span(self) -> tuple[int, int]:
+        """(smallest, largest) colour of any entry, either side; (0, 0)
+        without entries."""
+        if not self.entry_c.size:
+            return 0, 0
+        return (
+            min(int(self.entry_c.min()), int(self.entry_image.min())),
+            max(int(self.entry_c.max()), int(self.entry_image.max())),
+        )
+
+    @cached_property
+    def entry_row(self) -> np.ndarray:
+        """The pair index of every entry."""
+        return np.repeat(np.arange(self.pair_e.size), np.diff(self.entry_ptr))
+
+    # -- array readers -------------------------------------------------
+
+    @cached_property
+    def _pair_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, keys): the distinct edge ids of the stored pairs, ascending,
+        and each pair's key rank(e) * len(ids) + rank(f), ascending."""
+        ids = np.sort(np.concatenate([self.pair_e, self.pair_f]))
+        distinct = np.ones(ids.size, dtype=bool)
+        distinct[1:] = ids[1:] != ids[:-1]
+        ids = ids[distinct]
+        return ids, np.searchsorted(ids, self.pair_e) * ids.size + np.searchsorted(ids, self.pair_f)
+
+    def rows(self, e: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """The index of the pair (e[i], f[i]) among the stored pairs, or -1
+        where no map is stored for it."""
+        ids, keys = self._pair_index
+        e, f = np.asarray(e, dtype=np.int64), np.asarray(f, dtype=np.int64)
+        if not keys.size:
+            return np.full(e.shape, -1, dtype=np.int64)
+        re = np.minimum(np.searchsorted(ids, e), ids.size - 1)
+        rf = np.minimum(np.searchsorted(ids, f), ids.size - 1)
+        key = re * ids.size + rf
+        pos = np.minimum(np.searchsorted(keys, key), keys.size - 1)
+        return np.where((ids[re] == e) & (ids[rf] == f) & (keys[pos] == key), pos, -1)
+
+    @cached_property
+    def _entry_keys(self) -> tuple[LexCodes, np.ndarray]:
+        return LexCodes.fitted_keys(self.pair_e.size, self.entry_row, self.entry_c)
+
+    def deciding(self, e: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(row, forward): the stored pair that decides whether e[i]
+        blocks f[i], the one stored for (e, f) (forward) else the one for
+        (f, e), -1 where neither is stored."""
+        row = self.rows(e, f)
+        forward = row >= 0
+        return np.where(forward, row, self.rows(f, e)), forward
+
+    def blocking(
+        self, e: np.ndarray, ce: np.ndarray, f: np.ndarray, cf: np.ndarray, decided: tuple | None = None
+    ) -> np.ndarray:
+        """Whether (e[i], ce[i]) blocks (f[i], cf[i]): through the map
+        stored for (e, f), else the one stored for (f, e) read backwards
+        (it sends cf to ce), else the identity, as `blocks` does.
+        `decided` is `deciding(e, f)` when the caller has it."""
+        row, forward = self.deciding(e, f) if decided is None else decided
+        codes, keys = self._entry_keys
+        if not keys.size:
+            return (row < 0) & (ce == cf)
+        key, known = codes.keys(np.maximum(row, 0), np.where(forward, ce, cf))
+        pos = np.minimum(np.searchsorted(keys, key), keys.size - 1)
+        found = known & (keys[pos] == key)
+        return np.where(row >= 0, found & (self.entry_image[pos] == np.where(forward, cf, ce)), ce == cf)
+
+    # -- scalar readers (the oracles and the tests) ----------------------
+
+    def _entries(self, e: int, f: int) -> tuple[list, list] | None:
+        """(colours, images) of the map stored for (e, f) as lists, or None."""
+        lo, hi = self.pair_e.searchsorted(e), self.pair_e.searchsorted(e, "right")
+        i = lo + self.pair_f[lo:hi].searchsorted(f) if lo < hi else hi
+        if i == hi or self.pair_f[i] != f:
+            return None
+        at = slice(self.entry_ptr[i], self.entry_ptr[i + 1])
+        return self.entry_c[at].tolist(), self.entry_image[at].tolist()
+
+    def map_for(self, e: int, f: int) -> dict[int, int] | None:
+        """The partial map sigma_{e,f} as a new dict: the one stored for
+        (e, f), else the inverse of the one stored for (f, e), else None
+        (the identity).  An inverse sends a colour that the stored map
+        gives several preimages (validation reports that map as not
+        injective) to the largest of them."""
+        stored = self._entries(e, f)
+        if stored is not None:
+            return dict(zip(*stored))
+        stored = self._entries(f, e)
+        return None if stored is None else dict(zip(stored[1], stored[0]))
 
     def image(self, e: int, f: int, c: int) -> int | None:
         """sigma_{e,f}(c), or None when the stored partial map leaves c free."""
-        m = self.map_for(e, f)
-        return c if m is None else m.get(c)
+        stored = self._entries(e, f)
+        if stored is None:
+            stored = self._entries(f, e)
+            if stored is None:
+                return c
+            stored = stored[1][::-1], stored[0][::-1]  # the largest preimage first
+        colours, images = stored
+        try:
+            j = colours.index(c)
+        except ValueError:
+            return None
+        return images[j]
 
     def blocks(self, e: int, c: int, f: int, c_other: int) -> bool:
-        """Does (e, c) block (f, c_other)?"""
-        return self.image(e, f, c) == c_other
+        """Does (e, c) block (f, c_other)?  Through the map stored for
+        (e, f), else the one stored for (f, e) read backwards (it sends
+        c_other to c), else the identity, as `blocking` decides; for an
+        injective map, as validation requires, that is
+        `image(e, f, c) == c_other`."""
+        stored = self._entries(e, f)
+        if stored is None:
+            stored = self._entries(f, e)
+            if stored is None:
+                return c == c_other
+            c, c_other = c_other, c
+        colours, images = stored
+        try:
+            j = colours.index(c)
+        except ValueError:
+            return False
+        return images[j] == c_other
 
 
 def segment_blocks(ptr: np.ndarray):
@@ -363,16 +577,14 @@ def blocking_pairs(
     """Ascending indices i at which (e[i], colour_of[e[i]]) blocks
     (f[i], colour_of[f[i]]).
 
-    `ids` lists every edge id in e and f, each below `size`.  Pairs without
-    a stored map whose two colours are ints in the int64 range are
-    compared as arrays (the identity blocks equal colours); every other
-    pair goes through `sigma.blocks`, so any colour value is handled."""
+    `ids` lists every edge id in e and f, each below `size`.  Pairs whose
+    two colours are ints in the int64 range are compared as arrays,
+    through `sigma.blocking` (the identity blocks equal colours); every
+    other pair goes through `sigma.blocks`, so any colour value is
+    handled."""
     value, exact = _int64_colours(colour_of, ids, size)
     scalar = ~(exact[e] & exact[f])
-    if sigma.maps:  # pairs with a stored map in either direction
-        stored = [min(a, b) * size + max(a, b) for a, b in sigma.maps if 0 <= a < size and 0 <= b < size]
-        scalar |= np.isin(np.minimum(e, f) * size + np.maximum(e, f), stored)
-    hit = ~scalar & (value[e] == value[f])
+    hit = ~scalar & (value[e] == value[f] if sigma.is_trivial else sigma.blocking(e, value[e], f, value[f]))
     at = np.flatnonzero(scalar)
     hit[at] = [
         sigma.blocks(a, colour_of[a], b, colour_of[b])
@@ -484,31 +696,7 @@ def validate_instance(
     e, f, repeated = graph._meetings  # pairs that meet at two vertices or more
     for e, f in zip(e[repeated].tolist(), f[repeated].tolist()):
         violations.append(Violation("linearity", (e, f), f"edges {e} and {f} share more than one vertex"))
-    for (e, f), m in sorted(sigma.maps.items()):
-        if e == f:
-            violations.append(Violation("sigma-self", (e, f), f"correspondence stored for edge {e} with itself"))
-            continue
-        if e >= graph.edge_count or f >= graph.edge_count or graph.shared_vertex(e, f) is None:
-            violations.append(Violation("sigma-adjacency", (e, f), f"correspondence for non-incident pair ({e},{f})"))
-        values = list(m.values())
-        if len(set(values)) != len(values):
-            violations.append(Violation("sigma-injective", (e, f), f"correspondence ({e},{f}) is not injective"))
-        if (f, e) in sigma.maps:
-            inverse = sigma.maps[(f, e)]
-            agreed = all(inverse.get(c2) == c1 for c1, c2 in m.items()) and all(
-                m.get(c2) == c1 for c1, c2 in inverse.items()
-            )
-            if not agreed:
-                violations.append(
-                    Violation("sigma-inverse", (e, f), f"stored maps for ({e},{f}) and ({f},{e}) are not mutual inverses")
-                )
-        if universe is not None:
-            lo, hi = universe
-            for c1, c2 in m.items():
-                if not (lo <= c1 <= hi and lo <= c2 <= hi):
-                    violations.append(
-                        Violation("sigma-universe", (e, f, c1, c2), f"correspondence entry ({c1},{c2}) outside colour universe")
-                    )
+    violations += _sigma_violations(graph, sigma, universe)
     # The lists, read off the pair table in ascending (edge, colour) order.
     bad_weight = ~((lists.mu > 0.0) & (lists.mu <= 1.0))
     lo, hi = universe if universe is not None else (-np.inf, np.inf)
@@ -519,4 +707,79 @@ def validate_instance(
             violations.append(Violation("weight-range", (e, c), f"weight {w} for edge {e} colour {c} outside (0,1]"))
         if outside[p]:
             violations.append(Violation("colour-universe", (e, c), f"colour {c} on edge {e} outside declared universe"))
+    return violations
+
+
+def _sigma_violations(
+    graph: LinearHypergraph,
+    sigma: EdgeCorrespondence,
+    universe: tuple[int, int] | None,
+) -> list[Violation]:
+    """The correspondence's violations, pair by pair in ascending (e, f)
+    order: a self pair (nothing else is checked for it), then a pair that
+    is not incident, a map that is not injective, maps stored both ways
+    that are not mutual inverses, and entries outside the universe in
+    ascending c."""
+    e, f, ptr = sigma.pair_e, sigma.pair_f, sigma.entry_ptr
+    row, c, image = sigma.entry_row, sigma.entry_c, sigma.entry_image
+    pairs = e.size
+    self_pair = e == f
+
+    m = graph.edge_count
+    ge, gf = graph.incident_pairs
+    lo_edge, hi_edge = np.minimum(e, f), np.maximum(e, f)
+    in_range = (lo_edge >= 0) & (hi_edge < m)
+    key = np.where(in_range, lo_edge * m + hi_edge, -1)
+    at = np.minimum(np.searchsorted(ge * m + gf, key), max(ge.size - 1, 0))
+    incident = in_range & (ge[at] * m + gf[at] == key) if ge.size else np.zeros(pairs, dtype=bool)
+
+    # Two entries of one map with one image share a (pair, image) key.
+    codes, image_keys = LexCodes.fitted_keys(pairs, row, image)
+    image_keys.sort()
+    injective = np.ones(pairs, dtype=bool)
+    injective[image_keys[1:][image_keys[1:] == image_keys[:-1]] // codes.width] = False
+
+    # Maps stored both ways: the entries of one, swapped, must equal the other's.
+    reverse = sigma.rows(f, e)
+    both = np.flatnonzero((reverse >= 0) & ~self_pair)
+    inverse = np.ones(pairs, dtype=bool)
+    if both.size:
+        length = np.diff(ptr)
+        same = both[length[both] == length[reverse[both]]]
+        inverse[both] = False
+        inverse[same] = True
+        own = segment_ranges(ptr[same], length[same])
+        other = segment_ranges(ptr[reverse[same]], length[same])
+        group = np.repeat(np.arange(same.size), length[same])
+        other = other[np.lexsort((c[other], image[other], group))]
+        differs = (c[own] != image[other]) | (image[own] != c[other])
+        inverse[same[group[differs]]] = False
+
+    outside = np.zeros(c.size, dtype=bool)
+    if universe is not None and not universe[0] <= sigma.colour_span[0] <= sigma.colour_span[1] <= universe[1]:
+        lo, hi = universe
+        outside = (c < lo) | (c > hi) | (image < lo) | (image > hi)
+        outside &= ~self_pair[row]
+
+    violations: list[Violation] = []
+    flagged = np.zeros(pairs, dtype=bool)
+    flagged[row[outside]] = True
+    for i in np.flatnonzero(self_pair | ~incident | ~injective | ~inverse | flagged).tolist():
+        a, b = int(e[i]), int(f[i])
+        if self_pair[i]:
+            violations.append(Violation("sigma-self", (a, b), f"correspondence stored for edge {a} with itself"))
+            continue
+        if not incident[i]:
+            violations.append(Violation("sigma-adjacency", (a, b), f"correspondence for non-incident pair ({a},{b})"))
+        if not injective[i]:
+            violations.append(Violation("sigma-injective", (a, b), f"correspondence ({a},{b}) is not injective"))
+        if not inverse[i]:
+            violations.append(
+                Violation("sigma-inverse", (a, b), f"stored maps for ({a},{b}) and ({b},{a}) are not mutual inverses")
+            )
+        for j in (ptr[i] + np.flatnonzero(outside[ptr[i] : ptr[i + 1]])).tolist():
+            c1, c2 = int(c[j]), int(image[j])
+            violations.append(
+                Violation("sigma-universe", (a, b, c1, c2), f"correspondence entry ({c1},{c2}) outside colour universe")
+            )
     return violations

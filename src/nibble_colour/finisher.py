@@ -250,8 +250,14 @@ def finish(
     heap = [(u, w, current[u], current[w]) for u, w in zip(pe[at].tolist(), pf[at].tolist())]
     heapq.heapify(heap)
 
-    blocks = sigma.blocks if sigma.maps else (lambda e, c, f, c_other: c == c_other)
+    mapped = not sigma.is_trivial
     nbr_ptr, nbr_idx = adj.ptr, adj.idx
+    if mapped:  # for `sigma.blocking`: the colours as an array too
+        colour_at = np.zeros(size, dtype=np.int64)
+        colour_at[nodes] = [current[u] for u in inst.nodes]
+        node_of = np.repeat(np.arange(size), np.diff(nbr_ptr))
+        lower, upper = np.minimum(node_of, nbr_idx), np.maximum(node_of, nbr_idx)
+        row, forward = sigma.deciding(lower, upper)
     while heap:
         if log.iterations >= iteration_cap:
             log.outcome = "cap-exhausted"
@@ -268,9 +274,18 @@ def finish(
                 cumulative[lo[x] : hi[x]].tolist(),
                 rng.uniform(seed, rng.KIND_RESAMPLE, x, log.iterations),
             )
+        if mapped:
+            colour_at[u], colour_at[w] = current[u], current[w]
         for x in (u, w):
+            if mapped:
+                at = slice(nbr_ptr[x], nbr_ptr[x + 1])
+                a, b = lower[at], upper[at]
+                hit = sigma.blocking(a, colour_at[a], b, colour_at[b], (row[at], forward[at]))
+                for a, b in zip(a[hit].tolist(), b[hit].tolist()):
+                    heapq.heappush(heap, (a, b, current[a], current[b]))
+                continue
             for y in nbr_idx[nbr_ptr[x] : nbr_ptr[x + 1]].tolist():
-                a, b = (x, y) if x < y else (y, x)
-                if blocks(a, current[a], b, current[b]):
+                if current[x] == current[y]:
+                    a, b = (x, y) if x < y else (y, x)
                     heapq.heappush(heap, (a, b, current[a], current[b]))
     return {u: current[u] for u in inst.nodes}, log

@@ -13,9 +13,10 @@ Instance format::
 
 Weights omitted from a list entry default to 1.0; a colour listed twice
 for one edge keeps its last weight.  `sigma` entries are ordered pairs;
-pairs not mentioned use the identity correspondence.  `k`,
-`vertex_count`, the universe bounds, list colours and map entries lie in
-the int64 range [-2^63, 2^63).
+pairs not mentioned use the identity correspondence.  A repeated pair
+keeps its last map, and a colour repeated within a map its last image.
+`k`, `vertex_count`, the universe bounds, list colours, `sigma` edge ids
+and map entries lie in the int64 range [-2^63, 2^63).
 
 Colouring format::
 
@@ -29,6 +30,8 @@ from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Mapping
+
+import numpy as np
 
 from .core import (
     EdgeCorrespondence,
@@ -57,9 +60,12 @@ def instance_to_dict(inst: Instance) -> dict:
     ]
     bounds = lists.edge_ptr.tolist()
     lists_json = {str(e): entries[bounds[i] : bounds[i + 1]] for i, e in enumerate(lists.edges.tolist())}
+    sigma = inst.sigma
+    entries = np.stack([sigma.entry_c, sigma.entry_image], axis=1).tolist()
+    bounds = sigma.entry_ptr.tolist()
     sigma_json = [
-        {"e": e, "f": f, "map": [[c1, c2] for c1, c2 in sorted(m.items())]}
-        for (e, f), m in sorted(inst.sigma.maps.items())
+        {"e": e, "f": f, "map": entries[bounds[i] : bounds[i + 1]]}
+        for i, (e, f) in enumerate(zip(sigma.pair_e.tolist(), sigma.pair_f.tolist()))
     ]
     return {
         "k": inst.graph.k,
@@ -93,28 +99,56 @@ def instance_from_dict(data: Mapping) -> Instance:
                     colour_of.append(int(entry))
                     mu.append(1.0)
             edge_of += [e] * (len(colour_of) - listed)
-        maps: dict[tuple[int, int], dict[int, int]] = {}
+        pair_e: list[int] = []
+        pair_f: list[int] = []
+        maps: list[list] = []
         for item in data.get("sigma", []):
-            e, f = int(item["e"]), int(item["f"])
+            pair_e.append(int(item["e"]))
+            pair_f.append(int(item["f"]))
             mapped = item.get("map", [])
             if not isinstance(mapped, list):
-                raise TypeError(f"map of ({e},{f}) is not a list of pairs")
-            maps[(e, f)] = {int(c1): int(c2) for c1, c2 in mapped}
+                raise TypeError(f"map of ({pair_e[-1]},{pair_f[-1]}) is not a list of pairs")
+            maps.append(mapped)
+        entries = _map_entries(maps)
     except InstanceError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed instance: {exc}") from exc
-    # k, vertex_count, the universe, list colours and map entries.
-    ints = [(k, vertex_count, lo, hi), colour_of, *chain.from_iterable((m.keys(), m.values()) for m in maps.values())]
-    for extreme in (min(chain.from_iterable(ints)), max(chain.from_iterable(ints))):
-        if not -(1 << 63) <= extreme < 1 << 63:
-            raise InstanceError(f"{extreme} lies outside the int64 range [-2^63, 2^63)")
+    # k, vertex_count, the universe, list colours and the sigma edge ids;
+    # `_map_entries` has checked the map entries.
+    _check_int64([(k, vertex_count, lo, hi), colour_of, pair_e, pair_f])
     return Instance(
         graph=LinearHypergraph.build(vertex_count, edges, k=k),
         lists=WeightedListAssignment.from_pairs(range(len(edges)), edge_of, colour_of, mu),
-        sigma=EdgeCorrespondence(maps=maps),
+        sigma=EdgeCorrespondence.from_items(
+            np.array(pair_e, dtype=np.int64), np.array(pair_f, dtype=np.int64),
+            np.fromiter(map(len, maps), np.int64, len(maps)), entries[:, 0], entries[:, 1],
+        ),
         universe=(lo, hi),
     )
+
+
+def _check_int64(groups: list) -> None:
+    for extreme in (min(chain.from_iterable(groups)), max(chain.from_iterable(groups))):
+        if not -(1 << 63) <= extreme < 1 << 63:
+            raise InstanceError(f"{extreme} lies outside the int64 range [-2^63, 2^63)")
+
+
+def _map_entries(maps: list[list]) -> np.ndarray:
+    """The entries of the `sigma` maps, in order, as an (n, 2) int64
+    array.  Each entry is a pair whose items convert with `int`, as a
+    JSON list of two integers does; the entries are read as one flat
+    array, or one at a time when that fails, so that a malformed entry or
+    a value outside int64 is reported as such."""
+    flat = list(chain.from_iterable(maps))
+    try:
+        if set(map(len, flat)) <= {2}:
+            return np.fromiter(chain.from_iterable(flat), np.int64, 2 * len(flat)).reshape(-1, 2)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    pairs = [(int(c1), int(c2)) for c1, c2 in flat]
+    _check_int64(pairs)
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def dump_instance(inst: Instance, path: str | Path) -> None:

@@ -34,10 +34,12 @@ import numpy as np
 from . import rng
 from .core import (
     EdgeCorrespondence,
+    LexCodes,
     LinearHypergraph,
     PreconditionError,
     WeightedListAssignment,
     segment_blocks,
+    segment_ranges,
 )
 
 E_SQUARED = math.e**2
@@ -239,14 +241,19 @@ class RoundStructure:
         sigma: EdgeCorrespondence,
     ) -> "RoundStructure":
         k = graph.k
-        edge_vertices = np.array(graph.edges, dtype=np.int64).reshape(-1, k)
+        # Without edges nothing is shaped by k, which may then be any int64.
+        edge_vertices = (
+            np.array(graph.edges, dtype=np.int64).reshape(graph.edge_count, k)
+            if graph.edge_count
+            else np.zeros((0, 0), dtype=np.int64)
+        )
 
         # Pair range [first[f], stop[f]) of every edge id; empty when absent.
         first = np.zeros(graph.edge_count, dtype=np.int64)
         stop = np.zeros(graph.edge_count, dtype=np.int64)
         first[lists.edges], stop[lists.edges] = lists.edge_ptr[:-1], lists.edge_ptr[1:]
 
-        ptr, nbr_idx = _neighbourhood_rows(graph, sigma, lists.colour_of, edge_vertices, first, stop)
+        ptr, nbr_idx = _neighbourhood_rows(graph, sigma, lists, edge_vertices, first, stop)
         return cls(
             mu=lists.mu,
             edge_of=lists.edge_of,
@@ -323,69 +330,174 @@ class RoundStructure:
         eq = params.K / denom
         over = eq > 1.0
         eq[over] = 1.0
-        return eq.reshape(self.pair_count, self.k), int(over.sum())
+        return eq.reshape(self.vertex_of.shape), int(over.sum())
 
 
 def _neighbourhood_rows(
     graph: LinearHypergraph,
     sigma: EdgeCorrespondence,
-    colour_of: np.ndarray,
+    lists: WeightedListAssignment,
     edge_vertices: np.ndarray,
     first: np.ndarray,
     stop: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(ptr, nbr_idx) of the CSR rows N(e, v_j, c), built one vertex at a
-    time so that temporaries stay proportional to the pairs at a vertex.
+    """(ptr, nbr_idx) of the CSR rows N(e, v_j, c).
 
     At vertex v, every pair (e, c) of an edge e at v and every other edge f
-    at v give the candidate (f, c') with c' = sigma_{e,f}(c) (c' = c when
-    no map is stored); candidates that are pairs are neighbours."""
+    at v give the candidate (f, c') with c' = sigma_{e,f}(c); candidates
+    that are pairs are neighbours.  The edge pairs without a stored map,
+    where c' = c, are joined one vertex at a time, so that temporaries stay
+    proportional to the pairs at a vertex, through a table over (edge at
+    v, colour rank at v).  The entries of the stored maps are joined with
+    the pair table as arrays, forwards and, where the reverse pair stores
+    no map of its own, backwards (`_StoredMaps`), finding pairs through a
+    table over (edge, colour) when the colours span few values, else by
+    binary search over their codes (`LexCodes`); their members then merge
+    into the rows by one sort."""
+    colour_of = lists.colour_of
     k = edge_vertices.shape[1]
     P = colour_of.size
-    # A map image absent from the lists: less than every colour of a pair.
-    free = int(colour_of.min()) - 1 if P else -1
+    maps = None if sigma.is_trivial or not P else _StoredMaps.place(graph, sigma, edge_vertices)
+
     counts = np.zeros(P * k, dtype=np.int64)
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for v, at in graph.incidence.items():
+    for i, (v, at) in enumerate(graph.incidence.items()):
         at_v = np.array(at, dtype=np.int64)
         at_v = at_v[stop[at_v] > first[at_v]]
         d = at_v.size
         if d < 2:
             continue
         lens = stop[at_v] - first[at_v]
-        offsets = np.cumsum(lens) - lens
-        src = np.arange(int(lens.sum())) + np.repeat(first[at_v] - offsets, lens)  # pairs at v
+        src = segment_ranges(first[at_v], lens)  # pairs at v
         src_edge = np.repeat(np.arange(d), lens)  # position of each pair's edge in at_v
         slot = np.repeat(np.argmax(edge_vertices[at_v] == v, axis=1), lens)
-        colours, rank = np.unique(colour_of[src], return_inverse=True)
-        lookup = np.full(d * colours.size, -1, dtype=np.int32)  # (edge at v, colour) -> pair
-        lookup[src_edge * colours.size + rank] = src
+        colours, col = np.unique(colour_of[src], return_inverse=True)  # colour rank at v
+        width = colours.size
+        lookup = np.full(d * width, -1, dtype=np.int32)  # (edge at v, colour) -> pair
+        lookup[src_edge * width + col] = src
 
-        # candidate [i, g]: the image on edge at_v[g] of source pair src[i]
-        target = np.repeat(colour_of[src][:, None], d, axis=1)
-        if not sigma.is_trivial:
-            edges = at_v.tolist()
-            for a, e in enumerate(edges):
-                own = slice(offsets[a], offsets[a] + lens[a])  # the pairs of e among src
-                cols = colour_of[first[e] : stop[e]].tolist()
-                for g, f in enumerate(edges):
-                    m = sigma.map_for(e, f) if g != a else None
-                    if m is not None:
-                        target[own, g] = [m.get(c, free) for c in cols]
-        pos = np.minimum(np.searchsorted(colours, target), colours.size - 1)
-        nbr = lookup[np.arange(d) * colours.size + pos]
-        ok = (colours[pos] == target) & (nbr >= 0) & (src_edge[:, None] != np.arange(d))
+        # candidate [i, g]: the pair on edge at_v[g] with the colour of source pair src[i]
+        nbr = lookup[col[:, None] + np.arange(d) * width]
+        if maps is None:
+            ok = (nbr >= 0) & (src_edge[:, None] != np.arange(d))
+        else:  # edge pairs with a stored map take their members from it
+            ok = (nbr >= 0) & ~maps.excluded(i, at_v)[src_edge]
         rows = src * k + slot
         n = ok.sum(axis=1)
         counts[rows] = n  # row r belongs to vertex v_j alone
         parts.append((rows, n, nbr[ok]))  # row-major: each row's members ascending
 
+    if maps is None:
+        ptr = np.zeros(P * k + 1, dtype=np.int64)
+        np.cumsum(counts, out=ptr[1:])
+        nbr_idx = np.empty(int(ptr[-1]), dtype=np.int32)
+        for rows, n, members in parts:
+            nbr_idx[segment_ranges(ptr[rows], n)] = members
+        return ptr, nbr_idx
+
+    # Pairs by (edge, colour): a table over every colour that a list or an
+    # entry holds, else a binary search over the pairs' codes.  The table is
+    # about five times faster than the search at four slots per pair or
+    # entry, and as fast near sixty-four (BENCH_correspondence.json); four
+    # keeps its memory within a few times the entries'.
+    lo = min(int(colour_of.min()), sigma.colour_span[0])
+    width = max(int(colour_of.max()), sigma.colour_span[1]) - lo + 1
+    if first.size * width <= 4 * max(P, sigma.entry_c.size):
+        table = np.full(first.size * width, -1, dtype=np.int64)
+        table[lists.edge_of * width + (colour_of - lo)] = np.arange(P)
+
+        def pair_index(edge: np.ndarray, colour: np.ndarray) -> np.ndarray:
+            return table[edge * width + (colour - lo)]
+
+    else:
+        codes, pair_keys = LexCodes.fitted_keys(first.size, lists.edge_of, colour_of)
+
+        def pair_index(edge: np.ndarray, colour: np.ndarray) -> np.ndarray:
+            key, known = codes.keys(edge, colour)
+            pos = np.minimum(np.searchsorted(pair_keys, key), P - 1)
+            return np.where(known & (pair_keys[pos] == key), pos, -1)
+
+    rows, members = maps.members(pair_index, k)
+    rows = np.concatenate([rows, *(np.repeat(r, n) for r, n, _ in parts)])
+    key = np.sort(rows * P + np.concatenate([members, *(m for _, _, m in parts)]))
     ptr = np.zeros(P * k + 1, dtype=np.int64)
-    np.cumsum(counts, out=ptr[1:])
-    nbr_idx = np.empty(int(ptr[-1]), dtype=np.int32)
-    for rows, n, members in parts:
-        nbr_idx[np.repeat(ptr[rows] - (np.cumsum(n) - n), n) + np.arange(members.size)] = members
-    return ptr, nbr_idx
+    np.cumsum(np.bincount(rows, minlength=P * k), out=ptr[1:])
+    return ptr, (key % P).astype(np.int32)
+
+
+@dataclass(frozen=True)
+class _StoredMaps:
+    """The stored maps of a correspondence, placed at the vertices where
+    they act: for every stored pair (e, f) of distinct edges and every
+    vertex they share, the pair index `row`, the vertex's slots `je` in e
+    and `jf` in f, and whether the map also stands for (f, e), which
+    stores none (`alone`), ordered by vertex; `start[i]:stop[i]` are those
+    at the i-th vertex of `graph.incidence`."""
+
+    sigma: EdgeCorrespondence
+    row: np.ndarray
+    je: np.ndarray
+    jf: np.ndarray
+    alone: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
+
+    @classmethod
+    def place(cls, graph: LinearHypergraph, sigma: EdgeCorrespondence, edge_vertices: np.ndarray) -> "_StoredMaps":
+        m = graph.edge_count
+        e, f = sigma.pair_e, sigma.pair_f
+        pairs = np.flatnonzero((e != f) & (e >= 0) & (e < m) & (f >= 0) & (f < m))
+        ve = edge_vertices[e[pairs]]
+        at, je, jf = np.nonzero(ve[:, :, None] == edge_vertices[f[pairs]][:, None, :])
+        v = ve[at, je]
+        order = np.argsort(v, kind="stable")
+        order = order[(v[order] >= 0) & (v[order] < graph.vertex_count)]  # vertices of the incidence
+        vertices = np.fromiter(graph.incidence, np.int64, len(graph.incidence))
+        row = pairs[at[order]]
+        return cls(
+            sigma=sigma,
+            row=row,
+            je=je[order],
+            jf=jf[order],
+            alone=sigma.rows(f[row], e[row]) < 0,
+            start=np.searchsorted(v[order], vertices, side="left"),
+            stop=np.searchsorted(v[order], vertices, side="right"),
+        )
+
+    def excluded(self, i: int, at_v: np.ndarray) -> np.ndarray:
+        """(d, d) flags over the edges `at_v` at the i-th vertex: the
+        diagonal, and the ordered pairs with a map stored either way."""
+        d = at_v.size
+        out = np.eye(d, dtype=bool)
+        rows = self.row[self.start[i] : self.stop[i]]
+        if rows.size:
+            a = np.minimum(np.searchsorted(at_v, self.sigma.pair_e[rows]), d - 1)
+            b = np.minimum(np.searchsorted(at_v, self.sigma.pair_f[rows]), d - 1)
+            here = (at_v[a] == self.sigma.pair_e[rows]) & (at_v[b] == self.sigma.pair_f[rows])
+            out[a[here], b[here]] = out[b[here], a[here]] = True
+        return out
+
+    def members(self, pair_index, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, members) of the neighbours that the placed maps give: for
+        an entry (c, c') of the map of (e, f) at vertex v with (e, c) and
+        (f, c') both pairs p and q, q in row p*k + (slot of v in e), and,
+        for a map that stands alone, p in row q*k + (slot of v in f).
+        `pair_index(edge, colour)` finds pairs, -1 where there is none."""
+        sigma = self.sigma
+        order = np.argsort(self.row, kind="stable")  # table order, so that entries are read in order
+        row = self.row[order]
+        length = np.diff(sigma.entry_ptr)[row]
+        entry = segment_ranges(sigma.entry_ptr[row], length)
+        # Images first: fewer of them are pairs, and only those need their source.
+        q = pair_index(np.repeat(sigma.pair_f[row], length), sigma.entry_image[entry])
+        at = np.flatnonzero(q >= 0)
+        placed = order[np.searchsorted(np.cumsum(length), at, side="right")]
+        p = pair_index(sigma.pair_e[self.row[placed]], sigma.entry_c[entry][at])
+        hit = p >= 0
+        p, q, placed = p[hit], q[at[hit]], placed[hit]
+        back = self.alone[placed]
+        rows = np.concatenate([p * k + self.je[placed], q[back] * k + self.jf[placed[back]]])
+        return rows, np.concatenate([q, p[back]])
 
 
 def equalizing_probability(
@@ -534,9 +646,9 @@ def run_round(
     activated = u_act < struct.mu / params.activation_scale
 
     eq, clamped = struct.equalizing(params)
-    e_keys = np.repeat(struct.edge_of[:, None], struct.k, axis=1)
-    c_keys = np.repeat(struct.colour_of[:, None], struct.k, axis=1)
-    u_flip = rng.uniforms(seed, rng.KIND_FLIP, round_index, attempt, e_keys, c_keys, struct.vertex_of)
+    u_flip = rng.uniforms(
+        seed, rng.KIND_FLIP, round_index, attempt, struct.edge_of[:, None], struct.colour_of[:, None], struct.vertex_of
+    )
     flips_ok = u_flip < eq
 
     survive, retained, removed_ii = apply_procedure(struct, activated, flips_ok)
@@ -648,10 +760,11 @@ def drive(
     asymptotic guarantees do not hold at desk scale, so isolated deficient
     edges are tolerated and simply carry shorter lists.
 
-    Desk-scale regime guards (each recorded as the stop reason): N must
-    exceed e^2, the ratio must lie strictly between 1 + eps and 3ek, the
-    schedule must not collapse, and the truncation target must keep at
-    least half of the expected surviving weight L K^k.
+    Desk-scale regime guards (each recorded as the stop reason): k must
+    be at least 2 (`k-below-2`), N must exceed e^2, the ratio must lie
+    strictly between 1 + eps and 3ek, the schedule must not collapse, and
+    the truncation target must keep at least half of the expected
+    surviving weight L K^k.
 
     `struct`, when given, is the round structure of `lists` over all of
     its edges, so a caller that already built it does not pay twice.
@@ -676,6 +789,9 @@ def drive(
     while True:
         if not cur_lists.edges.size:
             result.stop_reason = "all-coloured"
+            return result
+        if k < 2:  # the procedure needs k >= 2 (NibbleParams)
+            result.stop_reason = "k-below-2"
             return result
         ratio = L / N if N > 0 else math.inf
         if ratio >= target_ratio:

@@ -240,6 +240,10 @@ MALFORMED = {
     "sigma entry without e": {"sigma": [{"f": 1, "map": [[1, 2]]}]},
     "sigma entry of a wrong type": {"sigma": [[0, 1]]},
     "map item not a pair": {"sigma": [{"e": 0, "f": 1, "map": [[1]]}]},
+    "map item of three": {"sigma": [{"e": 0, "f": 1, "map": [[1, 2], [1, 2, 3]]}]},
+    "map item a number": {"sigma": [{"e": 0, "f": 1, "map": [[1, 2], 5]}]},
+    "map item nested": {"sigma": [{"e": 0, "f": 1, "map": [[[1], 2]]}]},
+    "map value not a number": {"sigma": [{"e": 0, "f": 1, "map": [[1, "x"]]}]},
     "map as an object": {"sigma": [{"e": 0, "f": 1, "map": {"12": 3}}]},
 }
 
@@ -295,6 +299,7 @@ OUT_OF_INT64 = {
     "map key": {"sigma": [{"e": 0, "f": 1, "map": [[2**65, 1]]}]},
     "map value": {"sigma": [{"e": 0, "f": 1, "map": [[1, 2**65]]}]},
     "universe bound": {"colour_universe": [0, 2**70]},
+    "sigma edge id": {"sigma": [{"e": 2**64, "f": 1, "map": []}]},
 }
 
 
@@ -340,6 +345,41 @@ def test_cost_does_not_grow_with_unused_vertices(tmp_path, argv):
         env=env, capture_output=True, text=True, timeout=10,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# A valid instance of huge uniformity: without edges nothing may be shaped by k.
+@pytest.mark.parametrize("argv, code", [
+    (["colour", "{inst}", "--mode", "nibble+finish", "--out-prefix", "{tmp}/run"], 0),
+    (["colour", "{inst}", "--mode", "finish-only", "--out-prefix", "{tmp}/run"], 0),
+    (["diag", "{inst}", "--trials", "3"], 2),  # derived L = 0: no parameters
+    (["diag", "{inst}", "--trials", "3", "--L", "40", "--N", "20"], 0),
+], ids=["nibble+finish", "finish-only", "diag", "diag L N"])
+def test_huge_k_without_edges_allocates_nothing_shaped_by_k(tmp_path, argv, code):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"k": 2**62, "vertex_count": 3, "edges": [], "lists": {}}))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CHILD, *(a.format(inst=inst, tmp=tmp_path) for a in argv)],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_k_one_nibble_stops_and_the_finisher_colours(tmp_path):
+    """k = 1: the nibble is not defined, so drive stops at once and the
+    finisher colours the instance."""
+    from nibble_colour.nibble import drive
+
+    data = {"k": 1, "vertex_count": 1, "edges": [[0]] * 12, "colour_universe": [1, 20],
+            "lists": {str(e): list(range(1, 21)) for e in range(12)}}
+    inst = tmp_path / "k1.json"
+    inst.write_text(json.dumps(data))
+    assert run(["colour", inst, "--mode", "nibble+finish", "--out-prefix", tmp_path / "run"]) == 0
+    assert run(["verify", inst, tmp_path / "run.colouring.json"]) == 0
+    loaded = load_instance(inst)
+    result = drive(loaded.graph, loaded.lists, loaded.sigma, eps=0.25, seed=0)
+    assert result.stop_reason == "k-below-2" and not result.colouring and not result.trace
 
 
 def test_verify_detects_block_and_unknown_edge(tmp_path):

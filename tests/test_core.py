@@ -76,6 +76,157 @@ def test_pair_table_readers_match_a_dict_reference(raw, keep):
 
 
 # ---------------------------------------------------------------------------
+# the correspondence table
+# ---------------------------------------------------------------------------
+
+# A triangle on 0-2, an edge hanging off vertex 0 and one apart; ids -1 and 5
+# are no edges.  Universe [0, 5]; map colours also reach outside it and the
+# int64 ends.
+_SIGMA_GRAPH = LinearHypergraph.build(7, [(0, 1), (1, 2), (0, 2), (0, 3), (5, 6)], k=2)
+_SIGMA_COLOUR = st.integers(-1, 6) | st.sampled_from([-(2**63), 2**63 - 1])
+# One sigma item: (e, f, entries); a later item for the same (e, f) replaces
+# the map, a colour repeated within an item keeps its last image.
+_SIGMA_ITEMS = st.lists(
+    st.tuples(
+        st.integers(-1, 5),
+        st.integers(-1, 5),
+        st.lists(st.tuples(_SIGMA_COLOUR, _SIGMA_COLOUR), max_size=5),
+    ),
+    max_size=8,
+)
+# How one map entry is written: as the JSON integers, or in a form that
+# `int` reads to the same value.
+_ENTRY_FORM = st.sampled_from(["ints", "floats", "strings"])
+# Entries that the parser must reject, each replacing one entry.
+_MALFORMED_ENTRY = st.sampled_from(
+    [[1], [1, 2, 3], [], 7, None, [1.5, "x"], ["1.5", 2], [[1], 2], [2**64, 1], [1, -(2**63) - 1], {"a": 1}, "123"]
+)
+
+
+def _json_entry(c, image, form):
+    if form == "floats" and abs(c) < 2**53 and abs(image) < 2**53:
+        return [float(c), float(image)]
+    if form == "strings":
+        return [str(c), str(image)]
+    return [c, image]
+
+
+def _reference_violations(graph, maps, universe):
+    """validate_instance's sigma checks, written against the dict form."""
+    out = []
+    m = graph.edge_count
+    for (e, f), mp in sorted(maps.items()):
+        if e == f:
+            out.append(("sigma-self", (e, f)))
+            continue
+        if not (0 <= e < m and 0 <= f < m) or graph.shared_vertex(e, f) is None:
+            out.append(("sigma-adjacency", (e, f)))
+        if len(set(mp.values())) != len(mp):
+            out.append(("sigma-injective", (e, f)))
+        if (f, e) in maps and {(c2, c1) for c1, c2 in mp.items()} != set(maps[f, e].items()):
+            out.append(("sigma-inverse", (e, f)))
+        lo, hi = universe
+        for c1, c2 in sorted(mp.items()):
+            if not (lo <= c1 <= hi and lo <= c2 <= hi):
+                out.append(("sigma-universe", (e, f, c1, c2)))
+    return out
+
+
+@given(
+    _SIGMA_ITEMS,
+    st.lists(st.tuples(st.integers(0, 7), st.booleans()), max_size=3),
+    _ENTRY_FORM,
+    st.none() | st.tuples(st.integers(0, 7), st.integers(0, 4), _MALFORMED_ENTRY),
+)
+@settings(max_examples=200, deadline=None)
+def test_correspondence_table_matches_a_dict_reference(items, mirrors, form, malformed):
+    import json
+
+    from nibble_colour.core import InstanceError
+    from nibble_colour.instance_io import instance_from_dict, instance_to_dict
+
+    # Two-way maps: an item stored the other way too, as its inverse or,
+    # with `shifted`, with its first image moved.
+    for which, shifted in mirrors if items else ():
+        e, f, entries = items[which % len(items)]
+        back = [(image, c) for c, image in dict(entries).items()]
+        if shifted and back:
+            back[0] = (back[0][0], back[0][1] ^ 1)
+        items.append((f, e, back))
+    maps = {}
+    for e, f, entries in items:
+        maps[e, f] = dict(entries)  # the last item, and within it the last image, wins
+    graph, universe = _SIGMA_GRAPH, (0, 5)
+    lists = WeightedListAssignment.unit({e: [0, 1, 2, 3] for e in range(graph.edge_count)})
+    data = {
+        "k": 2, "vertex_count": 7, "edges": [list(edge) for edge in graph.edges], "colour_universe": list(universe),
+        "lists": {str(e): [0, 1, 2, 3] for e in range(graph.edge_count)},
+        "sigma": [{"e": e, "f": f, "map": [_json_entry(c, i, form) for c, i in entries]} for e, f, entries in items],
+    }
+    flat = [entry for _, _, entries in items for entry in entries]
+    tables = [
+        EdgeCorrespondence(maps),
+        EdgeCorrespondence.from_items(
+            [e for e, _, _ in items], [f for _, f, _ in items], [len(entries) for _, _, entries in items],
+            [c for c, _ in flat], [i for _, i in flat],
+        ),
+        instance_from_dict(data).sigma,
+    ]
+    edge_pairs = list(itertools.product(range(-1, 6), repeat=2))
+    colours = [-1, 0, 2, 6, -(2**63), 2**63 - 1]
+
+    def reference_blocks(e, c, f, c_other):  # the map of (e, f), else that of (f, e) backwards
+        if (e, f) in maps:
+            return maps[e, f].get(c) == c_other
+        return maps[f, e].get(c_other) == c if (f, e) in maps else c == c_other
+
+    images = {}
+    for e, f in edge_pairs:
+        stored = maps.get((e, f))
+        if stored is None and (f, e) in maps:  # the inverse; the largest preimage wins
+            stored = {c2: c1 for c1, c2 in sorted(maps[f, e].items())}
+        images[e, f] = stored, {c: c if stored is None else stored.get(c) for c in colours}
+    for sigma in tables:
+        assert list(zip(sigma.pair_e.tolist(), sigma.pair_f.tolist())) == sorted(maps)
+        assert sigma.is_trivial == (not maps)
+        for (e, f), (stored, image) in images.items():
+            assert sigma.map_for(e, f) == stored
+            for c in colours:
+                assert sigma.image(e, f, c) == image[c]
+                for c_other in {image[c], c, 6} - {None}:
+                    assert sigma.blocks(e, c, f, c_other) == reference_blocks(e, c, f, c_other)
+        e, f = np.array(edge_pairs).T
+        for ce, cf in itertools.product([-1, 0, 6, 2**63 - 1], repeat=2):
+            got = sigma.blocking(e, np.full(e.size, ce), f, np.full(f.size, cf))
+            assert got.tolist() == [reference_blocks(a, ce, b, cf) for a, b in edge_pairs]
+        found = [(v.kind, v.subject) for v in validate_instance(graph, sigma, lists, universe)]
+        assert found == _reference_violations(graph, maps, universe)
+
+    dumped = json.loads(json.dumps(instance_to_dict(instance_from_dict(data))))
+    assert dumped["sigma"] == [{"e": e, "f": f, "map": [list(kv) for kv in sorted(mp.items())]} for (e, f), mp in sorted(maps.items())]
+    assert instance_to_dict(instance_from_dict(dumped)) == dumped
+
+    if malformed is not None and flat:
+        which, pos, bad = malformed
+        e_, f_, entries = items[which % len(items)]
+        if entries:
+            data["sigma"][which % len(items)]["map"][pos % len(entries)] = bad
+            with pytest.raises(InstanceError):
+                instance_from_dict(data)
+
+
+def test_correspondence_table_is_read_only():
+    given = np.array([3, 1])
+    sigma = EdgeCorrespondence.from_items([0], [1], [2], given, np.array([4, 5]))
+    assert sigma.blocks(0, 1, 1, 5) and sigma.blocking(np.array([0]), np.array([3]), np.array([1]), np.array([4]))[0]
+    for table in (sigma.pair_e, sigma.pair_f, sigma.entry_ptr, sigma.entry_c, sigma.entry_image):
+        with pytest.raises(ValueError):
+            table[0] = 7
+    given[0] = 7  # the table holds its own arrays
+    assert sigma.entry_c.tolist() == [1, 3] and sigma.blocks(0, 3, 1, 4)
+
+
+# ---------------------------------------------------------------------------
 # weighted_size
 # ---------------------------------------------------------------------------
 
@@ -397,6 +548,6 @@ def test_validate_instance_sigma_checks():
 def test_sigma_inverse_composition_property():
     g = star_graph(4)
     sigma = random_sigma(g, 8, seed=11, density=1.0)
-    for (e, f), m in sigma.maps.items():
-        for c1, c2 in m.items():
+    for e, f in zip(sigma.pair_e.tolist(), sigma.pair_f.tolist()):
+        for c1, c2 in sigma.map_for(e, f).items():
             assert sigma.image(f, e, c2) == c1

@@ -320,7 +320,7 @@ def reference_finish(inst, seed=0, iteration_cap=None):
 
 
 def _oracle_cases():
-    """(label, link instance, seed, cap): 65 small instances."""
+    """(label, link instance, seed, cap): 70 small instances."""
     for seed in range(30):  # stored partial correspondences in about half
         graph, lists, sigma, _ = random_micro_instance(seed)
         yield "micro", to_link_instance(graph, lists, sigma), seed, None
@@ -341,6 +341,13 @@ def _oracle_cases():
         graph, lists, sigma, _ = random_micro_instance(100 + seed)
         active = {e for e in lists.edge_ids() if rng.uniform(seed, 62, e) < 0.7} or {0}
         yield "active", to_link_instance(graph, lists, sigma, active=active), seed, None
+    for seed in range(5):  # stored maps on a star: rows of twenty neighbours
+        g = LinearHypergraph.build(23, [(0, i) for i in range(1, 21)] + [(1, 21), (21, 22)], k=2)
+        lists = WeightedListAssignment.build(
+            {e: rng.subset(seed, 63, 8, 5, e).tolist() for e in range(g.edge_count)},
+            {(e, c): 0.25 + 0.75 * rng.uniform(seed, 64, e, c) for e in range(g.edge_count) for c in range(8)},
+        )
+        yield "long rows", to_link_instance(g, lists, random_sigma(g, 8, seed, density=0.5)), seed, 60
 
 
 def test_finish_matches_reference_oracle():
@@ -357,9 +364,9 @@ def test_finish_matches_reference_oracle():
             seen.add("resampled")
         if log.outcome == "cap-exhausted":
             seen.add("cap-exhausted")
-        if link.sigma.maps and log.iterations:
+        if not link.sigma.is_trivial and log.iterations:
             seen.add("stored maps resampled")
-    assert seen >= {"micro", "cycle", "cap", "isolated", "active", "resampled",
+    assert seen >= {"micro", "cycle", "cap", "isolated", "active", "long rows", "resampled",
                     "cap-exhausted", "stored maps resampled"}
 
 

@@ -31,7 +31,8 @@ def test_instance_round_trip(tmp_path):
     for name in ("edges", "edge_ptr", "colour_of", "mu"):
         a, b = getattr(back.lists, name), getattr(inst.lists, name)
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert back.sigma.maps == {(0, 1): {1: 3, 2: 2}}
+    assert (back.sigma.pair_e.tolist(), back.sigma.pair_f.tolist()) == ([0], [1])
+    assert back.sigma.map_for(0, 1) == {1: 3, 2: 2}
     assert back.universe == (0, 5)
 
 

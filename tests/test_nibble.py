@@ -193,10 +193,29 @@ def _row(struct, p, j):
     return struct.nbr_idx[struct.ptr[p * struct.k + j] : struct.ptr[p * struct.k + j + 1]]
 
 
+def _both_ways(sigma, flip=False):
+    """The same correspondence with each map stored for (e, f) alone also
+    stored as its inverse for (f, e), or with flip, stored only that way."""
+    pairs = list(zip(sigma.pair_e.tolist(), sigma.pair_f.tolist()))
+    maps = {}
+    for e, f in pairs:
+        m = sigma.map_for(e, f)
+        if (f, e) in pairs or not flip:
+            maps[e, f] = m
+        if (f, e) not in pairs:
+            maps[f, e] = {c2: c1 for c1, c2 in m.items()}
+    return EdgeCorrespondence(maps)
+
+
 def _assert_rows_match_definition(graph, lists, sigma, active=None):
-    """Every row equals core.colour_neighbours as ascending pair indices."""
+    """Every row equals core.colour_neighbours as ascending pair indices,
+    and equals the rows of the same maps stored both ways, or the other
+    way alone."""
     defined = lists if active is None else lists.restrict_to_edges(active)
     struct = RoundStructure.build(graph, defined, sigma)
+    for other in (_both_ways(sigma), _both_ways(sigma, flip=True)):
+        rows = RoundStructure.build(graph, defined, other)
+        assert np.array_equal(rows.ptr, struct.ptr) and np.array_equal(rows.nbr_idx, struct.nbr_idx)
     pairs = list(zip(struct.edge_of.tolist(), struct.colour_of.tolist()))
     assert pairs == [(e, c) for e in defined.edge_ids() for c in defined.colours(e)]
     index = {pc: i for i, pc in enumerate(pairs)}
@@ -210,21 +229,25 @@ def _assert_rows_match_definition(graph, lists, sigma, active=None):
     return struct
 
 
-def _partial_map_fano():
+def _partial_map_fano(scale=1, offset=0):
     """k = 3 with stored maps: partial ones, one stored in both directions,
-    and an image outside the target's list."""
+    and an image outside the target's list.  Colour c is written as
+    c * scale + offset."""
     graph = fano_hypergraph()  # every two lines meet in one point
     lists = WeightedListAssignment.build(
-        {e: [(e + i) % 6 for i in range(4)] for e in range(graph.edge_count)},
-        {(e, (e + i) % 6): 0.3 + 0.1 * i for e in range(graph.edge_count) for i in range(4)},
+        {e: [(e + i) % 6 * scale + offset for i in range(4)] for e in range(graph.edge_count)},
+        {(e, (e + i) % 6 * scale + offset): 0.3 + 0.1 * i for e in range(graph.edge_count) for i in range(4)},
     )
-    sigma = EdgeCorrespondence(maps={
+    maps = {
         (0, 1): {0: 2, 1: 3},  # partial: colours 2, 3 of edge 0 correspond to nothing
         (1, 0): {2: 0, 3: 1},  # the inverse, stored as well
         (3, 2): {3: 5, 4: 4, 5: 9},  # 9 is on no list
         (2, 6): {2: 2},
         (4, 5): {},  # stored but empty: the pair blocks nothing
-    })
+    }
+    sigma = EdgeCorrespondence(
+        {pair: {c * scale + offset: i * scale + offset for c, i in m.items()} for pair, m in maps.items()}
+    )
     return graph, lists, sigma
 
 
@@ -236,6 +259,10 @@ def test_structure_rows_match_colour_neighbours():
     struct = _assert_rows_match_definition(graph, lists, sigma)
     assert struct.nbr_idx.size > 0
     _assert_rows_match_definition(graph, lists, sigma, active={0, 2, 3, 5})
+    # Colours spread over int64: pair codes as offsets and as ranks.
+    for scale, offset in ((10**17, -(3 * 10**17)), (2**59, -(2**62))):
+        wide = _assert_rows_match_definition(*_partial_map_fano(scale, offset))
+        assert np.array_equal(wide.ptr, struct.ptr) and np.array_equal(wide.nbr_idx, struct.nbr_idx)
 
 
 def test_structure_empty_rows_and_no_pairs():
