@@ -140,6 +140,15 @@ def segment_ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
     return np.arange(int(length.sum())) + np.repeat(start - offset, length)
 
 
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending: `np.unique` without its import of
+    `numpy.ma`."""
+    values = np.sort(values)
+    distinct = np.ones(values.size, dtype=bool)
+    distinct[1:] = values[1:] != values[:-1]
+    return values[distinct]
+
+
 @dataclass(frozen=True)
 class LexCodes:
     """Order-preserving int64 codes of (major, minor) pairs with major in
@@ -159,7 +168,7 @@ class LexCodes:
         span = int(minor.max()) - lo + 1
         if max(major_count, 1) * span < 1 << 63:
             return cls(width=span, lo=lo, values=None)
-        values = np.unique(minor)
+        values = sorted_distinct(minor)
         return cls(width=values.size, lo=0, values=values)
 
     def codes(self, minor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -281,10 +290,7 @@ class EdgeCorrespondence:
     def _pair_index(self) -> tuple[np.ndarray, np.ndarray]:
         """(ids, keys): the distinct edge ids of the stored pairs, ascending,
         and each pair's key rank(e) * len(ids) + rank(f), ascending."""
-        ids = np.sort(np.concatenate([self.pair_e, self.pair_f]))
-        distinct = np.ones(ids.size, dtype=bool)
-        distinct[1:] = ids[1:] != ids[:-1]
-        ids = ids[distinct]
+        ids = sorted_distinct(np.concatenate([self.pair_e, self.pair_f]))
         return ids, np.searchsorted(ids, self.pair_e) * ids.size + np.searchsorted(ids, self.pair_f)
 
     def rows(self, e: np.ndarray, f: np.ndarray) -> np.ndarray:

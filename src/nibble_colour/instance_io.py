@@ -25,7 +25,9 @@ Colouring format::
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -151,16 +153,46 @@ def _map_entries(maps: list[list]) -> np.ndarray:
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
+@contextmanager
+def _collector_paused():
+    """Turn the cyclic garbage collector off for the block, and back on
+    afterwards only if it was on before."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def dump_instance(inst: Instance, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(instance_to_dict(inst), indent=2, sort_keys=True) + "\n")
+    """Write `inst` in the instance format.  The text is built with the
+    cyclic collector paused, as in `load_instance`."""
+    with _collector_paused():
+        text = json.dumps(instance_to_dict(inst), indent=2, sort_keys=True)
+    Path(path).write_text(text + "\n")
 
 
 def load_instance(path: str | Path) -> Instance:
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InstanceError(f"cannot read instance {path}: {exc}") from exc
-    return instance_from_dict(data)
+    """Read, decode and convert the instance at `path`.
+
+    The whole load runs with the cyclic garbage collector paused.
+    Decoded JSON holds only dicts, lists, strings and numbers, which form
+    no reference cycles, so the passes that its hundreds of thousands of
+    containers (one list per map entry) would trigger free nothing.  The
+    decoded dict is freed by reference counting before the collector
+    resumes, so no pass traverses it.  The pause is process-wide: no
+    thread collects automatically until this one load has returned.
+    """
+    with _collector_paused():
+        try:
+            data = json.loads(Path(path).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise InstanceError(f"cannot read instance {path}: {exc}") from exc
+        inst = instance_from_dict(data)
+        del data
+    return inst
 
 
 def colouring_to_dict(colouring: PartialColouring | Mapping[int, int], complete: bool) -> dict:

@@ -366,6 +366,35 @@ def test_huge_k_without_edges_allocates_nothing_shaped_by_k(tmp_path, argv, code
     assert "Traceback" not in proc.stderr
 
 
+_MA_CHILD = """
+import sys
+from nibble_colour.cli import main
+code = main(sys.argv[1:])
+print("numpy.ma" in sys.modules)
+sys.exit(code)
+"""
+
+
+# Colours spread over int64: keys of (pair, colour) cannot be offsets from
+# the smallest colour, so `LexCodes.fit` ranks the distinct colours.
+@pytest.mark.parametrize("mode", ["nibble+finish", "finish-only"])
+def test_colour_leaves_numpy_ma_unimported(tmp_path, mode):
+    big = 1 << 62
+    inst = tmp_path / "wide.json"
+    inst.write_text(json.dumps({
+        **P3, "colour_universe": [-(1 << 63), (1 << 63) - 1],
+        "lists": {"0": [-big, 0, big], "1": [-big, 0, big]},
+        "sigma": [{"e": 0, "f": 1, "map": [[-big, big], [0, 0], [big, -big]]}],
+    }))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _MA_CHILD, "colour", str(inst), "--mode", mode, "--out-prefix", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_k_one_nibble_stops_and_the_finisher_colours(tmp_path):
     """k = 1: the nibble is not defined, so drive stops at once and the
     finisher colours the instance."""

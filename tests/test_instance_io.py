@@ -1,8 +1,11 @@
+import gc
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nibble_colour import instance_io
 from nibble_colour.core import EdgeCorrespondence, InstanceError, LinearHypergraph, WeightedListAssignment
 from nibble_colour.instance_io import (
     Instance,
@@ -69,3 +72,97 @@ def test_colouring_round_trip(tmp_path):
     path.write_text("[]")
     with pytest.raises(InstanceError):
         load_colouring(path)
+
+
+# -- the collector pause of load and dump ----------------------------------
+
+
+def _large_instance(colours: int = 60_000) -> Instance:
+    """A path of two edges with `colours` colours each and a stored map
+    both ways: 2 * colours map entries."""
+    c = np.arange(colours, dtype=np.int64)
+    graph = LinearHypergraph.build(3, [(0, 1), (1, 2)], k=2)
+    lists = WeightedListAssignment.from_pairs(
+        [0, 1], np.repeat([0, 1], colours), np.concatenate([c, c]), np.ones(2 * colours)
+    )
+    sigma = EdgeCorrespondence.from_items(
+        np.array([0, 1]), np.array([1, 0]), np.array([colours, colours]),
+        np.concatenate([c, c]), np.concatenate([(c + 1) % colours, (c - 1) % colours]),
+    )
+    return Instance(graph=graph, lists=lists, sigma=sigma, universe=(0, colours - 1))
+
+
+def test_load_and_dump_run_no_collector_pass(tmp_path):
+    inst = _large_instance()
+    assert inst.sigma.entry_c.size > 100_000
+    path = tmp_path / "large.json"
+    passes: list[tuple[str, int]] = []
+
+    def record(phase, info):
+        if phase == "start":
+            passes.append((step, info["generation"]))
+
+    assert gc.isenabled()
+    gc.collect()  # an empty youngest generation: no pass is due when the pause ends
+    gc.callbacks.append(record)
+    try:
+        step = "dump"
+        dump_instance(inst, path)
+        step = "load"
+        back = load_instance(path)
+    finally:
+        gc.callbacks.remove(record)
+    assert passes == []
+    assert np.array_equal(back.sigma.entry_image, inst.sigma.entry_image)
+
+
+@pytest.fixture
+def collector_at_read(monkeypatch) -> list[bool]:
+    """`gc.isenabled()` at each `Path.read_text` call of the test."""
+    seen: list[bool] = []
+    read_text = Path.read_text
+
+    def spy(self, *args, **kwargs):
+        seen.append(gc.isenabled())
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", spy)
+    return seen
+
+
+def test_load_pauses_the_collector_and_restores_it(tmp_path, collector_at_read):
+    path = tmp_path / "inst.json"
+    dump_instance(_sample_instance(), path)
+    load_instance(path)
+    assert collector_at_read == [False]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("text", [None, "{not json", json.dumps({"k": 2})],
+                         ids=["missing path", "malformed JSON", "malformed instance"])
+def test_collector_is_restored_after_a_failed_load(tmp_path, collector_at_read, text):
+    path = tmp_path / "inst.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(InstanceError):
+        load_instance(path)
+    assert collector_at_read == [False]
+    assert gc.isenabled()
+
+
+def test_a_collector_the_caller_turned_off_stays_off(tmp_path, collector_at_read):
+    path = tmp_path / "inst.json"
+    dump_instance(_sample_instance(), path)
+    gc.disable()
+    try:
+        with instance_io._collector_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+        load_instance(path)
+        assert not gc.isenabled()
+        with pytest.raises(InstanceError):
+            load_instance(tmp_path / "missing.json")
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert collector_at_read == [False, False]
