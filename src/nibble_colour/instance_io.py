@@ -114,7 +114,7 @@ def instance_from_dict(data: Mapping) -> Instance:
         entries = _map_entries(maps)
     except InstanceError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(inf)
         raise InstanceError(f"malformed instance: {exc}") from exc
     # k, vertex_count, the universe, list colours and the sigma edge ids;
     # `_map_entries` has checked the map entries.
@@ -209,6 +209,6 @@ def load_colouring(path: str | Path) -> tuple[PartialColouring, bool]:
         data = json.loads(Path(path).read_text())
         colours = {int(e): int(c) for e, c in data["colours"].items()}
         complete = bool(data.get("complete", False))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InstanceError(f"cannot read colouring {path}: {exc}") from exc
     return PartialColouring(colours), complete

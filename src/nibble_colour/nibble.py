@@ -192,6 +192,11 @@ def simulate_schedule(eps: float, k: int, delta: float, mode: str = "eps8") -> l
 # so the factors of a whole round never sit in memory together.
 EQUALIZING_BLOCK = 1 << 14
 
+# Candidate neighbours expanded at once when the rows are built: a few
+# hundred KB of temporaries, so the candidates of a whole structure never
+# sit in memory together.
+NEIGHBOUR_BLOCK = 1 << 14
+
 
 def segment_sums(values: np.ndarray, ptr: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
     """Sum of each segment `values[ptr[i]:ptr[i+1]]`, or of
@@ -240,6 +245,9 @@ class RoundStructure:
         lists: WeightedListAssignment,
         sigma: EdgeCorrespondence,
     ) -> "RoundStructure":
+        """The structure of `lists` on an instance that `validate_instance`
+        passes, as every caller's does: the build relies on every vertex
+        lying in range and every stored map joining two distinct edges."""
         k = graph.k
         # Without edges nothing is shaped by k, which may then be any int64.
         edge_vertices = (
@@ -247,18 +255,13 @@ class RoundStructure:
             if graph.edge_count
             else np.zeros((0, 0), dtype=np.int64)
         )
-
-        # Pair range [first[f], stop[f]) of every edge id; empty when absent.
-        first = np.zeros(graph.edge_count, dtype=np.int64)
-        stop = np.zeros(graph.edge_count, dtype=np.int64)
-        first[lists.edges], stop[lists.edges] = lists.edge_ptr[:-1], lists.edge_ptr[1:]
-
-        ptr, nbr_idx = _neighbourhood_rows(graph, sigma, lists, edge_vertices, first, stop)
+        vertex_of = edge_vertices[lists.edge_of]
+        ptr, nbr_idx = _neighbourhood_rows(sigma, lists, edge_vertices, vertex_of)
         return cls(
             mu=lists.mu,
             edge_of=lists.edge_of,
             colour_of=lists.colour_of,
-            vertex_of=edge_vertices[lists.edge_of],
+            vertex_of=vertex_of,
             ptr=ptr,
             nbr_idx=nbr_idx,
             edges=lists.edges,
@@ -334,67 +337,37 @@ class RoundStructure:
 
 
 def _neighbourhood_rows(
-    graph: LinearHypergraph,
     sigma: EdgeCorrespondence,
     lists: WeightedListAssignment,
     edge_vertices: np.ndarray,
-    first: np.ndarray,
-    stop: np.ndarray,
+    vertex_of: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(ptr, nbr_idx) of the CSR rows N(e, v_j, c).
 
-    At vertex v, every pair (e, c) of an edge e at v and every other edge f
-    at v give the candidate (f, c') with c' = sigma_{e,f}(c); candidates
-    that are pairs are neighbours.  The edge pairs without a stored map,
-    where c' = c, are joined one vertex at a time, so that temporaries stay
-    proportional to the pairs at a vertex, through a table over (edge at
-    v, colour rank at v).  The entries of the stored maps are joined with
-    the pair table as arrays, forwards and, where the reverse pair stores
-    no map of its own, backwards (`_StoredMaps`), finding pairs through a
-    table over (edge, colour) when the colours span few values, else by
-    binary search over their codes (`LexCodes`); their members then merge
-    into the rows by one sort."""
+    Where edges e and f at v store no map either way, (e, c) has (f, c)
+    as a neighbour at v.  So the rows r = p*k + j, stably sorted by
+    (vertex_of[p, j], colour_of[p]), fall into groups whose rows, in
+    ascending order, are each other's candidates (`_candidates`).  Without
+    stored maps these are the members.  With them, the candidates across
+    an edge pair that stores a map either way are dropped, and the members
+    that the maps give (`_StoredMaps.members`) merge in by one sort."""
     colour_of = lists.colour_of
-    k = edge_vertices.shape[1]
-    P = colour_of.size
-    maps = None if sigma.is_trivial or not P else _StoredMaps.place(graph, sigma, edge_vertices)
+    P, k = vertex_of.shape
+    colour, vertex = np.repeat(colour_of, k), vertex_of.ravel()
+    order = np.lexsort((colour, vertex))
+    bounds = _runs(vertex[order], colour[order])
+    sizes = np.diff(bounds)
 
-    counts = np.zeros(P * k, dtype=np.int64)
-    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for i, (v, at) in enumerate(graph.incidence.items()):
-        at_v = np.array(at, dtype=np.int64)
-        at_v = at_v[stop[at_v] > first[at_v]]
-        d = at_v.size
-        if d < 2:
-            continue
-        lens = stop[at_v] - first[at_v]
-        src = segment_ranges(first[at_v], lens)  # pairs at v
-        src_edge = np.repeat(np.arange(d), lens)  # position of each pair's edge in at_v
-        slot = np.repeat(np.argmax(edge_vertices[at_v] == v, axis=1), lens)
-        colours, col = np.unique(colour_of[src], return_inverse=True)  # colour rank at v
-        width = colours.size
-        lookup = np.full(d * width, -1, dtype=np.int32)  # (edge at v, colour) -> pair
-        lookup[src_edge * width + col] = src
-
-        # candidate [i, g]: the pair on edge at_v[g] with the colour of source pair src[i]
-        nbr = lookup[col[:, None] + np.arange(d) * width]
-        if maps is None:
-            ok = (nbr >= 0) & (src_edge[:, None] != np.arange(d))
-        else:  # edge pairs with a stored map take their members from it
-            ok = (nbr >= 0) & ~maps.excluded(i, at_v)[src_edge]
-        rows = src * k + slot
-        n = ok.sum(axis=1)
-        counts[rows] = n  # row r belongs to vertex v_j alone
-        parts.append((rows, n, nbr[ok]))  # row-major: each row's members ascending
-
-    if maps is None:
+    if sigma.is_trivial or not P:
         ptr = np.zeros(P * k + 1, dtype=np.int64)
-        np.cumsum(counts, out=ptr[1:])
+        ptr[1:][order] = np.repeat(sizes - 1, sizes)  # each row's count
+        np.cumsum(ptr, out=ptr)
         nbr_idx = np.empty(int(ptr[-1]), dtype=np.int32)
-        for rows, n, members in parts:
-            nbr_idx[segment_ranges(ptr[rows], n)] = members
+        for rows, others in _candidates(order, bounds):
+            nbr_idx[ptr[rows][..., None] + np.arange(others.shape[-1])] = others // k
         return ptr, nbr_idx
 
+    m, maps = len(edge_vertices), _StoredMaps.place(sigma, edge_vertices)
     # Pairs by (edge, colour): a table over every colour that a list or an
     # entry holds, else a binary search over the pairs' codes.  The table is
     # about five times faster than the search at four slots per pair or
@@ -402,80 +375,107 @@ def _neighbourhood_rows(
     # keeps its memory within a few times the entries'.
     lo = min(int(colour_of.min()), sigma.colour_span[0])
     width = max(int(colour_of.max()), sigma.colour_span[1]) - lo + 1
-    if first.size * width <= 4 * max(P, sigma.entry_c.size):
-        table = np.full(first.size * width, -1, dtype=np.int64)
+    if m * width <= 4 * max(P, sigma.entry_c.size):
+        table = np.full(m * width, -1, dtype=np.int64)
         table[lists.edge_of * width + (colour_of - lo)] = np.arange(P)
 
         def pair_index(edge: np.ndarray, colour: np.ndarray) -> np.ndarray:
             return table[edge * width + (colour - lo)]
 
     else:
-        codes, pair_keys = LexCodes.fitted_keys(first.size, lists.edge_of, colour_of)
+        codes, pair_keys = LexCodes.fitted_keys(m, lists.edge_of, colour_of)
 
         def pair_index(edge: np.ndarray, colour: np.ndarray) -> np.ndarray:
             key, known = codes.keys(edge, colour)
             pos = np.minimum(np.searchsorted(pair_keys, key), P - 1)
             return np.where(known & (pair_keys[pos] == key), pos, -1)
 
+    # Keys row * P + member of the maps' members and of the kept candidates,
+    # written into one array: pieces kept apart until a concatenation
+    # fragment the heap, which showed as peak RSS on nibble-sigma-k3.
     rows, members = maps.members(pair_index, k)
-    rows = np.concatenate([rows, *(np.repeat(r, n) for r, n, _ in parts)])
-    key = np.sort(rows * P + np.concatenate([members, *(m for _, _, m in parts)]))
-    ptr = np.zeros(P * k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=P * k), out=ptr[1:])
-    return ptr, (key % P).astype(np.int32)
+    key = np.empty(rows.size + int((sizes * (sizes - 1)).sum()), dtype=np.int64)
+    n = rows.size
+    key[:n] = rows * P + members
+    slot = (lists.edge_of[:, None] * k + np.arange(k)).ravel()  # the edge slot of every row
+    for rows, others in _candidates(order, bounds):
+        kept = ~maps.mapped[maps.cell[slot[rows]][..., None] + maps.pos[slot[others]]]
+        part = np.broadcast_to(rows[..., None] * P, others.shape)[kept] + others[kept] // k
+        key[n : n + part.size] = part
+        n += part.size
+    key = key[:n]
+    key.sort()
+    ptr = np.searchsorted(key, np.arange(P * k + 1) * P)
+    key %= P
+    return ptr, key.astype(np.int32)
+
+
+def _runs(*keys: np.ndarray) -> np.ndarray:
+    """The bounds of the runs of equal tuples (keys[0][i], keys[1][i], ...)
+    in arrays sorted together: run g is `bounds[g]:bounds[g+1]`."""
+    n = keys[0].size
+    start = np.zeros(n, dtype=bool)
+    start[:1] = True
+    for key in keys:
+        start[1:] |= key[1:] != key[:-1]
+    return np.append(np.flatnonzero(start), n)
+
+
+def _candidates(order: np.ndarray, bounds: np.ndarray):
+    """Yield (rows, others) for the runs `order[bounds[g]:bounds[g+1]]` of
+    s >= 2 rows: the rows of runs of one length s as a (runs, s) array,
+    and for each row the other rows of its run, ascending, as a (runs, s,
+    s - 1) array; at most NEIGHBOUR_BLOCK of these per block."""
+    for _, at in segment_blocks(bounds):
+        s = at.shape[1]
+        if s < 2:
+            continue
+        other = np.arange(s - 1) + (np.arange(s - 1) >= np.arange(s)[:, None])  # every position but the row's own
+        step = max(1, NEIGHBOUR_BLOCK // (s * (s - 1)))
+        for a in range(0, at.shape[0], step):
+            rows = order[at[a : a + step]]
+            yield rows, rows[:, other]
 
 
 @dataclass(frozen=True)
 class _StoredMaps:
-    """The stored maps of a correspondence, placed at the vertices where
-    they act: for every stored pair (e, f) of distinct edges and every
-    vertex they share, the pair index `row`, the vertex's slots `je` in e
-    and `jf` in f, and whether the map also stands for (f, e), which
-    stores none (`alone`), ordered by vertex; `start[i]:stop[i]` are those
-    at the i-th vertex of `graph.incidence`."""
+    """The stored maps of a correspondence, placed at the vertex where
+    they act: for every stored pair (e, f), the pair index `row`, the
+    vertex's slots `je` in e and `jf` in f, and whether the map also
+    stands for (f, e), which stores none (`alone`), in ascending `row`.
+    `mapped[cell[s] + pos[t]]` marks the edges of the slots s = e*k + j
+    and t at one vertex that store a map either way: `pos[t]` is the
+    position of t's edge among the edges at its vertex, and `cell[s]` the
+    start of s's row in the vertex's (degree, degree) block."""
 
     sigma: EdgeCorrespondence
     row: np.ndarray
     je: np.ndarray
     jf: np.ndarray
     alone: np.ndarray
-    start: np.ndarray
-    stop: np.ndarray
+    pos: np.ndarray
+    cell: np.ndarray
+    mapped: np.ndarray
 
     @classmethod
-    def place(cls, graph: LinearHypergraph, sigma: EdgeCorrespondence, edge_vertices: np.ndarray) -> "_StoredMaps":
-        m = graph.edge_count
+    def place(cls, sigma: EdgeCorrespondence, edge_vertices: np.ndarray) -> "_StoredMaps":
         e, f = sigma.pair_e, sigma.pair_f
-        pairs = np.flatnonzero((e != f) & (e >= 0) & (e < m) & (f >= 0) & (f < m))
-        ve = edge_vertices[e[pairs]]
-        at, je, jf = np.nonzero(ve[:, :, None] == edge_vertices[f[pairs]][:, None, :])
-        v = ve[at, je]
-        order = np.argsort(v, kind="stable")
-        order = order[(v[order] >= 0) & (v[order] < graph.vertex_count)]  # vertices of the incidence
-        vertices = np.fromiter(graph.incidence, np.int64, len(graph.incidence))
-        row = pairs[at[order]]
-        return cls(
-            sigma=sigma,
-            row=row,
-            je=je[order],
-            jf=jf[order],
-            alone=sigma.rows(f[row], e[row]) < 0,
-            start=np.searchsorted(v[order], vertices, side="left"),
-            stop=np.searchsorted(v[order], vertices, side="right"),
-        )
-
-    def excluded(self, i: int, at_v: np.ndarray) -> np.ndarray:
-        """(d, d) flags over the edges `at_v` at the i-th vertex: the
-        diagonal, and the ordered pairs with a map stored either way."""
-        d = at_v.size
-        out = np.eye(d, dtype=bool)
-        rows = self.row[self.start[i] : self.stop[i]]
-        if rows.size:
-            a = np.minimum(np.searchsorted(at_v, self.sigma.pair_e[rows]), d - 1)
-            b = np.minimum(np.searchsorted(at_v, self.sigma.pair_f[rows]), d - 1)
-            here = (at_v[a] == self.sigma.pair_e[rows]) & (at_v[b] == self.sigma.pair_f[rows])
-            out[a[here], b[here]] = out[b[here], a[here]] = True
-        return out
+        row, je, jf = np.nonzero(edge_vertices[e][:, :, None] == edge_vertices[f][:, None, :])
+        # The slots at each vertex, in ascending edge order.  A vertex of
+        # degree d takes d^2 bytes of `mapped`; `graph.incident_pairs`,
+        # which validation builds, takes 8d(d - 1) there.
+        k = edge_vertices.shape[1]
+        at = np.argsort(edge_vertices.ravel(), kind="stable")
+        bounds = _runs(edge_vertices.ravel()[at])
+        degree = np.diff(bounds)
+        block = np.cumsum(degree**2) - degree**2  # where each vertex's block starts
+        pos, cell = np.empty_like(at), np.empty_like(at)
+        pos[at] = np.arange(at.size) - np.repeat(bounds[:-1], degree)
+        cell[at] = np.repeat(block, degree) + pos[at] * np.repeat(degree, degree)
+        mapped = np.zeros(int((degree**2).sum()), dtype=bool)
+        se, sf = e[row] * k + je, f[row] * k + jf
+        mapped[cell[se] + pos[sf]] = mapped[cell[sf] + pos[se]] = True
+        return cls(sigma=sigma, row=row, je=je, jf=jf, alone=sigma.rows(f[row], e[row]) < 0, pos=pos, cell=cell, mapped=mapped)
 
     def members(self, pair_index, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(rows, members) of the neighbours that the placed maps give: for
@@ -484,14 +484,12 @@ class _StoredMaps:
         for a map that stands alone, p in row q*k + (slot of v in f).
         `pair_index(edge, colour)` finds pairs, -1 where there is none."""
         sigma = self.sigma
-        order = np.argsort(self.row, kind="stable")  # table order, so that entries are read in order
-        row = self.row[order]
-        length = np.diff(sigma.entry_ptr)[row]
-        entry = segment_ranges(sigma.entry_ptr[row], length)
+        length = np.diff(sigma.entry_ptr)[self.row]
+        entry = segment_ranges(sigma.entry_ptr[self.row], length)
         # Images first: fewer of them are pairs, and only those need their source.
-        q = pair_index(np.repeat(sigma.pair_f[row], length), sigma.entry_image[entry])
+        q = pair_index(np.repeat(sigma.pair_f[self.row], length), sigma.entry_image[entry])
         at = np.flatnonzero(q >= 0)
-        placed = order[np.searchsorted(np.cumsum(length), at, side="right")]
+        placed = np.searchsorted(np.cumsum(length), at, side="right")
         p = pair_index(sigma.pair_e[self.row[placed]], sigma.entry_c[entry][at])
         hit = p >= 0
         p, q, placed = p[hit], q[at[hit]], placed[hit]

@@ -245,7 +245,23 @@ MALFORMED = {
     "map item nested": {"sigma": [{"e": 0, "f": 1, "map": [[[1], 2]]}]},
     "map value not a number": {"sigma": [{"e": 0, "f": 1, "map": [[1, "x"]]}]},
     "map as an object": {"sigma": [{"e": 0, "f": 1, "map": {"12": 3}}]},
+    # Numbers that JSON decodes to inf, which no integer conversion takes.
+    # The string "1e400" is written as that bare number (`_json_text`).
+    "k 1e400": {"k": "1e400"},
+    "vertex_count Infinity": {"vertex_count": math.inf},
+    "edge vertex Infinity": {"edges": [[0, 1], [1, math.inf]]},
+    "universe bound 1e400": {"colour_universe": [0, "1e400"]},
+    "list colour 1e400": {"lists": {"0": [1, "1e400"], "1": [1, 2]}},
+    "list entry colour Infinity": {"lists": {"0": [{"colour": math.inf}], "1": [1, 2]}},
+    "sigma edge id Infinity": {"sigma": [{"e": math.inf, "f": 1, "map": []}]},
+    "map key Infinity": {"sigma": [{"e": 0, "f": 1, "map": [[math.inf, 1]]}]},
+    "map value 1e400": {"sigma": [{"e": 0, "f": 1, "map": [[1, "1e400"]]}]},
 }
+
+
+def _json_text(data) -> str:
+    """`data` as JSON, with every string "1e400" written as the number."""
+    return json.dumps(data).replace('"1e400"', "1e400")
 
 
 @pytest.mark.parametrize("command", ["colour", "verify", "brute"])
@@ -254,7 +270,7 @@ def test_malformed_instance_shapes_exit_2(tmp_path, capsys, command, shape):
     data = {"k": 2, "vertex_count": 3, "edges": [[0, 1], [1, 2]], "colour_universe": [0, 9],
             "lists": {"0": [1, 2], "1": [1, 2]}, **MALFORMED[shape]}
     inst = tmp_path / "bad.json"
-    inst.write_text(json.dumps(data))
+    inst.write_text(_json_text(data))
     col = tmp_path / "col.json"
     col.write_text(json.dumps({"complete": True, "colours": {"0": 1, "1": 2}}))
     argv = {
@@ -265,6 +281,25 @@ def test_malformed_instance_shapes_exit_2(tmp_path, capsys, command, shape):
     capsys.readouterr()
     assert run(argv) == 2
     assert "malformed instance" in capsys.readouterr().err
+
+
+# Colouring files that load_colouring must turn into an InstanceError.
+MALFORMED_COLOURINGS = {
+    "colours an array": {"colours": []},
+    "colours null": {"colours": None},
+    "colour 1e400": {"colours": {"0": "1e400", "1": 2}},
+    "colour Infinity": {"colours": {"0": 1, "1": math.inf}},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_COLOURINGS))
+def test_malformed_colouring_shapes_exit_2(tmp_path, capsys, shape):
+    col = tmp_path / "col.json"
+    col.write_text(_json_text({"complete": True, **MALFORMED_COLOURINGS[shape]}))
+    argv = ["verify", _p3_instance(tmp_path), col]
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert "input error: cannot read colouring" in capsys.readouterr().err
 
 
 # Every command that loads an instance, with the arguments after the

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath as mp
@@ -12,6 +13,7 @@ from nibble_colour.core import (
     WeightedListAssignment,
     colour_neighbours,
     validate_colouring,
+    validate_instance,
 )
 from nibble_colour.nibble import (
     CannotTruncateError,
@@ -263,6 +265,67 @@ def test_structure_rows_match_colour_neighbours():
     for scale, offset in ((10**17, -(3 * 10**17)), (2**59, -(2**62))):
         wide = _assert_rows_match_definition(*_partial_map_fano(scale, offset))
         assert np.array_equal(wide.ptr, struct.ptr) and np.array_equal(wide.nbr_idx, struct.nbr_idx)
+
+
+# A drawn colour c in 0..5 is written as c * scale + offset: small colours
+# find pairs through the (edge, colour) table, the two wide spreads by
+# binary search over LexCodes offsets and over LexCodes ranks.
+SPREADS = ((1, 0), (10**17, -(3 * 10**17)), (2**61, -(2**62)))
+
+
+@st.composite
+def _drawn_instances(draw):
+    """A valid instance with k in 1..3, lists of 0-4 colours, and on each
+    incident edge pair the identity or a partial map stored one way, the
+    other way or both, whose colours need not be on the lists; its vertex
+    ids lie near 10^9, with most vertices unused, or in 0..n-1.  Also the
+    edges of a later round, which alone keep their lists, or None."""
+    k = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(2 * k, 2 * k + 3))
+    size = draw(st.integers(2, 9))
+    if k == 1:  # one-vertex edges, several at a vertex
+        edges = [(v,) for v in draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size))]
+    else:  # k-sets in a drawn order, each kept while it meets every kept one at most once
+        edges = []
+        for edge in draw(st.permutations(list(itertools.combinations(range(n), k)))):
+            if len(edges) < size and all(len(set(edge) & set(other)) <= 1 for other in edges):
+                edges.append(edge)
+    if draw(st.booleans()):
+        edges = [tuple(10**9 - 40 + 5 * v for v in edge) for edge in edges]
+        vertex_count = 10**9 + 3
+    else:
+        vertex_count = n
+    scale, offset = draw(st.sampled_from(SPREADS))
+    lists: dict[int, list[int]] = {}
+    weights: dict[tuple[int, int], float] = {}
+    for e in range(len(edges)):
+        empty = draw(st.integers(0, 4)) == 0
+        lists[e] = [] if empty else [c * scale + offset for c in sorted(draw(st.sets(st.integers(0, 3), min_size=1)))]
+        weights.update({(e, c): draw(st.floats(0.05, 1.0)) for c in lists[e]})
+    graph = LinearHypergraph.build(vertex_count, edges, k=k)
+    maps: dict[tuple[int, int], dict[int, int]] = {}
+    for e, f in zip(*(side.tolist() for side in graph.incident_pairs)):
+        stored = draw(st.sampled_from(["identity", "forward", "backward", "both"]))
+        if stored == "identity":
+            continue
+        keys = draw(st.lists(st.integers(0, 5), max_size=6, unique=True))
+        images = draw(st.permutations(range(6)))
+        m = {c * scale + offset: i * scale + offset for c, i in zip(keys, images)}
+        if stored in ("forward", "both"):
+            maps[e, f] = m
+        if stored in ("backward", "both"):
+            maps[f, e] = {i: c for c, i in m.items()}
+    active = draw(st.none() | st.sets(st.integers(0, max(len(edges) - 1, 0)), min_size=1))
+    universe = (offset, 5 * scale + offset)
+    return graph, WeightedListAssignment.build(lists, weights), EdgeCorrespondence(maps), universe, active
+
+
+@given(_drawn_instances())
+@settings(max_examples=150, deadline=None)
+def test_structure_rows_match_colour_neighbours_on_drawn_instances(drawn):
+    graph, lists, sigma, universe, active = drawn
+    assert validate_instance(graph, sigma, lists, universe) == []
+    _assert_rows_match_definition(graph, lists, sigma, active)
 
 
 def test_structure_empty_rows_and_no_pairs():
