@@ -77,17 +77,6 @@ class VertexInstance:
     adjacency: LinkAdjacency
     sigma: EdgeCorrespondence
 
-    def neighbourhood(self, u: int, c: int) -> tuple[tuple[int, int], ...]:
-        """All (w, c') with w adjacent to u that block (u, c); this is the
-        union over the original edge's vertices of its colour
-        neighbourhoods."""
-        out = []
-        for w in self.adjacency[u]:
-            c_other = self.sigma.image(u, w, c)
-            if c_other is not None and self.lists.has(w, c_other):
-                out.append((w, c_other))
-        return tuple(sorted(out))
-
 
 def to_link_instance(
     graph: LinearHypergraph,

@@ -22,7 +22,7 @@ from .core import (
     WeightedListAssignment,
     colour_neighbours,
 )
-from .nibble import NibbleParams, RoundStructure, apply_procedure, equalizing_probability
+from .nibble import NibbleParams, RoundStructure, apply_procedure, draw_round, equalizing_probability
 
 
 class GenerationError(ValueError):
@@ -348,26 +348,9 @@ def expectation_diagnostic(
     if trials < 1:
         raise PreconditionError(f"trials must be >= 1, got {trials}")
     struct = RoundStructure.build(graph, lists, sigma)
-    P, k = struct.pair_count, struct.k
-    t_keys = np.arange(trials, dtype=np.int64)
-
-    u_act = rng.uniforms(
-        seed, rng.KIND_ACTIVATION, t_keys[:, None], 0, struct.edge_of[None, :], struct.colour_of[None, :]
-    )
-    activated = u_act < struct.mu / params.activation_scale
-
-    eq, _ = struct.equalizing(params)
-    u_flip = rng.uniforms(
-        seed,
-        rng.KIND_FLIP,
-        t_keys[:, None, None],
-        0,
-        struct.edge_of[None, :, None],
-        struct.colour_of[None, :, None],
-        struct.vertex_of[None, :, :],
-    )
-    flips_ok = u_flip < eq[None, :, :]
-
+    k = struct.k
+    # Trial t draws as round t, attempt 0 of `run_round` would.
+    activated, flips_ok, _ = draw_round(struct, params, seed, np.arange(trials, dtype=np.int64), 0)
     survive, _, _ = apply_procedure(struct, activated, flips_ok)
 
     exact = None

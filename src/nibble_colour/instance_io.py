@@ -16,7 +16,8 @@ for one edge keeps its last weight.  `sigma` entries are ordered pairs;
 pairs not mentioned use the identity correspondence.  A repeated pair
 keeps its last map, and a colour repeated within a map its last image.
 `k`, `vertex_count`, the universe bounds, list colours, `sigma` edge ids
-and map entries lie in the int64 range [-2^63, 2^63).
+and map entries are integers (a number written with a fraction or an
+exponent must be integral, as 3.0 is) in the int64 range [-2^63, 2^63).
 
 Colouring format::
 
@@ -52,6 +53,16 @@ class Instance:
     lists: WeightedListAssignment
     sigma: EdgeCorrespondence
     universe: tuple[int, int]
+
+
+class _JsonFloat(float):
+    """A JSON number written with a fraction or an exponent: `int` (and
+    `np.fromiter` to int64) takes it only when integral, `float` as is."""
+
+    def __int__(self) -> int:
+        if not self.is_integer():
+            raise ValueError(f"{float(self)!r} is not an integer")
+        return float.__int__(self)
 
 
 def instance_to_dict(inst: Instance) -> dict:
@@ -187,7 +198,7 @@ def load_instance(path: str | Path) -> Instance:
     """
     with _collector_paused():
         try:
-            data = json.loads(Path(path).read_text())
+            data = json.loads(Path(path).read_text(), parse_float=_JsonFloat)
         except (OSError, json.JSONDecodeError) as exc:
             raise InstanceError(f"cannot read instance {path}: {exc}") from exc
         inst = instance_from_dict(data)
@@ -201,12 +212,15 @@ def colouring_to_dict(colouring: PartialColouring | Mapping[int, int], complete:
 
 
 def dump_colouring(colouring, complete: bool, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(colouring_to_dict(colouring, complete), indent=2, sort_keys=True) + "\n")
+    """Write the colouring format, with the collector paused as in `dump_instance`."""
+    with _collector_paused():
+        text = json.dumps(colouring_to_dict(colouring, complete), indent=2, sort_keys=True)
+    Path(path).write_text(text + "\n")
 
 
 def load_colouring(path: str | Path) -> tuple[PartialColouring, bool]:
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(), parse_float=_JsonFloat)
         colours = {int(e): int(c) for e, c in data["colours"].items()}
         complete = bool(data.get("complete", False))
     except (OSError, json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -558,6 +558,37 @@ def truncate_edge(
     return tuple(sorted(kept)), {c: weights[c] * factor for c in kept}
 
 
+def truncate_lists(
+    edge_ptr: np.ndarray, mu: np.ndarray, alive: np.ndarray, l_target: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`truncate_edge`, to the bit, on the `alive` pairs of every list i,
+    `edge_ptr[i]:edge_ptr[i+1]` in ascending colour order.  Returns (keep,
+    scaled, deficient, empty) per pair, pair, list, list; a deficient list
+    keeps its alive pairs unscaled.  The deletions in (weight, colour)
+    order form a prefix: once one fails every later one fails too, since
+    weights do not fall and rounding is monotone."""
+    lists = edge_ptr.size - 1
+    row = np.repeat(np.arange(lists), np.diff(edge_ptr))
+    at = np.flatnonzero(alive)
+    ptr = np.searchsorted(row[at], np.arange(lists + 1))  # alive pairs of list i: at[ptr[i]:ptr[i+1]]
+    order = at[np.lexsort((mu[at], row[at]))]  # stable: ties stay in colour order
+    total, final = np.zeros(lists), np.zeros(lists)
+    gone = np.zeros(at.size, dtype=bool)
+    for rows, members in segment_blocks(ptr):
+        total[rows] = np.cumsum(mu[at[members]], axis=1)[:, -1]
+        running = np.subtract.accumulate(np.column_stack((total[rows], mu[order[members]])), axis=1)
+        deleted = np.logical_and.accumulate(running[:, 1:] >= l_target, axis=1)
+        gone[members] = deleted
+        final[rows] = running[np.arange(rows.size), deleted.sum(axis=1)]
+    empty = ptr[1:] == ptr[:-1]
+    deficient = ~empty & (total < l_target)
+    factor = np.ones(lists)
+    np.divide(l_target, final, out=factor, where=~empty & ~deficient)
+    keep = np.zeros(mu.size, dtype=bool)
+    keep[order[~gone]] = True
+    return keep, mu * factor[row], deficient, empty
+
+
 # ---------------------------------------------------------------------------
 # One round.
 # ---------------------------------------------------------------------------
@@ -578,7 +609,6 @@ class RoundOutcome:
     truncated: WeightedListAssignment  # after truncate-and-rescale
     deficient: tuple[int, ...]  # edges that could not reach the target
     empty: tuple[int, ...]  # uncoloured edges whose whole list died
-    l_target: float
     stats: RoundStats
 
 
@@ -617,38 +647,42 @@ def apply_procedure(
     return survive, retained, removed2
 
 
-def run_round(
-    graph: LinearHypergraph,
-    lists: WeightedListAssignment,
-    sigma: EdgeCorrespondence,
+def draw_round(
+    struct: RoundStructure,
     params: NibbleParams,
+    seed: int,
+    round_index: int | np.ndarray,
+    attempt: int,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Steps (I) and (III) drawn from the streams keyed by (kind, round,
+    attempt, edge, colour[, vertex]): (activated, flips_ok, clamped), where
+    clamped counts the equalizing values clamped to 1.  An array of round
+    indices adds its axes in front, one independent trial per entry."""
+    r = np.reshape(round_index, np.shape(round_index) + (1,))
+    u_act = rng.uniforms(seed, rng.KIND_ACTIVATION, r, attempt, struct.edge_of, struct.colour_of)
+    activated = u_act < struct.mu / params.activation_scale
+    eq, clamped = struct.equalizing(params)
+    u_flip = rng.uniforms(
+        seed, rng.KIND_FLIP, r[..., None], attempt, struct.edge_of[:, None], struct.colour_of[:, None], struct.vertex_of
+    )
+    return activated, u_flip < eq, clamped
+
+
+def run_round(
+    struct: RoundStructure,
+    params: NibbleParams,
+    l_target: float,
     seed: int,
     round_index: int = 0,
     attempt: int = 0,
-    l_target: float | None = None,
-    struct: RoundStructure | None = None,
 ) -> RoundOutcome:
-    """One full round: draw, apply the procedure, colour, truncate.
-
-    Deterministic in (seed, round_index, attempt); every Bernoulli draw
-    comes from a counter stream keyed by (kind, round, attempt, edge,
-    colour, vertex), so the outcome does not depend on iteration order or
-    worker count.
+    """One full round on the lists of `struct`: draw, apply the procedure,
+    colour, truncate to the positive `l_target`.  Deterministic in (seed,
+    round_index, attempt), whatever the iteration order or worker count.
     """
-    if struct is None:
-        struct = RoundStructure.build(graph, lists, sigma)
-    if l_target is None:
-        l_target, _ = next_params(params)
-
-    u_act = rng.uniforms(seed, rng.KIND_ACTIVATION, round_index, attempt, struct.edge_of, struct.colour_of)
-    activated = u_act < struct.mu / params.activation_scale
-
-    eq, clamped = struct.equalizing(params)
-    u_flip = rng.uniforms(
-        seed, rng.KIND_FLIP, round_index, attempt, struct.edge_of[:, None], struct.colour_of[:, None], struct.vertex_of
-    )
-    flips_ok = u_flip < eq
-
+    if l_target <= 0.0:
+        raise PreconditionError(f"truncation target must be positive, got {l_target}")
+    activated, flips_ok, clamped = draw_round(struct, params, seed, round_index, attempt)
     survive, retained, removed_ii = apply_procedure(struct, activated, flips_ok)
 
     # Pairs are sorted, so the first retained pair of an edge has its lowest colour.
@@ -658,28 +692,9 @@ def run_round(
 
     # Truncated lists: the surviving pairs of uncoloured edges, rescaled.
     rows = np.ones(struct.edges.size, dtype=bool)
-    keep = survive.copy()
-    mu = struct.mu.copy()
-    deficient: list[int] = []
-    empty: list[int] = []
-    bounds = struct.edge_ptr.tolist()
-    for i, e in enumerate(struct.edges.tolist()):
-        if e in coloured:
-            rows[i] = False
-            keep[bounds[i] : bounds[i + 1]] = False
-            continue
-        alive = bounds[i] + np.flatnonzero(survive[bounds[i] : bounds[i + 1]])
-        if not alive.size:
-            empty.append(e)
-            continue
-        kept_colours = struct.colour_of[alive].tolist()
-        try:
-            _, scaled = truncate_edge(tuple(kept_colours), dict(zip(kept_colours, mu[alive].tolist())), l_target, edge=e)
-        except CannotTruncateError:
-            deficient.append(e)  # keeps its raw survivors, unscaled
-            continue
-        keep[alive] = [c in scaled for c in kept_colours]
-        mu[alive] = [scaled.get(c, 0.0) for c in kept_colours]
+    rows[np.searchsorted(struct.edges, hit_edges)] = False
+    alive = survive & np.repeat(rows, np.diff(struct.edge_ptr))
+    keep, mu, deficient, empty = truncate_lists(struct.edge_ptr, struct.mu, alive, l_target)
 
     stats = RoundStats(
         pairs=struct.pair_count,
@@ -691,9 +706,8 @@ def run_round(
     return RoundOutcome(
         coloured=coloured,
         truncated=WeightedListAssignment.from_pairs(struct.edges[rows], struct.edge_of[keep], struct.colour_of[keep], mu[keep]),
-        deficient=tuple(deficient),
-        empty=tuple(empty),
-        l_target=l_target,
+        deficient=tuple(struct.edges[deficient].tolist()),
+        empty=tuple(struct.edges[rows & empty].tolist()),
         stats=stats,
     )
 
@@ -701,6 +715,11 @@ def run_round(
 # ---------------------------------------------------------------------------
 # The driver.
 # ---------------------------------------------------------------------------
+
+
+# The share of a round's uncoloured edges that may miss the truncation
+# target before `drive` retries the round.
+DEFICIENCY_TOLERANCE = 0.25
 
 
 @dataclass(frozen=True)
@@ -724,7 +743,6 @@ class DriveResult:
     N: float
     trace: list[DriveRow] = field(default_factory=list)
     stop_reason: str = ""
-    deficient_history: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def remaining_edges(self) -> tuple[int, ...]:
@@ -738,11 +756,6 @@ def drive(
     eps: float,
     seed: int = 0,
     retry_cap: int = 10,
-    deficiency_tolerance: float = 0.25,
-    initial_L: float | None = None,
-    initial_N: float | None = None,
-    max_rounds: int | None = None,
-    mode: str = "eps8",
     struct: RoundStructure | None = None,
 ) -> DriveResult:
     """Iterate rounds until the list/neighbourhood ratio supports the
@@ -754,7 +767,7 @@ def drive(
     surviving instance; the theoretical N' of the recursion is a high
     probability upper bound for it.  A round is retried with a fresh
     stream when a surviving list dies entirely or more than
-    `deficiency_tolerance` of the lists miss the truncation target; the
+    DEFICIENCY_TOLERANCE of the lists miss the truncation target; the
     asymptotic guarantees do not hold at desk scale, so isolated deficient
     edges are tolerated and simply carry shorter lists.
 
@@ -775,13 +788,10 @@ def drive(
 
     if struct is None:
         struct = RoundStructure.build(graph, cur_lists, sigma)
-    L = initial_L if initial_L is not None else struct.min_list_weight()[0]
-    N_emp, _, max_card = struct.max_neighbourhood()
-    N = initial_N if initial_N is not None else N_emp
+    L = struct.min_list_weight()[0]
+    N, _, max_card = struct.max_neighbourhood()
     result.L, result.N = L, N
-
-    if max_rounds is None:
-        max_rounds = math.ceil(100.0 / eps * k * math.log(N)) if N > 1.0 else 0
+    max_rounds = math.ceil(100.0 / eps * k * math.log(N)) if N > 1.0 else 0
 
     i = 0
     while True:
@@ -803,7 +813,7 @@ def drive(
             return result
         if i >= max_rounds:
             break
-        params = NibbleParams(eps=eps, k=k, L=L, N=N, mode=mode)
+        params = NibbleParams(eps=eps, k=k, L=L, N=N)
         try:
             l_target, _ = next_params(params)
         except ScheduleCollapseError:
@@ -818,13 +828,10 @@ def drive(
         attempts = 0
         for attempt in range(retry_cap + 1):
             attempts = attempt
-            candidate = run_round(
-                graph, cur_lists, sigma, params, seed,
-                round_index=i, attempt=attempt, l_target=l_target, struct=struct,
-            )
+            candidate = run_round(struct, params, l_target, seed, round_index=i, attempt=attempt)
             uncoloured = cur_lists.edges.size - len(candidate.coloured)
             frac_deficient = len(candidate.deficient) / uncoloured if uncoloured else 0.0
-            if not candidate.empty and frac_deficient <= deficiency_tolerance:
+            if not candidate.empty and frac_deficient <= DEFICIENCY_TOLERANCE:
                 outcome = candidate
                 break
         if outcome is None:
@@ -855,7 +862,6 @@ def drive(
                 max_neighbourhood_size=max_card,
             )
         )
-        result.deficient_history.append((i, len(outcome.deficient)))
         result.lists = cur_lists
         if not cur_lists.edges.size:
             result.L, result.N = l_target, 0.0

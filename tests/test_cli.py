@@ -256,6 +256,15 @@ MALFORMED = {
     "sigma edge id Infinity": {"sigma": [{"e": math.inf, "f": 1, "map": []}]},
     "map key Infinity": {"sigma": [{"e": 0, "f": 1, "map": [[math.inf, 1]]}]},
     "map value 1e400": {"sigma": [{"e": 0, "f": 1, "map": [[1, "1e400"]]}]},
+    # Non-integral numbers where the format holds integers, which `int` and
+    # `np.fromiter` would truncate.
+    "k 2.5": {"k": 2.5},
+    "edge vertex 1.5": {"edges": [[0, 1], [1.5, 2]]},
+    "universe bound 9.5": {"colour_universe": [0, 9.5]},
+    "list colour 1.9": {"lists": {"0": [1.9, 2], "1": [1, 2]}},
+    "list entry colour 2.5": {"lists": {"0": [{"colour": 2.5}], "1": [1, 2]}},
+    "sigma edge id 0.5": {"sigma": [{"e": 0.5, "f": 1, "map": []}]},
+    "map entry 1.5 to 3.2": {"sigma": [{"e": 0, "f": 1, "map": [[1.5, 3.2]]}]},
 }
 
 
@@ -289,6 +298,7 @@ MALFORMED_COLOURINGS = {
     "colours null": {"colours": None},
     "colour 1e400": {"colours": {"0": "1e400", "1": 2}},
     "colour Infinity": {"colours": {"0": 1, "1": math.inf}},
+    "colour 1.5": {"colours": {"0": 1.5, "1": 2}},
 }
 
 

@@ -70,11 +70,7 @@ def test_link_instance_preserves_blocking():
                     continue
                 for c in lists.colours(e):
                     for c2 in lists.colours(f):
-                        edge_blocks = sigma.blocks(e, c, f, c2)
-                        node_blocks = link.sigma.blocks(e, c, f, c2)
-                        assert edge_blocks == node_blocks
-                        if edge_blocks:
-                            assert (f, c2) in link.neighbourhood(e, c)
+                        assert sigma.blocks(e, c, f, c2) == link.sigma.blocks(e, c, f, c2)
 
 
 def test_link_adjacency_is_adjacent_edges_within_active():
@@ -108,20 +104,6 @@ def test_link_instance_keeps_lists_that_active_covers():
     assert as_dicts(sub) == ({0: (1,), 2: (3,)}, {(0, 1): 1.0, (2, 3): 1.0})
     with pytest.raises(PreconditionError):
         to_link_instance(g, lists, EdgeCorrespondence(), active={0, 3})
-
-
-def test_link_neighbourhood_groups_per_vertex_sets():
-    from nibble_colour.core import colour_neighbours
-
-    for seed in range(15):
-        graph, lists, sigma, _ = random_micro_instance(seed)
-        link = to_link_instance(graph, lists, sigma)
-        for e in lists.edge_ids():
-            for c in lists.colours(e):
-                grouped = set()
-                for v in graph.edges[e]:
-                    grouped |= set(colour_neighbours(graph, lists, sigma, e, v, c))
-                assert set(link.neighbourhood(e, c)) == grouped
 
 
 # ---------------------------------------------------------------------------

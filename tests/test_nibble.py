@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nibble_colour import nibble
+from nibble_colour import nibble, rng
 from nibble_colour.core import (
     EdgeCorrespondence,
     LinearHypergraph,
@@ -567,6 +567,122 @@ def test_truncate_contract(data):
         assert scaled[c] >= (1 - 2 / L) * weights[c] - 1e-15
 
 
+# Weights with many ties, so that (weight, colour) order differs from colour order.
+TIE_WEIGHTS = st.one_of(st.sampled_from([0.125, 0.25, 0.5, 0.75, 1.0]), st.floats(0.01, 1.0))
+
+
+@st.composite
+def truncation_tables(draw):
+    """(edge_ptr, colour_of, mu, alive, l_target): lists of 0-8 colours,
+    some without alive pairs (coloured or emptied edges), and a target that
+    is often exactly a size the scalar greedy reaches."""
+    colours, weights, alive, sizes = [], [], [], [0]
+    for _ in range(draw(st.integers(1, 6))):
+        cs = sorted(draw(st.sets(st.integers(0, 20), max_size=8)))
+        live = draw(st.sampled_from(["all", "some", "none"]))
+        colours += cs
+        weights += [draw(TIE_WEIGHTS) for _ in cs]
+        alive += [live == "all" or (live == "some" and draw(st.booleans())) for _ in cs]
+        sizes.append(len(cs))
+    total = 0.0  # the sizes that truncate_edge passes through on the first list
+    first = [w for w, a in zip(weights[: sizes[1]], alive) if a]
+    for w in first:
+        total += w
+    targets = [0.5, total]
+    for w in sorted(first):
+        total -= w
+        targets.append(total)
+    targets = [t for t in targets if t > 0.0]
+    l_target = draw(st.one_of(st.sampled_from(targets), st.floats(0.01, 6.0)))
+    return (np.cumsum(sizes), np.array(colours, dtype=np.int64), np.array(weights), np.array(alive, dtype=bool), l_target)
+
+
+@given(truncation_tables())
+@settings(max_examples=300, deadline=None)
+def test_truncate_lists_is_truncate_edge_to_the_bit(table):
+    edge_ptr, colour_of, mu, alive, l_target = table
+    keep, scaled, deficient, empty = nibble.truncate_lists(edge_ptr, mu, alive, l_target)
+    assert not (keep & ~alive).any()
+    for i, (a, b) in enumerate(zip(edge_ptr[:-1].tolist(), edge_ptr[1:].tolist())):
+        live = a + np.flatnonzero(alive[a:b])
+        assert empty[i] == (live.size == 0)
+        if not live.size:
+            assert not deficient[i]
+            continue
+        cs = colour_of[live].tolist()
+        try:
+            kept, weights = truncate_edge(tuple(cs), dict(zip(cs, mu[live].tolist())), l_target)
+        except CannotTruncateError:
+            assert deficient[i]
+            assert keep[a:b].tolist() == alive[a:b].tolist()
+            assert scaled[live].tolist() == mu[live].tolist()
+            continue
+        assert not deficient[i]
+        assert tuple(colour_of[a:b][keep[a:b]].tolist()) == kept
+        assert scaled[a:b][keep[a:b]].tolist() == [weights[c] for c in kept]
+
+
+def _loop_truncation(struct, survive, coloured, l_target):
+    """The per-edge loop over `truncate_edge` that truncated a round's
+    lists before `truncate_lists`: (truncated, deficient, empty)."""
+    rows = np.ones(struct.edges.size, dtype=bool)
+    keep = survive.copy()
+    mu = struct.mu.copy()
+    deficient, empty = [], []
+    bounds = struct.edge_ptr.tolist()
+    for i, e in enumerate(struct.edges.tolist()):
+        if e in coloured:
+            rows[i] = False
+            keep[bounds[i] : bounds[i + 1]] = False
+            continue
+        alive = bounds[i] + np.flatnonzero(survive[bounds[i] : bounds[i + 1]])
+        if not alive.size:
+            empty.append(e)
+            continue
+        kept_colours = struct.colour_of[alive].tolist()
+        try:
+            _, scaled = truncate_edge(tuple(kept_colours), dict(zip(kept_colours, mu[alive].tolist())), l_target, edge=e)
+        except CannotTruncateError:
+            deficient.append(e)
+            continue
+        keep[alive] = [c in scaled for c in kept_colours]
+        mu[alive] = [scaled.get(c, 0.0) for c in kept_colours]
+    truncated = WeightedListAssignment.from_pairs(struct.edges[rows], struct.edge_of[keep], struct.colour_of[keep], mu[keep])
+    return truncated, tuple(deficient), tuple(empty)
+
+
+def test_drive_rounds_truncate_as_the_per_edge_loop(monkeypatch):
+    from nibble_colour.harness import GeneratorSpec, build_local_lists, generate
+
+    rounds = []
+    run = nibble.run_round
+
+    def recorded(struct, params, l_target, seed, round_index, attempt):
+        outcome = run(struct, params, l_target, seed, round_index, attempt)
+        rounds.append((struct, params, l_target, seed, round_index, attempt, outcome))
+        return outcome
+
+    monkeypatch.setattr(nibble, "run_round", recorded)
+    deficient = 0
+    for seed in range(30):
+        g = generate(GeneratorSpec(kind="regular-graph", n=14, d=12, seed=seed))
+        unit = build_local_lists(g, 1.5, 30, seed=seed)
+        # Weights of three values: ties within every list.
+        mu = np.array([0.5, 0.75, 1.0])[(rng.uniforms(seed, 99, unit.edge_of, unit.colour_of) * 3).astype(int)]
+        lists = WeightedListAssignment(unit.edges, unit.edge_ptr, unit.colour_of, mu)
+        rounds.clear()
+        drive(g, lists, EdgeCorrespondence(), eps=0.25, seed=seed)
+        assert rounds
+        for struct, params, l_target, seed_, round_index, attempt, outcome in rounds:
+            activated, flips_ok, _ = nibble.draw_round(struct, params, seed_, round_index, attempt)
+            survive, _, _ = apply_procedure(struct, activated, flips_ok)
+            truncated, deficient_edges, empty = _loop_truncation(struct, survive, outcome.coloured, l_target)
+            assert pair_table(outcome.truncated) == pair_table(truncated)
+            assert (outcome.deficient, outcome.empty) == (deficient_edges, empty)
+            deficient += len(deficient_edges)
+    assert deficient > 0
+
+
 # ---------------------------------------------------------------------------
 # run_round
 # ---------------------------------------------------------------------------
@@ -622,12 +738,13 @@ def test_run_round_deterministic():
     g = path_graph(3)
     lists = WeightedListAssignment.unit({e: list(range(12)) for e in range(3)})
     params = NibbleParams(eps=0.25, k=2, L=12.0, N=7.5)
-    a = run_round(g, lists, EdgeCorrespondence(), params, seed=9, l_target=4.0)
-    b = run_round(g, lists, EdgeCorrespondence(), params, seed=9, l_target=4.0)
+    struct = RoundStructure.build(g, lists, EdgeCorrespondence())
+    a = run_round(struct, params, 4.0, seed=9)
+    b = run_round(struct, params, 4.0, seed=9)
     assert a.coloured == b.coloured
     assert pair_table(a.truncated) == pair_table(b.truncated)
     assert a.stats == b.stats
-    c = run_round(g, lists, EdgeCorrespondence(), params, seed=10, l_target=4.0)
+    c = run_round(struct, params, 4.0, seed=10)
     assert (a.coloured, pair_table(a.truncated)) != (c.coloured, pair_table(c.truncated))
 
 
@@ -638,7 +755,7 @@ def test_run_round_survivor_weights_bounds():
         {(e, c): 0.5 + 0.05 * c for e in range(3) for c in range(10)},
     )
     params = NibbleParams(eps=0.25, k=2, L=7.25, N=7.4)
-    out = run_round(g, lists, EdgeCorrespondence(), params, seed=4, l_target=3.0)
+    out = run_round(RoundStructure.build(g, lists, EdgeCorrespondence()), params, 3.0, seed=4)
     for e in out.truncated.edge_ids():
         if e in out.deficient:
             continue
