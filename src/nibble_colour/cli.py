@@ -36,6 +36,7 @@ from .harness import (
 from .instance_io import (
     Instance,
     dump_colouring,
+    dump_finish_log,
     dump_instance,
     load_colouring,
     load_instance,
@@ -253,7 +254,7 @@ def cmd_colour(args) -> int:
     outputs.append(str(trace_path))
     if finish_log is not None:
         log_path = Path(str(prefix) + ".finish.json")
-        log_path.write_text(json.dumps(finish_log.to_dict(), indent=2, sort_keys=True) + "\n")
+        dump_finish_log(finish_log, log_path)
         outputs.append(str(log_path))
     _write_manifest(
         Path(str(prefix) + ".manifest.json"), "colour",
@@ -355,9 +356,9 @@ def cmd_polytope(args) -> int:
     if inst is None:
         return EXIT_INPUT
     try:
-        vector_raw = json.loads(Path(args.vector).read_text())
+        vector_raw = json.loads(Path(args.vector).read_text(encoding="utf-8"))
         x = {int(e): float(v) for e, v in vector_raw.items()}
-    except (OSError, json.JSONDecodeError, AttributeError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError, AttributeError, TypeError, ValueError) as exc:
         _err(f"input error: {exc}")
         return EXIT_INPUT
     try:

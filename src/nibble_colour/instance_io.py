@@ -1,4 +1,4 @@
-"""JSON serialisation of instances and colourings.
+"""JSON serialisation of instances, colourings and the finisher's log.
 
 Instance format::
 
@@ -43,6 +43,7 @@ from .core import (
     PartialColouring,
     WeightedListAssignment,
 )
+from .finisher import ResampleLog
 
 
 @dataclass(frozen=True)
@@ -177,12 +178,111 @@ def _collector_paused():
             gc.enable()
 
 
+# -- writing -----------------------------------------------------------------
+#
+# The writers render the text of `json.dumps(obj, indent=2, sort_keys=True)`
+# straight from the tables, byte for byte, without building `obj`.  (CPython
+# encodes in C only when `indent` is None; indented text goes through the
+# pure-Python encoder, one call per object.)  Layouts are `%s` templates
+# filled by `%`, a whole array of rows at a time; the literal text of the
+# formats holds no `%`.
+
+_PAD = "  "  # one level of `indent=2`
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    """`x` as `json` writes a float."""
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+def _block(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """The JSON array (or object, with `brackets` "{}") of the rendered
+    `items`, opened on a line indented by `pad`."""
+    if not items:
+        return brackets
+    inner = "\n" + pad + _PAD
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{pad}{brackets[1]}"
+
+
+def _int_rows(values: list[int], widths: list[int], pad: str) -> str:
+    """The JSON array of int arrays whose row i holds the next widths[i]
+    of the ints `values`."""
+    row = {w: _block(["%s"] * w, pad + _PAD) for w in set(widths)}
+    return _block([row[w] for w in widths], pad) % tuple(values)
+
+
+def _write(path: str | Path, members: list[tuple[str, str]]) -> None:
+    """Write the JSON object of `members`, (key, rendered value) pairs in
+    key order, one piece at a time: the large values are not copied into
+    one text first."""
+    with Path(path).open("w") as out:
+        for i, (key, value) in enumerate(members):
+            out.write(f'{"," if i else "{"}\n{_PAD}"{key}": ')
+            out.write(value)
+        out.write("\n}\n")
+
+
 def dump_instance(inst: Instance, path: str | Path) -> None:
-    """Write `inst` in the instance format.  The text is built with the
-    cyclic collector paused, as in `load_instance`."""
-    with _collector_paused():
-        text = json.dumps(instance_to_dict(inst), indent=2, sort_keys=True)
-    Path(path).write_text(text + "\n")
+    """Write `inst` in the instance format: the text of
+    `json.dumps(instance_to_dict(inst), indent=2, sort_keys=True)`,
+    rendered from the tables."""
+    graph = inst.graph
+    _write(path, [
+        ("colour_universe", _block(["%s"] * len(inst.universe), _PAD) % tuple(inst.universe)),
+        ("edges", _int_rows(list(chain.from_iterable(graph.edges)), list(map(len, graph.edges)), _PAD)),
+        ("k", str(graph.k)),
+        ("lists", _lists_text(inst.lists)),
+        ("sigma", _sigma_text(inst.sigma)),
+        ("vertex_count", str(graph.vertex_count)),
+    ])
+
+
+def _lists_text(lists: WeightedListAssignment) -> str:
+    """The `lists` object: one entry per pair, `weight` left out for 1.0,
+    and the edges in the string order of their keys ("10" before "9"), as
+    `sort_keys` orders them."""
+    entry = _block(['"colour": %s'], _PAD * 3, "{}")
+    weighted = _block(['"colour": %s', '"weight": %s'], _PAD * 3, "{}")
+    entries = [
+        entry % c if w == 1.0 else weighted % (c, _float_text(w))
+        for c, w in zip(lists.colour_of.tolist(), lists.mu.tolist())
+    ]
+    keys, bounds = lists.edges.tolist(), lists.edge_ptr.tolist()
+    in_key_order = sorted(range(len(keys)), key=lambda i: str(keys[i]))
+    return _block(
+        [f'"{keys[i]}": ' + _block(entries[bounds[i] : bounds[i + 1]], _PAD * 2) for i in in_key_order],
+        _PAD, "{}",
+    )
+
+
+def _sigma_text(sigma: EdgeCorrespondence) -> str:
+    """The `sigma` array: one template per map length, filled by one `%`
+    with each pair's e and f followed by its entries (c, image)."""
+    counts = np.diff(sigma.entry_ptr)
+    row = _block(["%s", "%s"], _PAD * 4)
+    item = {
+        m: _block(['"e": %s', '"f": %s', '"map": ' + _block([row] * m, _PAD * 3)], _PAD * 2, "{}")
+        for m in set(counts.tolist())
+    }
+    values = np.empty(2 * (counts.size + sigma.entry_c.size), dtype=np.int64)
+    head = 2 * (np.arange(counts.size) + sigma.entry_ptr[:-1])
+    values[head], values[head + 1] = sigma.pair_e, sigma.pair_f
+    in_map = np.ones(values.size, dtype=bool)
+    in_map[head] = in_map[head + 1] = False
+    values[in_map] = np.stack([sigma.entry_c, sigma.entry_image], axis=1).ravel()
+    return _block([item[m] for m in counts.tolist()], _PAD) % tuple(values.tolist())
+
+
+def _read_json(path: str | Path, what: str):
+    """The decoded JSON file at `path`.  A file that cannot be read, is
+    not UTF-8, is not JSON or nests deeper than the decoder recurses
+    raises InstanceError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"), parse_float=_JsonFloat)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise InstanceError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def load_instance(path: str | Path) -> Instance:
@@ -197,10 +297,7 @@ def load_instance(path: str | Path) -> Instance:
     thread collects automatically until this one load has returned.
     """
     with _collector_paused():
-        try:
-            data = json.loads(Path(path).read_text(), parse_float=_JsonFloat)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InstanceError(f"cannot read instance {path}: {exc}") from exc
+        data = _read_json(path, "instance")
         inst = instance_from_dict(data)
         del data
     return inst
@@ -212,17 +309,34 @@ def colouring_to_dict(colouring: PartialColouring | Mapping[int, int], complete:
 
 
 def dump_colouring(colouring, complete: bool, path: str | Path) -> None:
-    """Write the colouring format, with the collector paused as in `dump_instance`."""
-    with _collector_paused():
-        text = json.dumps(colouring_to_dict(colouring, complete), indent=2, sort_keys=True)
-    Path(path).write_text(text + "\n")
+    """Write the colouring format: the text of
+    `json.dumps(colouring_to_dict(colouring, complete), indent=2, sort_keys=True)`."""
+    colours = colouring.colours if isinstance(colouring, PartialColouring) else colouring
+    in_key_order = sorted(colours, key=str)
+    items = [None] * (2 * len(in_key_order))
+    items[::2] = map(str, in_key_order)
+    items[1::2] = [int(colours[e]) for e in in_key_order]
+    _write(path, [
+        ("colours", _block(['"%s": %s'] * len(in_key_order), _PAD, "{}") % tuple(items)),
+        ("complete", "true" if complete else "false"),
+    ])
+
+
+def dump_finish_log(log: ResampleLog, path: str | Path) -> None:
+    """Write the finisher's log: the text of
+    `json.dumps(log.to_dict(), indent=2, sort_keys=True)`."""
+    _write(path, [
+        ("iterations", str(log.iterations)),
+        ("outcome", json.dumps(log.outcome)),
+        ("resampled", _int_rows(list(chain.from_iterable(log.resampled)), list(map(len, log.resampled)), _PAD)),
+    ])
 
 
 def load_colouring(path: str | Path) -> tuple[PartialColouring, bool]:
+    data = _read_json(path, "colouring")
     try:
-        data = json.loads(Path(path).read_text(), parse_float=_JsonFloat)
         colours = {int(e): int(c) for e, c in data["colours"].items()}
         complete = bool(data.get("complete", False))
-    except (OSError, json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InstanceError(f"cannot read colouring {path}: {exc}") from exc
     return PartialColouring(colours), complete

@@ -364,6 +364,36 @@ def test_k_below_one_exit_2(tmp_path, capsys, command, k):
     assert f"uniformity k = {k} is below 1" in capsys.readouterr().err
 
 
+# Files that no JSON decoder reads: nesting deeper than the decoder
+# recurses, and a byte that is not UTF-8.
+UNREADABLE = {
+    "nested 100,000 deep": b"[" * 100_000 + b"]" * 100_000,
+    "byte 0xff in a string": b'{"k": "\xff"}',
+}
+READING_AN_INSTANCE = {**LOADING_COMMANDS, "polytope": ["polytope", "{inst}", "{tmp}/vec.json"]}
+
+
+@pytest.mark.parametrize("command", sorted(READING_AN_INSTANCE))
+@pytest.mark.parametrize("content", sorted(UNREADABLE))
+def test_unreadable_instance_exits_2(tmp_path, capsys, command, content):
+    inst = tmp_path / "inst.json"
+    inst.write_bytes(UNREADABLE[content])
+    (tmp_path / "col.json").write_text(json.dumps({"complete": True, "colours": {"0": 1, "1": 2}}))
+    (tmp_path / "vec.json").write_text(json.dumps({"0": 0.5, "1": 0.5}))
+    capsys.readouterr()
+    assert run([a.format(inst=inst, tmp=tmp_path) for a in READING_AN_INSTANCE[command]]) == 2
+    assert "input error: cannot read instance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "polytope"])
+def test_too_deeply_nested_colouring_or_vector_exits_2(tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_bytes(UNREADABLE["nested 100,000 deep"])
+    capsys.readouterr()
+    assert run([command, _p3_instance(tmp_path), deep]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 # Child process for the unused-vertex test: address space capped, so that
 # a cost that grows with vertex_count fails fast instead of filling memory.
 _CAPPED_CHILD = """
