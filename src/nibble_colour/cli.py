@@ -31,6 +31,7 @@ from .harness import (
     build_local_lists,
     expectation_diagnostic,
     generate,
+    list_sizes,
     neighbourhood_audit,
 )
 from .instance_io import (
@@ -130,8 +131,23 @@ _KIND_MAP = {
 }
 
 
+def _gen_flag_error(args) -> str | None:
+    """What makes a `gen` flag value fall outside its domain, or None."""
+    if not (math.isfinite(args.eps) and args.eps > -1):
+        return f"--eps must be a finite number above -1, got {args.eps}"
+    if args.p is not None and not 0 <= args.p <= 1:
+        return f"--p must be in [0, 1], got {args.p}"
+    if not -(1 << 63) <= args.seed < 1 << 64:
+        return f"--seed must be in [-2^63, 2^64), got {args.seed}"
+    return None
+
+
 def cmd_gen(args) -> int:
     started = time.monotonic()
+    flag_error = _gen_flag_error(args)
+    if flag_error:
+        _err(f"input error: {flag_error}")
+        return EXIT_INPUT
     try:
         spec = GeneratorSpec(
             kind=_KIND_MAP[args.kind], n=args.n, seed=args.seed, d=args.d, p=args.p,
@@ -140,10 +156,7 @@ def cmd_gen(args) -> int:
         graph = generate(spec)
         if graph.edge_count == 0:
             raise GenerationError("generated graph has no edges; adjust the parameters")
-        max_size = max(
-            math.ceil((1.0 + args.eps) * max(graph.degree(v) for v in edge)) for edge in graph.edges
-        )
-        universe = args.universe if args.universe is not None else 4 * max_size
+        universe = args.universe if args.universe is not None else 4 * int(list_sizes(graph, args.eps).max())
         mode = "unit-weight" if args.weights == "unit" else "degree-weighted"
         lists = build_local_lists(graph, args.eps, universe, mode=mode, seed=args.seed)
     except GenerationError as exc:
@@ -439,14 +452,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["regular", "bipartite", "random", "linear"], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, default=None)
-    p.add_argument("--p", type=float, default=None)
+    p.add_argument("--p", type=float, default=None, help="edge probability, in [0, 1]")
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n2", type=int, default=None)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--universe", type=int, default=None)
+    p.add_argument("--eps", type=float, default=0.5,
+                   help="lists of ceil((1+eps) maxdeg(e)) colours; a finite number above -1 (default 0.5)")
+    p.add_argument("--universe", type=int, default=None,
+                   help="colours 0..universe-1 (default 4 times the longest list)")
     p.add_argument("--weights", choices=["unit", "degree"], default="unit")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="in [-2^63, 2^64) (default 0)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 

@@ -21,8 +21,13 @@ from .core import (
     PreconditionError,
     WeightedListAssignment,
     colour_neighbours,
+    segment_ranges,
 )
 from .nibble import NibbleParams, RoundStructure, apply_procedure, draw_round, equalizing_probability
+
+
+# Keys per `rng.uniforms` call of the generators (8 MB per uint64 array).
+DRAW_BLOCK = 1 << 20
 
 
 class GenerationError(ValueError):
@@ -75,16 +80,37 @@ def _regular_graph(spec: GeneratorSpec) -> LinearHypergraph:
     return LinearHypergraph.build(n, edges, k=2)
 
 
+def _row_blocks(lengths: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Consecutive row ranges [a, b) covering rows 0..len(lengths)-1, where
+    row i holds lengths[i] keys: each range holds at most DRAW_BLOCK keys,
+    except that a row longer than that is a range of its own."""
+    ends = np.cumsum(lengths)
+    a = 0
+    while a < ends.size:
+        before = int(ends[a - 1]) if a else 0
+        b = max(a + 1, int(np.searchsorted(ends, before + DRAW_BLOCK, side="right")))
+        yield a, b
+        a = b
+
+
+def _kept_pairs(seed: int, p: float, first: np.ndarray, count: np.ndarray) -> list[tuple[int, int]]:
+    """The pairs (u, v) with first[u] <= v < first[u] + count[u], in
+    ascending (u, v) order, whose uniform keyed by (u, v) is below p."""
+    edges: list[tuple[int, int]] = []
+    for a, b in _row_blocks(count):
+        u = np.repeat(np.arange(a, b), count[a:b])
+        v = segment_ranges(first[a:b], count[a:b])
+        keep = rng.uniforms(seed, rng.KIND_GENERATE, u, v) < p
+        edges += zip(u[keep].tolist(), v[keep].tolist())
+    return edges
+
+
 def _bipartite_graph(spec: GeneratorSpec) -> LinearHypergraph:
     n1, n2, p = spec.n, spec.n2, spec.p
     if n2 is None or p is None:
         raise GenerationError("bipartite requires n2 and an edge probability p")
-    edges = []
-    for u in range(n1):
-        for j in range(n2):
-            v = n1 + j
-            if rng.uniform(spec.seed, rng.KIND_GENERATE, u, v) < p:
-                edges.append((u, v))
+    rows = max(n1, 0)
+    edges = _kept_pairs(spec.seed, p, np.full(rows, n1), np.full(rows, max(n2, 0)))
     return LinearHypergraph.build(n1 + n2, edges, k=2)
 
 
@@ -92,34 +118,62 @@ def _random_graph(spec: GeneratorSpec) -> LinearHypergraph:
     n, p = spec.n, spec.p
     if p is None:
         raise GenerationError("random-graph requires an edge probability p")
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.uniform(spec.seed, rng.KIND_GENERATE, u, v) < p:
-                edges.append((u, v))
-    return LinearHypergraph.build(n, edges, k=2)
+    u = np.arange(n)
+    return LinearHypergraph.build(n, _kept_pairs(spec.seed, p, u + 1, n - 1 - u), k=2)
 
 
 def _linear_uniform(spec: GeneratorSpec) -> LinearHypergraph:
+    """Attempt t proposes the k smallest-keyed of the n vertices, keys drawn
+    by (t, vertex); it is accepted when it shares at most one vertex with
+    every accepted edge.  The keys of a batch of attempts are one draw."""
     n, k, m = spec.n, spec.k, spec.m
     if m is None or k < 2:
         raise GenerationError("linear-k-uniform requires k >= 2 and a target edge count m")
-    if m * k * (k - 1) // 2 > n * (n - 1) // 2:
+    if m * k * (k - 1) // 2 > max(n, 0) * (n - 1) // 2:
         raise GenerationError(f"{m} edges of size {k} cannot be pairwise near-disjoint on {n} vertices")
     used_pairs: set[tuple[int, int]] = set()
     edges: list[tuple[int, ...]] = []
     attempts, max_attempts = 0, 500 * m + 100
+    vertices = np.arange(n)
+    most = max(1, DRAW_BLOCK // max(n, 1))  # attempts per draw
+    batch = min(m, most)
     while len(edges) < m and attempts < max_attempts:
-        proposal = tuple(int(v) for v in rng.subset(spec.seed, rng.KIND_GENERATE, n, k, attempts))
-        attempts += 1
-        pairs = [(proposal[i], proposal[j]) for i in range(k) for j in range(i + 1, k)]
-        if any(pair in used_pairs for pair in pairs):
-            continue  # would share >= 2 vertices with an accepted edge
-        used_pairs.update(pairs)
-        edges.append(proposal)
+        rows = np.arange(attempts, min(attempts + batch, max_attempts))[:, None]
+        order = np.argsort(rng.uniforms(spec.seed, rng.KIND_GENERATE, rows, vertices), axis=1, kind="stable")
+        for proposal in map(tuple, np.sort(order[:, :k], axis=1).tolist()):
+            attempts += 1
+            pairs = [(proposal[i], proposal[j]) for i in range(k) for j in range(i + 1, k)]
+            if any(pair in used_pairs for pair in pairs):
+                continue  # would share >= 2 vertices with an accepted edge
+            used_pairs.update(pairs)
+            edges.append(proposal)
+            if len(edges) == m:
+                break
+        batch = min(2 * batch, most)
     if len(edges) < m:
         raise GenerationError(f"could only place {len(edges)} of {m} edges after {attempts} attempts")
     return LinearHypergraph.build(n, edges, k=k)
+
+
+def _max_degrees(graph: LinearHypergraph) -> np.ndarray:
+    """maxdeg(e) of every edge e, the largest `graph.degree` among e's
+    vertices (0 for a vertex outside range(vertex_count))."""
+    table = np.array(graph.edges, dtype=np.int64).reshape(graph.edge_count, graph.k)
+    inside = (table >= 0) & (table < graph.vertex_count)
+    degree = np.bincount(table[inside], minlength=1)
+    return np.where(inside, degree[np.where(inside, table, 0)], 0).max(axis=1, initial=0)
+
+
+def list_sizes(graph: LinearHypergraph, eps: float) -> np.ndarray:
+    """The list size ceil((1+eps) maxdeg(e)) of every edge e, as int64.
+    eps must be a finite number above -1, so that no size is negative,
+    and no size may reach 2^62."""
+    if not (math.isfinite(eps) and eps > -1):
+        raise GenerationError(f"eps must be a finite number above -1, got {eps}")
+    size = np.ceil((1.0 + eps) * _max_degrees(graph))
+    if size.size and size.max() >= 2.0**62:
+        raise GenerationError(f"eps {eps} asks for lists of {size.max():.3g} colours, more than 2^62")
+    return size.astype(np.int64)
 
 
 def build_local_lists(
@@ -133,23 +187,37 @@ def build_local_lists(
     of {0..universe_size-1}, where maxdeg(e) is the largest degree among
     e's vertices.  Degree-weighted mode sets mu(e,c) = 1/maxdeg(e), which
     makes every weighted list size at least 1+eps and keeps the per-vertex
-    per-colour weight sums at most 1."""
+    per-colour weight sums at most 1.
+
+    The (edge, colour) keys are drawn in row blocks of edges, at most
+    DRAW_BLOCK keys per `rng.uniforms` call; each edge keeps the colours
+    of the first |L(e)| places of its row's stable argsort.  So L(e) is
+    bitwise `rng.subset(seed, rng.KIND_LISTS, universe_size, |L(e)|, e)`."""
     if mode not in ("unit-weight", "degree-weighted"):
         raise GenerationError(f"unknown list mode {mode!r}")
-    edge_of: list[int] = []
-    colour_of: list[int] = []
-    mu: list[float] = []
-    for e, edge in enumerate(graph.edges):
-        maxdeg = max(graph.degree(v) for v in edge)
-        size = math.ceil((1.0 + eps) * maxdeg)
-        if size > universe_size:
-            raise GenerationError(
-                f"edge {e} needs a list of {size} colours but the universe has {universe_size}"
-            )
-        edge_of += [e] * size
-        colour_of += rng.subset(seed, rng.KIND_LISTS, universe_size, size, e).tolist()
-        mu += [1.0 if mode == "unit-weight" else 1.0 / maxdeg] * size
-    return WeightedListAssignment.from_pairs(range(graph.edge_count), edge_of, colour_of, mu)
+    size = list_sizes(graph, eps)
+    over = np.flatnonzero(size > universe_size)
+    if over.size:
+        e = int(over[0])
+        raise GenerationError(
+            f"edge {e} needs a list of {size[e]} colours but the universe has {universe_size}"
+        )
+    places = np.arange(universe_size)
+    chosen = [np.zeros(0, dtype=np.int64)]
+    for a, b in _row_blocks(np.full(graph.edge_count, places.size)):
+        drawn = rng.uniforms(seed, rng.KIND_LISTS, np.arange(a, b)[:, None], places)
+        keep = np.zeros(drawn.shape, dtype=bool)
+        # The colour at place j of row e's order is kept when j < size[e].
+        np.put_along_axis(keep, np.argsort(drawn, axis=1, kind="stable"), places < size[a:b, None], axis=1)
+        chosen.append(np.nonzero(keep)[1])  # row-major: ascending colours per edge
+    edge_of = np.repeat(np.arange(graph.edge_count), size)
+    mu = np.ones(edge_of.size) if mode == "unit-weight" else 1.0 / _max_degrees(graph)[edge_of]
+    return WeightedListAssignment(
+        edges=np.arange(graph.edge_count),
+        edge_ptr=np.concatenate(([0], np.cumsum(size))),
+        colour_of=np.concatenate(chosen),
+        mu=mu,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,42 @@ def test_gen_inadmissible_exits_2(tmp_path, capsys):
     assert "even" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--eps", "nan"],
+    ["--eps", "inf"],
+    ["--eps=-inf"],
+    ["--eps", "-1.5", "--universe", 10],
+    ["--eps", "-1"],
+    ["--p", "2"],
+    ["--p", "-1"],
+    ["--p", "nan"],
+    ["--seed", 2**64],
+    ["--seed", -(2**63) - 1],
+])
+def test_gen_flags_outside_their_domain_exit_2(tmp_path, capsys, flags):
+    out = tmp_path / "x.json"
+    assert run(["gen", "--kind", "random", "--n", 8, "--p", "0.5", *flags, "--out", out]) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_eps_beyond_any_list_size_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert run(["gen", "--kind", "random", "--n", 8, "--p", "0.5", "--eps", "1e300", "--out", out]) == 2
+    assert "generation error: eps 1e+300 asks for lists of" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--seed", 2**64 - 1],
+    ["--seed", -(2**63)],
+    ["--p", "1"],
+    ["--eps", "-0.5"],
+])
+def test_gen_flags_at_the_edge_of_their_domain_exit_0(tmp_path, flags):
+    assert run(["gen", "--kind", "random", "--n", 8, "--p", "0.5", *flags, "--out", tmp_path / "x.json"]) == 0
+
+
 # ---------------------------------------------------------------------------
 # colour / verify / brute
 # ---------------------------------------------------------------------------

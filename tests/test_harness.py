@@ -1,7 +1,10 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nibble_colour import harness, rng
 from nibble_colour.core import (
     EdgeCorrespondence,
     LinearHypergraph,
@@ -22,7 +25,7 @@ from nibble_colour.harness import (
     neighbourhood_audit,
 )
 from nibble_colour.nibble import NibbleParams
-from conftest import path_graph, random_micro_instance, star_graph, triangle_graph
+from conftest import pair_table, path_graph, random_micro_instance, star_graph, triangle_graph
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +52,12 @@ def test_generate_deterministic():
     c = generate(GeneratorSpec(kind="random-graph", n=10, p=0.4, seed=7))
     d = generate(GeneratorSpec(kind="random-graph", n=10, p=0.4, seed=7))
     assert c.edges == d.edges
+
+
+@pytest.mark.parametrize("n", [-2, -1, 0, 1])
+def test_generate_linear_uniform_without_room_raises(n):
+    with pytest.raises(GenerationError, match="near-disjoint"):
+        generate(GeneratorSpec(kind="linear-k-uniform", n=n, k=2, m=1, seed=0))
 
 
 def test_generate_linear_uniform_is_linear():
@@ -102,6 +111,160 @@ def test_degree_weighted_colour_sums():
     for e in lists.edge_ids():
         maxdeg = max(g.degree(v) for v in g.edges[e])
         assert lists.weight(e, lists.colours(e)[0]) == pytest.approx(1.0 / maxdeg)
+
+
+# ---------------------------------------------------------------------------
+# The array draws against the scalar loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_lists(graph, eps, universe_size, mode, seed):
+    """`build_local_lists` as one `rng.subset` per edge."""
+    edge_of, colour_of, mu = [], [], []
+    for e, edge in enumerate(graph.edges):
+        maxdeg = max(graph.degree(v) for v in edge)
+        size = math.ceil((1.0 + eps) * maxdeg)
+        if size > universe_size:
+            raise GenerationError(
+                f"edge {e} needs a list of {size} colours but the universe has {universe_size}"
+            )
+        edge_of += [e] * size
+        colour_of += rng.subset(seed, rng.KIND_LISTS, universe_size, size, e).tolist()
+        mu += [1.0 if mode == "unit-weight" else 1.0 / maxdeg] * size
+    return WeightedListAssignment.from_pairs(range(graph.edge_count), edge_of, colour_of, mu)
+
+
+def reference_random_graph(n, p, seed):
+    return [(u, v) for u in range(n) for v in range(u + 1, n)
+            if rng.uniform(seed, rng.KIND_GENERATE, u, v) < p]
+
+
+def reference_bipartite(n1, n2, p, seed):
+    return [(u, n1 + j) for u in range(n1) for j in range(n2)
+            if rng.uniform(seed, rng.KIND_GENERATE, u, n1 + j) < p]
+
+
+def reference_linear(n, k, m, seed):
+    """The accepted edges, or the failure message, of one `rng.subset`
+    proposal per attempt."""
+    used_pairs, edges = set(), []
+    attempts, max_attempts = 0, 500 * m + 100
+    while len(edges) < m and attempts < max_attempts:
+        proposal = tuple(int(v) for v in rng.subset(seed, rng.KIND_GENERATE, n, k, attempts))
+        attempts += 1
+        pairs = [(proposal[i], proposal[j]) for i in range(k) for j in range(i + 1, k)]
+        if any(pair in used_pairs for pair in pairs):
+            continue
+        used_pairs.update(pairs)
+        edges.append(proposal)
+    if len(edges) < m:
+        return f"could only place {len(edges)} of {m} edges after {attempts} attempts"
+    return tuple(edges)
+
+
+_BLOCKS = st.sampled_from([1, 2, 7, 48, 1 << 20])
+_SEEDS = st.integers(-(2**63), 2**64 - 1)
+
+
+@st.composite
+def _hypergraphs(draw):
+    """k = 2 or 3, distinct edges over vertices some of which lie on no edge."""
+    k = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(k, 12))
+    edges = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)
+                          .map(lambda e: tuple(sorted(e))), max_size=15, unique=True))
+    return LinearHypergraph.build(n, edges, k=k)
+
+
+@given(_hypergraphs(), st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5]) | st.floats(-0.99, 4.0),
+       st.integers(-2, 6), st.sampled_from(["unit-weight", "degree-weighted"]), _SEEDS, _BLOCKS)
+@settings(max_examples=200, deadline=None)
+def test_build_local_lists_equals_one_subset_per_edge(graph, eps, slack, mode, seed, block):
+    """Bitwise the per-edge `rng.subset` lists, for universes from two
+    colours short of the longest list (the error, with the first edge
+    named) through exactly its size to a few colours more, drawn in
+    blocks of as few as one key."""
+    longest = max([math.ceil((1.0 + eps) * max(graph.degree(v) for v in e)) for e in graph.edges], default=0)
+    universe = max(longest + slack, 0)
+    try:
+        expected = reference_lists(graph, eps, universe, mode, seed)
+    except GenerationError as exc:
+        with pytest.raises(GenerationError, match=f"^{exc}$"):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(harness, "DRAW_BLOCK", block)
+                build_local_lists(graph, eps, universe, mode=mode, seed=seed)
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "DRAW_BLOCK", block)
+        lists = build_local_lists(graph, eps, universe, mode=mode, seed=seed)
+    assert pair_table(lists) == pair_table(expected)
+    assert [a.dtype for a in (lists.edges, lists.edge_ptr, lists.colour_of, lists.mu)] == [
+        np.int64, np.int64, np.int64, np.float64]
+
+
+def test_build_local_lists_spans_blocks(monkeypatch):
+    """A universe-sized list on every edge, one row per block and rows
+    longer than a block."""
+    g = generate(GeneratorSpec(kind="regular-graph", n=12, d=3, seed=2))
+    expected = reference_lists(g, 1.0, 6, "degree-weighted", 5)
+    assert all(len(expected.colours(e)) == 6 for e in expected.edge_ids())
+    for block in (1, 5, 6, 7, 100):
+        monkeypatch.setattr(harness, "DRAW_BLOCK", block)
+        assert pair_table(build_local_lists(g, 1.0, 6, "degree-weighted", 5)) == pair_table(expected)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1.0, -1.5, 1e300])
+def test_build_local_lists_rejects_eps_without_finite_sizes(eps):
+    with pytest.raises(GenerationError, match="eps"):
+        build_local_lists(star_graph(3), eps, 10**6, seed=0)
+
+
+@given(st.integers(0, 40), st.floats(0.0, 1.0), _SEEDS, _BLOCKS)
+@settings(max_examples=100, deadline=None)
+def test_random_graph_equals_the_scalar_loop(n, p, seed, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "DRAW_BLOCK", block)
+        g = generate(GeneratorSpec(kind="random-graph", n=n, p=p, seed=seed))
+    assert g.edges == tuple(reference_random_graph(n, p, seed))
+
+
+@given(st.integers(0, 20), st.integers(0, 20), st.floats(0.0, 1.0), _SEEDS, _BLOCKS)
+@settings(max_examples=100, deadline=None)
+def test_bipartite_graph_equals_the_scalar_loop(n1, n2, p, seed, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "DRAW_BLOCK", block)
+        g = generate(GeneratorSpec(kind="bipartite", n=n1, n2=n2, p=p, seed=seed))
+    assert g.edges == tuple(reference_bipartite(n1, n2, p, seed))
+    assert g.vertex_count == n1 + n2
+
+
+@given(st.integers(2, 4).flatmap(lambda k: st.tuples(st.just(k), st.integers(k, 14))),
+       st.integers(0, 12), _SEEDS, _BLOCKS)
+@settings(max_examples=60, deadline=None)
+def test_linear_uniform_equals_the_scalar_loop(kn, m, seed, block):
+    k, n = kn
+    if m * k * (k - 1) // 2 > n * (n - 1) // 2:
+        return  # rejected before any draw
+    expected = reference_linear(n, k, m, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "DRAW_BLOCK", block)
+        if isinstance(expected, str):
+            with pytest.raises(GenerationError, match=f"^{expected}$"):
+                generate(GeneratorSpec(kind="linear-k-uniform", n=n, k=k, m=m, seed=seed))
+            return
+        g = generate(GeneratorSpec(kind="linear-k-uniform", n=n, k=k, m=m, seed=seed))
+    assert g.edges == expected
+
+
+@pytest.mark.parametrize("block", [1, 9, 1 << 20])
+def test_linear_uniform_failure_reports_every_attempt(monkeypatch, block):
+    """Seven triples covering all 21 pairs of 7 vertices form a Fano
+    plane, which random proposals do not find within 3,600 attempts."""
+    expected = reference_linear(7, 3, 7, 1)
+    assert expected == "could only place 5 of 7 edges after 3600 attempts"
+    monkeypatch.setattr(harness, "DRAW_BLOCK", block)
+    with pytest.raises(GenerationError, match=f"^{expected}$"):
+        generate(GeneratorSpec(kind="linear-k-uniform", n=7, k=3, m=7, seed=1))
 
 
 # ---------------------------------------------------------------------------

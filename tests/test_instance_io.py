@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -184,6 +185,38 @@ def test_gen_writes_the_json_dumps_text(tmp_path, kind, weights):
     inst = load_instance(out)
     assert inst.graph.edge_count > 10
     assert out.read_text() == _reference(instance_to_dict(inst))
+
+
+# SHA-256 of the instance `gen` writes for each case above at --seed 3, and
+# of `gen --kind regular --n 800 --d 32 --eps 0.5 --seed 7`, whose lists take
+# several draw blocks; recorded with numpy 2.4.6 and networkx 3.6.1 before
+# the lists and graphs were drawn in array blocks.
+_GEN_SHA256 = {
+    ("bipartite", "unit"): "2836da3c02fab736ef98e222a473da18fb8368d2a9392663f3849f6cd22149ea",
+    ("bipartite", "degree"): "b7e626c3377917de9de90f6c83732aa57a8849d4af715870117661067ed1d1f1",
+    ("linear", "unit"): "bb5abfb548c8ff91665888276116a07ce7b02ff0be3e26c007d1f1e104719979",
+    ("linear", "degree"): "ae9976c05c71f327d12d3296f092e6bc056e6b3dad40f83a776b6ff674f17c1d",
+    ("random", "unit"): "18a6593fd93161fc264205fd971dec3aaf78a25c22c3e8e8b63b5c1d17cd635d",
+    ("random", "degree"): "12fbd20b78f1b3002030105d8e08b905fc2536c71327b47707aca91065fd7106",
+    ("regular", "unit"): "3d3ef6727ae6c2a7740867239585da3d08fa764f32136dd208de45860648e7c6",
+    ("regular", "degree"): "f18577d8d80a1bfc29f63fde4056ea6298640875d23f613401bc0f6790fbdbd0",
+}
+_N800_SHA256 = "d363e10ee0bae397d9621a25364bf85c64c5d32fd2418e02720139d1911bad78"
+
+
+@pytest.mark.parametrize(("kind", "weights"), sorted(_GEN_SHA256))
+def test_gen_bytes_equal_the_pinned_digests(tmp_path, kind, weights):
+    out = tmp_path / "inst.json"
+    argv = ["gen", "--kind", kind, *_GEN[kind], "--weights", weights, "--seed", 3, "--out", out]
+    assert main([str(a) for a in argv]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _GEN_SHA256[kind, weights]
+
+
+def test_gen_bytes_of_a_multi_block_draw_equal_the_pinned_digest(tmp_path):
+    out = tmp_path / "inst.json"
+    argv = ["gen", "--kind", "regular", "--n", 800, "--d", 32, "--eps", "0.5", "--seed", 7, "--out", out]
+    assert main([str(a) for a in argv]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _N800_SHA256
 
 
 # -- the collector pause of load; no pass in the writers --------------------
