@@ -44,7 +44,6 @@ from .nibble import (
     simulate_schedule,
 )
 from .polytope import (
-    EnumerationLimitError,
     MembershipVerdict,
     UnsupportedInstanceError,
     edmonds_membership,

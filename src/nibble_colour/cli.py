@@ -52,7 +52,7 @@ from .nibble import (
     drive,
     simulate_schedule,
 )
-from .polytope import EnumerationLimitError, UnsupportedInstanceError, edmonds_membership
+from .polytope import UnsupportedInstanceError, edmonds_membership
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -157,11 +157,16 @@ def cmd_gen(args) -> int:
         if graph.edge_count == 0:
             raise GenerationError("generated graph has no edges; adjust the parameters")
         universe = args.universe if args.universe is not None else 4 * int(list_sizes(graph, args.eps).max())
+        if not 1 <= universe < 1 << 62:
+            raise GenerationError(f"the universe must hold 1 to 2^62 - 1 colours, not {universe}")
         mode = "unit-weight" if args.weights == "unit" else "degree-weighted"
         lists = build_local_lists(graph, args.eps, universe, mode=mode, seed=args.seed)
     except GenerationError as exc:
         _err(f"generation error: {exc}")
         return EXIT_INPUT
+    except MemoryError as exc:
+        _err(f"resource limit: {exc}")
+        return EXIT_RESOURCE
     from .core import EdgeCorrespondence
 
     inst = Instance(graph=graph, lists=lists, sigma=EdgeCorrespondence(), universe=(0, universe - 1))
@@ -375,10 +380,7 @@ def cmd_polytope(args) -> int:
         _err(f"input error: {exc}")
         return EXIT_INPUT
     try:
-        verdict = edmonds_membership(inst.graph, x, shrink=args.shrink, vertex_limit=args.limit)
-    except EnumerationLimitError as exc:
-        _err(f"resource limit: {exc}")
-        return EXIT_RESOURCE
+        verdict = edmonds_membership(inst.graph, x, shrink=args.shrink)
     except (UnsupportedInstanceError, ValueError) as exc:
         _err(f"input error: {exc}")
         return EXIT_INPUT
@@ -489,11 +491,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_schedule)
 
-    p = sub.add_parser("polytope", help="matching-polytope membership of a fractional vector")
-    p.add_argument("graph")
-    p.add_argument("vector")
-    p.add_argument("--shrink", type=float, default=0.0)
-    p.add_argument("--limit", type=int, default=20)
+    p = sub.add_parser(
+        "polytope", help="matching-polytope membership of a fractional vector",
+        description="Print whether the vector lies in the matching polytope, as JSON "
+        "{inside, witness}. The witness is the first negative entry in edge order, "
+        "else the first vertex of load above 1 in vertex order, else a most-violated "
+        "odd vertex set; its slack is rhs - lhs, negative when violated. Every graph "
+        "size is checked: odd sets are separated in polynomial time.",
+    )
+    p.add_argument("graph", help="an instance file with k = 2")
+    p.add_argument("vector", help="a JSON object that maps every edge id, and nothing else, "
+                   "to a finite number")
+    p.add_argument("--shrink", type=float, default=0.0,
+                   help="test vector/(1-shrink), for shrink in [0, 1) (default 0)")
     p.set_defaults(func=cmd_polytope)
 
     p = sub.add_parser("diag", help="expectation diagnostics for the colouring procedure")

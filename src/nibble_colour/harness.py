@@ -202,7 +202,10 @@ def build_local_lists(
         raise GenerationError(
             f"edge {e} needs a list of {size[e]} colours but the universe has {universe_size}"
         )
-    places = np.arange(universe_size)
+    try:
+        places = np.arange(universe_size)
+    except ValueError as exc:  # numpy's refusal of an array beyond the address space
+        raise MemoryError(f"{universe_size} colour keys do not fit in memory: {exc}") from exc
     chosen = [np.zeros(0, dtype=np.int64)]
     for a, b in _row_blocks(np.full(graph.edge_count, places.size)):
         drawn = rng.uniforms(seed, rng.KIND_LISTS, np.arange(a, b)[:, None], places)
@@ -361,7 +364,7 @@ def exact_expectations(
     k = graph.k
     T = (1 + k) * len(pairs)
     if T > trial_limit:
-        raise PreconditionError(f"{T} Bernoulli trials exceed the enumeration limit {trial_limit}")
+        raise PreconditionError(f"{T} Bernoulli trials exceed the cap of {trial_limit} for exact enumeration")
     if T == 0:
         return {e: 0.0 for e in lists.edge_ids()}
 

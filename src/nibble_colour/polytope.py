@@ -4,14 +4,13 @@ A nonnegative edge vector x lies in the matching polytope MP(G) of a graph
 iff the degree constraints sum_{e at v} x_e <= 1 hold and, for every odd
 vertex set W with |W| >= 3, the edges inside W weigh at most (|W|-1)/2.
 Membership in the shrunken polytope (1-s) MP(G) is tested by scaling the
-vector by 1/(1-s) first.  Odd sets are enumerated exhaustively, so the
-graph order is capped (default 20 vertices); exact separation is out of
-scope.
+vector by 1/(1-s) first.  The odd sets are separated exactly, in
+polynomial time, by Padberg and Rao's minimum odd cut-sets (Math. Oper.
+Res. 7(1), 1982), so no graph is too large to check.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -19,12 +18,7 @@ import numpy as np
 
 from .core import LinearHypergraph, PreconditionError, WeightedListAssignment
 
-DEFAULT_VERTEX_LIMIT = 20
 DEFAULT_TOLERANCE = 1e-9
-
-
-class EnumerationLimitError(RuntimeError):
-    """The graph is too large for exhaustive odd-set enumeration."""
 
 
 class UnsupportedInstanceError(ValueError):
@@ -33,7 +27,7 @@ class UnsupportedInstanceError(ValueError):
 
 @dataclass(frozen=True)
 class Witness:
-    """First violated constraint: kind is 'nonnegativity', 'degree' or
+    """A violated constraint: kind is 'nonnegativity', 'degree' or
     'odd-set'; subject names the edge, vertex, or vertex set; slack is
     rhs - lhs (negative when violated)."""
 
@@ -54,67 +48,81 @@ class MembershipVerdict:
         return {"inside": self.inside, "witness": self.witness.to_dict() if self.witness else None}
 
 
-def _popcount(masks: np.ndarray) -> np.ndarray:
-    counts = np.zeros_like(masks)
-    m = masks.copy()
-    while m.any():
-        counts += m & 1
-        m >>= 1
-    return counts
+def _most_violated_odd_set(
+    ends: np.ndarray, y: np.ndarray, load: np.ndarray, vertices: np.ndarray
+) -> tuple[float, tuple[int, ...]]:
+    """(cut, W): an odd vertex set W of least slack (|W|-1)/2 - y(E(W)) =
+    (cut - 1)/2, for a vector y that meets the degree constraints.
+
+    Padberg-Rao: a slack vertex joined to each vertex v with capacity
+    1 - load(v) makes the cut around W weigh |W| - 2 y(E(W)), so the least
+    such cut with |W| odd is a fundamental cut of a Gomory-Hu tree.  Ties
+    go to the ascending vertex tuple."""
+    import networkx as nx
+
+    slack_vertex = -1
+    support = nx.Graph()
+    support.add_weighted_edges_from(zip(*ends.T.tolist(), y.tolist()), weight="capacity")
+    support.add_weighted_edges_from(
+        ((slack_vertex, v, max(0.0, 1.0 - w)) for v, w in zip(vertices.tolist(), load.tolist())),
+        weight="capacity",
+    )
+    tree = nx.gomory_hu_tree(support)
+    rooted = nx.bfs_tree(tree, slack_vertex)
+    sides = (
+        (tree.edges[parent, v]["weight"], tuple(sorted(nx.descendants(rooted, v) | {v})))
+        for parent, v in rooted.edges
+    )
+    return min(side for side in sides if len(side[1]) % 2)
 
 
 def edmonds_membership(
     graph: LinearHypergraph,
     x: Mapping[int, float],
     shrink: float = 0.0,
-    vertex_limit: int = DEFAULT_VERTEX_LIMIT,
     tol: float = DEFAULT_TOLERANCE,
 ) -> MembershipVerdict:
     """Does x/(1-shrink) lie in MP(G)?
 
-    Checks nonnegativity, then degree constraints, then all odd sets by
-    exhaustive enumeration; within each family the first violated
-    constraint in canonical order (edge id, vertex id, subset rank) is the
-    witness.  Floating-point comparisons allow `tol` slack on the <= side.
+    Checks nonnegativity, then degree constraints, each with the first
+    violated constraint in canonical order (edge id, vertex id) as the
+    witness; then the odd sets, with a most-violated odd set and its slack
+    as the witness.  x must give a finite value for every edge id and for
+    nothing else.  Floating-point comparisons allow `tol` slack on the <=
+    side.  The cost follows the edges, not `vertex_count`.
     """
     if graph.k != 2:
         raise UnsupportedInstanceError(f"matching polytope defined for graphs (k=2), got k={graph.k}")
     if not (0.0 <= shrink < 1.0):
         raise PreconditionError(f"shrink must lie in [0, 1), got {shrink}")
-    n = graph.vertex_count
-    if n > vertex_limit:
-        raise EnumerationLimitError(
-            f"{n} vertices exceed the odd-set enumeration limit {vertex_limit}"
-        )
     missing = [e for e in range(graph.edge_count) if e not in x]
     if missing:
         raise PreconditionError(f"vector undefined on edges {missing[:5]}")
+    unknown = [e for e in x if e not in range(graph.edge_count)]
+    if unknown:
+        raise PreconditionError(f"vector defined on edges {unknown[:5]} that the graph does not have")
+    y = np.array([x[e] for e in range(graph.edge_count)], dtype=np.float64)
+    if not np.isfinite(y).all():
+        raise PreconditionError(f"vector not finite on edges {np.flatnonzero(~np.isfinite(y))[:5].tolist()}")
 
-    y = {e: x[e] / (1.0 - shrink) for e in range(graph.edge_count)}
-
-    for e in range(graph.edge_count):
-        if y[e] < -tol:
-            return MembershipVerdict(False, Witness("nonnegativity", (e,), y[e]))
-    for v in range(n):
-        load = sum(y[e] for e in graph.edges_at(v))
-        if load > 1.0 + tol:
-            return MembershipVerdict(False, Witness("degree", (v,), 1.0 - load))
+    y /= 1.0 - shrink
+    negative = np.flatnonzero(y < -tol)
+    if negative.size:
+        e = int(negative[0])
+        return MembershipVerdict(False, Witness("nonnegativity", (e,), float(y[e])))
+    ends = np.array(graph.edges, dtype=np.int64).reshape(graph.edge_count, 2)
+    vertices, at = np.unique(ends, return_inverse=True)
+    load = np.bincount(at.ravel(), weights=np.repeat(y, 2), minlength=vertices.size)
+    over = np.flatnonzero(load > 1.0 + tol)
+    if over.size:
+        v = int(over[0])
+        return MembershipVerdict(False, Witness("degree", (int(vertices[v]),), float(1.0 - load[v])))
 
     if graph.edge_count:
-        masks = np.arange(1 << n, dtype=np.int64)
-        pc = _popcount(masks)
-        odd = (pc >= 3) & (pc % 2 == 1)
-        inside_weight = np.zeros(1 << n, dtype=np.float64)
-        for e, (u, v) in enumerate(graph.edges):
-            both = ((masks >> u) & 1).astype(bool) & ((masks >> v) & 1).astype(bool)
-            inside_weight += both * y[e]
-        budget = (pc - 1) / 2.0
-        violated = odd & (inside_weight > budget + tol)
-        if violated.any():
-            mask = int(masks[violated][0])  # canonical order: smallest mask
-            subset = tuple(v for v in range(n) if (mask >> v) & 1)
-            slack = float(budget[mask] - inside_weight[mask])
-            return MembershipVerdict(False, Witness("odd-set", subset, slack))
+        cut, odd_set = _most_violated_odd_set(ends, y, load, vertices)
+        slack = (cut - 1.0) / 2.0
+        if slack < -tol:
+            return MembershipVerdict(False, Witness("odd-set", odd_set, slack))
     return MembershipVerdict(True, None)
 
 
@@ -130,31 +138,19 @@ def polytope_lists_to_weights(
     graph: LinearHypergraph,
     lists: WeightedListAssignment,
     delta: float,
-    vertex_limit: int = DEFAULT_VERTEX_LIMIT,
 ) -> WeightedListAssignment:
     """Uniform weights mu(e, c) = 1/((1-delta)|L(e)|), so every weighted
     list size is exactly 1/(1-delta) = 1 + delta/(1-delta).
 
-    The fractional vector 1/|L(e)| must lie in (1-delta) MP(G); this is
-    checked when the graph is small enough to enumerate, otherwise trusted
-    with a warning.  Raises if some list is so small that a weight would
+    Raises if the fractional vector 1/|L(e)| does not lie in
+    (1-delta) MP(G), or if some list is so small that a weight would
     exceed 1.
     """
     if not (0.0 < delta < 1.0):
         raise PreconditionError(f"delta must lie in (0, 1), got {delta}")
-    x = lists_to_fractional(lists)
-    if graph.vertex_count <= vertex_limit:
-        verdict = edmonds_membership(graph, x, shrink=delta, vertex_limit=vertex_limit)
-        if not verdict.inside:
-            raise PreconditionError(
-                f"fractional vector not in (1-delta) MP(G): {verdict.witness}"
-            )
-    else:  # pragma: no cover - warning path
-        import logging
-
-        logging.getLogger(__name__).warning(
-            "graph above enumeration limit; polytope membership not verified"
-        )
+    verdict = edmonds_membership(graph, lists_to_fractional(lists), shrink=delta)
+    if not verdict.inside:
+        raise PreconditionError(f"fractional vector not in (1-delta) MP(G): {verdict.witness}")
     sizes = np.diff(lists.edge_ptr)
     mu = 1.0 / ((1.0 - delta) * sizes)
     if (mu > 1.0).any():

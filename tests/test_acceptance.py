@@ -33,7 +33,7 @@ from nibble_colour.harness import (
 )
 from nibble_colour.instance_io import Instance, dump_instance
 from nibble_colour.nibble import NibbleParams, next_params, truncate_edge
-from nibble_colour.polytope import edmonds_membership
+from nibble_colour.polytope import MembershipVerdict, Witness, edmonds_membership
 from conftest import random_micro_instance, random_sigma, triangle_graph
 
 REL_SLACK = 1e-12
@@ -304,7 +304,23 @@ def test_c08_edmonds_checks():
         passes = [edmonds_membership(g, x, shrink=s).inside for s in shrinks]
         for small, large in zip(passes, passes[1:]):
             assert small or not large, f"monotonicity broken on trial {trial}"
-    _report("C8 Edmonds checks", started, 30.0, f"{len(graphs)} graphs, 100 combos")
+
+    # at scale: 1/(d+1) on a d-regular graph lies inside; half on a
+    # triangle, with the other edges at its vertices at 0, violates it
+    big = generate(GeneratorSpec(kind="regular-graph", n=200, d=16, seed=0))
+    x = {e: 1 / 17 for e in range(big.edge_count)}
+    assert edmonds_membership(big, x) == MembershipVerdict(True, None)
+    def neighbours(a):
+        return {b for e in big.edges_at(a) for b in big.edges[e]} - {a}
+
+    triangle = next((u, v, min(both)) for u, v in big.edges if (both := neighbours(u) & neighbours(v)))
+    for e, edge in enumerate(big.edges):
+        if set(edge) & set(triangle):
+            x[e] = 0.5 if set(edge) <= set(triangle) else 0.0
+    verdict = edmonds_membership(big, x)
+    assert verdict.witness == Witness("odd-set", tuple(sorted(triangle)), -0.5)
+    _report("C8 Edmonds checks", started, 30.0,
+            f"{len(graphs)} graphs, 100 combos, a 200-vertex 16-regular graph")
 
 
 # ---------------------------------------------------------------------------

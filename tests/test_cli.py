@@ -94,6 +94,21 @@ def test_gen_eps_beyond_any_list_size_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, code", [
+    (["--universe", 10**20], 2),  # beyond the 2^62 bound of list sizes
+    (["--eps", "1e15"], 4),  # a default universe of 4e15 colours or more
+    (["--universe", 10**12], 4),
+], ids=["universe 1e20", "eps 1e15", "universe 1e12"])
+def test_gen_universe_beyond_memory(tmp_path, flags, code):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    argv = ["gen", "--kind", "random", "--n", "8", "--p", "0.5", *map(str, flags), "--out", str(tmp_path / "x.json")]
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_CHILD, *argv], env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == code, proc.stderr
+    assert ("generation error" if code == 2 else "resource limit") in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--seed", 2**64 - 1],
     ["--seed", -(2**63)],
@@ -430,8 +445,8 @@ def test_too_deeply_nested_colouring_or_vector_exits_2(tmp_path, capsys, command
     assert "input error" in capsys.readouterr().err
 
 
-# Child process for the unused-vertex test: address space capped, so that
-# a cost that grows with vertex_count fails fast instead of filling memory.
+# Child process with its address space capped, so that a cost that grows
+# with vertex_count, k or the universe fails fast instead of filling memory.
 _CAPPED_CHILD = """
 import resource, sys
 cap = 2 << 30
@@ -445,11 +460,13 @@ sys.exit(main(sys.argv[1:]))
     ["colour", "{inst}", "--mode", "nibble+finish", "--out-prefix", "{tmp}/run"],
     ["colour", "{inst}", "--mode", "finish-only", "--out-prefix", "{tmp}/run"],
     ["verify", "{inst}", "{tmp}/col.json"],
-], ids=["nibble+finish", "finish-only", "verify"])
+    ["polytope", "{inst}", "{tmp}/vec.json"],
+], ids=["nibble+finish", "finish-only", "verify", "polytope"])
 def test_cost_does_not_grow_with_unused_vertices(tmp_path, argv):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({**P3, "vertex_count": 10**9}))
     (tmp_path / "col.json").write_text(json.dumps({"complete": True, "colours": {"0": 1, "1": 2}}))
+    (tmp_path / "vec.json").write_text(json.dumps({"0": 0.5, "1": 0.5}))
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run(
         [sys.executable, "-c", _CAPPED_CHILD, *(a.format(inst=inst, tmp=tmp_path) for a in argv)],
@@ -477,13 +494,24 @@ def test_huge_k_without_edges_allocates_nothing_shaped_by_k(tmp_path, argv, code
     assert "Traceback" not in proc.stderr
 
 
-_MA_CHILD = """
-import sys
+_MODULES_CHILD = """
+import json, sys
 from nibble_colour.cli import main
 code = main(sys.argv[1:])
-print("numpy.ma" in sys.modules)
+print(json.dumps(sorted(sys.modules)))
 sys.exit(code)
 """
+
+
+def _modules_after_colour(tmp_path, inst, mode) -> set[str]:
+    """The modules loaded by a child process that ran `colour` on inst."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_CHILD, "colour", str(inst), "--mode", mode, "--out-prefix", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
 # Colours spread over int64: keys of (pair, colour) cannot be offsets from
@@ -497,13 +525,16 @@ def test_colour_leaves_numpy_ma_unimported(tmp_path, mode):
         "lists": {"0": [-big, 0, big], "1": [-big, 0, big]},
         "sigma": [{"e": 0, "f": 1, "map": [[-big, big], [0, 0], [big, -big]]}],
     }))
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run(
-        [sys.executable, "-c", _MA_CHILD, "colour", str(inst), "--mode", mode, "--out-prefix", str(tmp_path / "run")],
-        env=env, capture_output=True, text=True, timeout=30,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert "numpy.ma" not in _modules_after_colour(tmp_path, inst, mode)
+
+
+# networkx costs about 17 MB of resident memory; only `gen` and `polytope`
+# import it.
+@pytest.mark.parametrize("mode", ["nibble+finish", "finish-only"])
+def test_colour_leaves_networkx_unimported(tmp_path, mode):
+    inst = tmp_path / "p3.json"
+    inst.write_text(json.dumps(P3))
+    assert "networkx" not in _modules_after_colour(tmp_path, inst, mode)
 
 
 def test_k_one_nibble_stops_and_the_finisher_colours(tmp_path):
@@ -618,7 +649,7 @@ def test_polytope_triangle_half_vector(tmp_path, capsys):
     assert verdict["inside"] is True
 
 
-def test_polytope_limit_exit_4(tmp_path, capsys):
+def test_polytope_25_vertices_exit_0(tmp_path, capsys):
     graph = LinearHypergraph.build(25, [(0, 1)], k=2)
     inst = Instance(graph=graph, lists=WeightedListAssignment.unit({0: [0]}),
                     sigma=EdgeCorrespondence(), universe=(0, 3))
@@ -626,7 +657,22 @@ def test_polytope_limit_exit_4(tmp_path, capsys):
     dump_instance(inst, gpath)
     vec = tmp_path / "vec.json"
     vec.write_text(json.dumps({"0": 0.5}))
-    assert run(["polytope", gpath, vec]) == 4
+    assert run(["polytope", gpath, vec]) == 0
+    assert json.loads(capsys.readouterr().out) == {"inside": True, "witness": None}
+
+
+@pytest.mark.parametrize("vector", [
+    '{"0": NaN, "1": 0.5}',
+    '{"0": Infinity, "1": 0.5}',
+    '{"0": 0.5, "1": 0.5, "7": 0.5}',
+], ids=["NaN", "Infinity", "unknown edge 7"])
+def test_polytope_non_finite_or_unknown_entry_exits_2(tmp_path, capsys, vector):
+    vec = tmp_path / "vec.json"
+    vec.write_text(vector)
+    capsys.readouterr()
+    assert run(["polytope", _p3_instance(tmp_path), vec]) == 2
+    captured = capsys.readouterr()
+    assert "input error" in captured.err and captured.out == ""
 
 
 # ---------------------------------------------------------------------------
