@@ -41,6 +41,7 @@ from .instance_io import (
     dump_instance,
     load_colouring,
     load_instance,
+    load_vector,
 )
 from .nibble import (
     SCHEDULE_MODES,
@@ -137,8 +138,13 @@ def _gen_flag_error(args) -> str | None:
         return f"--eps must be a finite number above -1, got {args.eps}"
     if args.p is not None and not 0 <= args.p <= 1:
         return f"--p must be in [0, 1], got {args.p}"
-    if not -(1 << 63) <= args.seed < 1 << 64:
-        return f"--seed must be in [-2^63, 2^64), got {args.seed}"
+    return _seed_flag_error(args.seed)
+
+
+def _seed_flag_error(seed: int) -> str | None:
+    """What makes a `--seed` fall outside the keys the random streams take, or None."""
+    if not -(1 << 63) <= seed < 1 << 64:
+        return f"--seed must be in [-2^63, 2^64), got {seed}"
     return None
 
 
@@ -203,8 +209,19 @@ def _auto_eps(struct: RoundStructure) -> float:
     return min(0.25, max(0.01, (ratio - 1.0) / 2.0))
 
 
+def _colour_flag_error(args) -> str | None:
+    """What makes a `colour` flag value fall outside its domain, or None."""
+    if args.eps is not None and not 0 < args.eps <= 0.25:  # NaN fails too
+        return f"--eps must be a finite number in (0, 1/4], got {args.eps}"
+    return _seed_flag_error(args.seed)
+
+
 def cmd_colour(args) -> int:
     started = time.monotonic()
+    flag_error = _colour_flag_error(args)
+    if flag_error:
+        _err(f"input error: {flag_error}")
+        return EXIT_INPUT
     inst = _load_valid_instance(args.instance)
     if inst is None:
         return EXIT_INPUT
@@ -374,9 +391,8 @@ def cmd_polytope(args) -> int:
     if inst is None:
         return EXIT_INPUT
     try:
-        vector_raw = json.loads(Path(args.vector).read_text(encoding="utf-8"))
-        x = {int(e): float(v) for e, v in vector_raw.items()}
-    except (OSError, json.JSONDecodeError, RecursionError, AttributeError, TypeError, ValueError) as exc:
+        x = load_vector(args.vector)
+    except InstanceError as exc:
         _err(f"input error: {exc}")
         return EXIT_INPUT
     try:
@@ -470,11 +486,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("colour", help="colour an instance")
     p.add_argument("instance")
     p.add_argument("--mode", choices=["nibble+finish", "finish-only", "brute"], default="nibble+finish")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="in [-2^63, 2^64) (default 0)")
     p.add_argument("--retry-cap", type=int, default=10)
     p.add_argument("--iteration-cap", type=int, default=None)
     p.add_argument("--node-cap", type=int, default=1_000_000)
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--eps", type=float, default=None,
+                   help="the nibble's eps, in (0, 1/4] (default: derived from the instance)")
     p.add_argument("--out-prefix", default="colour-run")
     p.set_defaults(func=cmd_colour)
 
@@ -501,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("graph", help="an instance file with k = 2")
     p.add_argument("vector", help="a JSON object that maps every edge id, and nothing else, "
-                   "to a finite number")
+                   "to a finite JSON number; an id is written as a plain integer (\"2\", not \"02\")")
     p.add_argument("--shrink", type=float, default=0.0,
                    help="test vector/(1-shrink), for shrink in [0, 1) (default 0)")
     p.set_defaults(func=cmd_polytope)

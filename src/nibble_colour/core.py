@@ -19,7 +19,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -56,11 +56,29 @@ class LinearHypergraph:
     Invariants (checked by :func:`validate_instance`): every edge has
     exactly k distinct vertices, and two distinct edges share at most one
     vertex.
+
+    `slots` is the (edge, vertex) slot table that the array readers use:
+    one read-only int64 row (e, v) per vertex v of each edge e, in the
+    order of `edges` (edge by edge, each edge's vertices in its tuple's
+    order).  It is derived from `edges` when not given; `edges` stays for
+    the scalar readers and the oracles.  Vertex ids lie in the int64 range.
     """
 
     vertex_count: int
     edges: tuple[tuple[int, ...], ...]
     k: int
+    slots: np.ndarray = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.slots is None:
+            sizes = np.fromiter(map(len, self.edges), np.int64, len(self.edges))
+            try:
+                vertex = np.fromiter(chain.from_iterable(self.edges), np.int64, int(sizes.sum()))
+            except OverflowError:
+                raise InstanceError("vertex ids must lie in the int64 range [-2^63, 2^63)") from None
+            slots = np.stack([np.repeat(np.arange(sizes.size), sizes), vertex], axis=1)
+            slots.flags.writeable = False
+            object.__setattr__(self, "slots", slots)
 
     @classmethod
     def build(cls, vertex_count: int, edges: Iterable[Iterable[int]], k: int | None = None) -> "LinearHypergraph":
@@ -70,6 +88,33 @@ class LinearHypergraph:
                 raise InstanceError("cannot infer uniformity from an empty edge list")
             k = len(normalised[0])
         return cls(vertex_count=vertex_count, edges=normalised, k=k)
+
+    @classmethod
+    def from_slots(cls, vertex_count: int, k: int, sizes: np.ndarray, vertices: np.ndarray) -> "LinearHypergraph":
+        """The graph whose edge i holds the next sizes[i] of the int64
+        `vertices`, sorted as `build` sorts them, with its slot table
+        built straight from the arrays."""
+        edge = np.repeat(np.arange(sizes.size), sizes)
+        slots = np.stack([edge, vertices[np.lexsort((vertices, edge))]], axis=1)
+        slots.flags.writeable = False
+        if sizes.size and (sizes == sizes[0]).all():  # uniform: one row per edge
+            edges = tuple(map(tuple, slots[:, 1].reshape(sizes.size, int(sizes[0])).tolist()))
+        else:
+            flat = iter(slots[:, 1].tolist())
+            edges = tuple(tuple(islice(flat, n)) for n in sizes.tolist())
+        return cls(vertex_count=vertex_count, edges=edges, k=k, slots=slots)
+
+    @property
+    def vertex_table(self) -> np.ndarray:
+        """The (edge_count, k) int64 table of the edges' vertices; (0, 0)
+        without edges, so that nothing is shaped by k then.  Requires every
+        edge to have k vertices, as `validate_instance` does."""
+        m = self.edge_count
+        if not m:
+            return np.zeros((0, 0), dtype=np.int64)
+        if (np.bincount(self.slots[:, 0], minlength=m) != self.k).any():
+            raise PreconditionError(f"the edges do not all have k = {self.k} vertices")
+        return self.slots[:, 1].reshape(m, self.k)
 
     @cached_property
     def incidence(self) -> dict[int, tuple[int, ...]]:
@@ -84,14 +129,23 @@ class LinearHypergraph:
         return {v: tuple(table[v]) for v in sorted(table)}
 
     @cached_property
+    def _by_vertex(self) -> tuple[np.ndarray, np.ndarray]:
+        """(edge, vertex) of every slot, stably sorted by vertex: each
+        vertex's edges ascending, a vertex listed twice by one edge twice
+        in a row."""
+        order = np.argsort(self.slots[:, 1], kind="stable")
+        return self.slots[order, 0], self.slots[order, 1]
+
+    @cached_property
     def _meetings(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(e, f, repeated): every pair of distinct edges that share a
         vertex, once, as int64 arrays with e < f in ascending (e, f) order,
         and whether the pair shares more than one vertex."""
         m = max(self.edge_count, 1)
-        rows = self.incidence.values()
-        sizes = np.fromiter(map(len, rows), np.int64, len(rows))
-        at = np.fromiter(chain.from_iterable(rows), np.int64, int(sizes.sum()))
+        at, vertex = self._by_vertex
+        inside = (vertex >= 0) & (vertex < self.vertex_count)
+        at, vertex = at[inside], vertex[inside]
+        sizes = np.diff(np.append(np.flatnonzero(np.diff(vertex, prepend=-1)), vertex.size))  # one row per vertex
         # Pair each entry of a vertex's (ascending) row with the entries after it.
         later = np.repeat(np.cumsum(sizes), sizes) - np.arange(at.size) - 1
         first = np.repeat(np.arange(at.size), later)
@@ -564,8 +618,16 @@ def _int64_colours(colour_of: Sequence | Mapping[int, object], ids: Sequence[int
     holds it; both are zero elsewhere."""
     value = np.zeros(size, dtype=np.int64)
     exact = np.zeros(size, dtype=bool)
-    for u in ids:
-        c = colour_of[u]
+    ids = list(ids)
+    colours = list(map(colour_of.__getitem__, ids))
+    if set(map(type, colours)) <= {int}:  # one pass, unless a value is no int64
+        try:
+            value[ids] = np.fromiter(colours, np.int64, len(colours))
+            exact[ids] = True
+            return value, exact
+        except OverflowError:
+            pass
+    for u, c in zip(ids, colours):
         if type(c) is int and c in _INT64:
             value[u] = c
             exact[u] = True
@@ -588,7 +650,11 @@ def blocking_pairs(
     through `sigma.blocking` (the identity blocks equal colours); every
     other pair goes through `sigma.blocks`, so any colour value is
     handled."""
-    value, exact = _int64_colours(colour_of, ids, size)
+    return _blocking_at(sigma, e, f, colour_of, *_int64_colours(colour_of, ids, size))
+
+
+def _blocking_at(sigma, e, f, colour_of, value: np.ndarray, exact: np.ndarray) -> np.ndarray:
+    """`blocking_pairs` given `_int64_colours` of its colours."""
     scalar = ~(exact[e] & exact[f])
     hit = ~scalar & (value[e] == value[f] if sigma.is_trivial else sigma.blocking(e, value[e], f, value[f]))
     at = np.flatnonzero(scalar)
@@ -612,8 +678,8 @@ def validate_colouring(
     pair is checked once and reported in ascending (e, f) order."""
     colours = colouring.colours if isinstance(colouring, PartialColouring) else colouring
     m = graph.edge_count
-    items = sorted(colours.items())
-    known = [operator.index(e) for e, _ in items if 0 <= e < m]
+    ids = sorted(colours)  # each id once: the order of the (edge, colour) items
+    known = [operator.index(e) for e in ids if 0 <= e < m]
     # List membership of the int64 colours, read off the pair table; any
     # other colour value goes through `lists.has`.
     value, exact = _int64_colours(colours, known, m)
@@ -623,17 +689,19 @@ def validate_colouring(
     listed = np.zeros(m, dtype=bool)
     listed[edge_of[p]] = True
     violations: list[Violation] = []
-    for e, c in items:
-        if not 0 <= e < m:
-            violations.append(Violation("unknown-edge", (e,), f"edge {e} not in instance"))
-        elif not (listed[e] if exact[e] else lists.has(e, c)):
-            violations.append(Violation("list", (e, c), f"edge {e} coloured {c} which is not in its list"))
+    if len(known) < len(ids) or not listed[known].all():  # else no list violation
+        for e in ids:
+            c = colours[e]
+            if not 0 <= e < m:
+                violations.append(Violation("unknown-edge", (e,), f"edge {e} not in instance"))
+            elif not (listed[e] if exact[e] else lists.has(e, c)):
+                violations.append(Violation("list", (e, c), f"edge {e} coloured {c} which is not in its list"))
     coloured = np.zeros(m, dtype=bool)
     coloured[known] = True
     pe, pf = graph.incident_pairs
     both = coloured[pe] & coloured[pf]
     pe, pf = pe[both], pf[both]
-    at = blocking_pairs(sigma, pe, pf, colours, known, m)
+    at = _blocking_at(sigma, pe, pf, colours, value, exact)
     for e, f in zip(pe[at].tolist(), pf[at].tolist()):
         c, cf = colours[e], colours[f]
         violations.append(Violation("blocking", (e, f, c, cf), f"({e},{c}) blocks ({f},{cf})"))
@@ -691,14 +759,21 @@ def validate_instance(
     violations: list[Violation] = []
     if graph.k < 1:
         violations.append(Violation("uniformity", (), f"uniformity k = {graph.k} is below 1"))
-    for eid, edge in enumerate(graph.edges):
-        if len(set(edge)) != graph.k:
+    # Edge by edge: its distinct vertex count, then its out-of-range slots in order.
+    m, slots = graph.edge_count, graph.slots
+    at, vertex = graph._by_vertex
+    again = (at[1:] == at[:-1]) & (vertex[1:] == vertex[:-1])  # a vertex an edge lists twice
+    distinct = np.bincount(slots[:, 0], minlength=m) - np.bincount(at[1:][again], minlength=m)
+    outside: dict[int, list[int]] = {}
+    for eid, v in slots[(slots[:, 1] < 0) | (slots[:, 1] >= graph.vertex_count)].tolist():
+        outside.setdefault(eid, []).append(v)
+    for eid in sorted(outside.keys() | set(np.flatnonzero(distinct != graph.k).tolist())):
+        if distinct[eid] != graph.k:
             violations.append(
-                Violation("uniformity", (eid,), f"edge {eid} has {len(set(edge))} distinct vertices, expected {graph.k}")
+                Violation("uniformity", (eid,), f"edge {eid} has {distinct[eid]} distinct vertices, expected {graph.k}")
             )
-        for v in edge:
-            if not (0 <= v < graph.vertex_count):
-                violations.append(Violation("vertex-range", (eid, v), f"edge {eid} uses out-of-range vertex {v}"))
+        for v in outside.get(eid, ()):
+            violations.append(Violation("vertex-range", (eid, v), f"edge {eid} uses out-of-range vertex {v}"))
     e, f, repeated = graph._meetings  # pairs that meet at two vertices or more
     for e, f in zip(e[repeated].tolist(), f[repeated].tolist()):
         violations.append(Violation("linearity", (e, f), f"edges {e} and {f} share more than one vertex"))

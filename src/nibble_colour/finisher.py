@@ -89,22 +89,28 @@ def to_link_instance(
     unchanged; node ids equal edge ids so colourings transport back as-is.
     The adjacency is `graph.incident_pairs` restricted to the active edges.
     """
-    active = set(lists.edge_ids()) if active is None else set(active)
-    nodes = tuple(sorted(active))
-    if nodes and not (0 <= nodes[0] and nodes[-1] < graph.edge_count):
-        raise PreconditionError(f"active edges must be edge ids below {graph.edge_count}")
-    member = np.zeros(graph.edge_count, dtype=bool)
-    member[list(nodes)] = True
+    m = graph.edge_count
+    if active is None:
+        nodes = lists.edges  # ascending and distinct
+    else:
+        active = set(active)
+        nodes = np.array(sorted(active), dtype=np.int64)
+        if not active.issuperset(lists.edge_ids()):
+            lists = lists.restrict_to_edges(active)
+    if nodes.size and not (0 <= nodes[0] and nodes[-1] < m):
+        raise PreconditionError(f"active edges must be edge ids below {m}")
+    member = np.zeros(m, dtype=bool)
+    member[nodes] = True
     e, f = graph.incident_pairs
     both = member[e] & member[f]
     src = np.concatenate([e[both], f[both]])
     dst = np.concatenate([f[both], e[both]])
-    ptr = np.zeros(graph.edge_count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=graph.edge_count), out=ptr[1:])
+    ptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=m), out=ptr[1:])
     return VertexInstance(
-        nodes=nodes,
-        lists=lists if active.issuperset(lists.edge_ids()) else lists.restrict_to_edges(active),
-        adjacency=LinkAdjacency(ptr, dst[np.lexsort((dst, src))], member),
+        nodes=tuple(nodes.tolist()),
+        lists=lists,
+        adjacency=LinkAdjacency(ptr, dst[np.argsort(src * m + dst)], member),
         sigma=sigma,
     )
 

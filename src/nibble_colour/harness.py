@@ -158,7 +158,7 @@ def _linear_uniform(spec: GeneratorSpec) -> LinearHypergraph:
 def _max_degrees(graph: LinearHypergraph) -> np.ndarray:
     """maxdeg(e) of every edge e, the largest `graph.degree` among e's
     vertices (0 for a vertex outside range(vertex_count))."""
-    table = np.array(graph.edges, dtype=np.int64).reshape(graph.edge_count, graph.k)
+    table = graph.vertex_table
     inside = (table >= 0) & (table < graph.vertex_count)
     degree = np.bincount(table[inside], minlength=1)
     return np.where(inside, degree[np.where(inside, table, 0)], 0).max(axis=1, initial=0)

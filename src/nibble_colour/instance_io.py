@@ -30,7 +30,8 @@ import gc
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping
 
@@ -42,6 +43,7 @@ from .core import (
     LinearHypergraph,
     PartialColouring,
     WeightedListAssignment,
+    segment_ranges,
 )
 from .finisher import ResampleLog
 
@@ -92,6 +94,76 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(data: Mapping) -> Instance:
+    """The instance of the decoded format-1 JSON `data`.
+
+    The columns are converted in bulk (`_bulk_instance`).  Data that the
+    bulk reader does not take (lists that mix bare ids and entry objects, a
+    null or NaN weight, or any value that fails to convert) goes through the
+    per-entry reader `_entry_instance`, which reads what it can and raises
+    InstanceError naming the fault; both give the same instance."""
+    inst = _bulk_instance(data)
+    return inst if inst is not None else _entry_instance(data)
+
+
+def _bulk_instance(data: Mapping) -> Instance | None:
+    """The instance of `data`, each column converted in one pass, or None
+    when some column needs the per-entry reader."""
+    try:
+        k = int(data["k"])
+        vertex_count = int(data["vertex_count"])
+        lo, hi = (int(x) for x in data.get("colour_universe", (0, 0)))
+        _check_int64([(k, vertex_count, lo, hi)])
+        edges = data["edges"]
+        sizes = np.fromiter(map(len, edges), np.int64, len(edges))
+        vertices = np.fromiter(chain.from_iterable(edges), np.int64, int(sizes.sum()))
+        lists = data.get("lists", {})
+        keys = np.fromiter(lists.keys(), np.int64, len(lists))
+        rows = list(lists.values())
+        counts = np.fromiter(map(len, rows), np.int64, len(rows))
+        entries = list(chain.from_iterable(rows))
+        n = len(entries)
+        if n and type(entries[0]) is dict:  # entry objects
+            colour_of = np.fromiter(map(itemgetter("colour"), entries), np.int64, n)
+            mu = np.fromiter(map(dict.get, entries, repeat("weight"), repeat(1.0)), np.float64, n)
+        else:  # bare colour ids
+            colour_of, mu = np.fromiter(entries, np.int64, n), np.ones(n)
+        sigma = data.get("sigma", [])
+        pair_e = np.fromiter(map(itemgetter("e"), sigma), np.int64, len(sigma))
+        pair_f = np.fromiter(map(itemgetter("f"), sigma), np.int64, len(sigma))
+        maps = list(map(dict.get, sigma, repeat("map"), repeat([])))
+        if not set(map(type, maps)) <= {list}:
+            return None
+        map_entries = _map_entries(maps)
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError):  # InstanceError is a ValueError
+        return None
+    m = sizes.size
+    # `np.fromiter` reads a null weight as NaN, where `float` raises.
+    if ((keys < 0) | (keys >= m)).any() or np.isnan(mu).any():
+        return None
+    # The rows in edge order, each row's entries in file order; a row that
+    # is not ascending and distinct goes through `from_pairs`' general sort.
+    order = np.argsort(keys, kind="stable")
+    at = segment_ranges((np.cumsum(counts) - counts)[order], counts[order])
+    edge_of, colour_of, mu = np.repeat(keys[order], counts[order]), colour_of[at], mu[at]
+    if ((edge_of[1:] != edge_of[:-1]) | (colour_of[1:] > colour_of[:-1])).all():
+        edge_ptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(edge_of, minlength=m), out=edge_ptr[1:])
+        table = WeightedListAssignment(edges=np.arange(m, dtype=np.int64), edge_ptr=edge_ptr, colour_of=colour_of, mu=mu)
+    else:
+        table = WeightedListAssignment.from_pairs(range(m), edge_of, colour_of, mu)
+    return Instance(
+        graph=LinearHypergraph.from_slots(vertex_count, k, sizes, vertices),
+        lists=table,
+        sigma=EdgeCorrespondence.from_items(
+            pair_e, pair_f, np.fromiter(map(len, maps), np.int64, len(maps)), map_entries[:, 0], map_entries[:, 1]
+        ),
+        universe=(lo, hi),
+    )
+
+
+def _entry_instance(data: Mapping) -> Instance:
+    """The instance of `data`, read one entry at a time; raises
+    InstanceError naming what is malformed."""
     try:
         k = int(data["k"])
         vertex_count = int(data["vertex_count"])
@@ -231,7 +303,9 @@ def dump_instance(inst: Instance, path: str | Path) -> None:
     graph = inst.graph
     _write(path, [
         ("colour_universe", _block(["%s"] * len(inst.universe), _PAD) % tuple(inst.universe)),
-        ("edges", _int_rows(list(chain.from_iterable(graph.edges)), list(map(len, graph.edges)), _PAD)),
+        ("edges", _int_rows(
+            graph.slots[:, 1].tolist(), np.bincount(graph.slots[:, 0], minlength=graph.edge_count).tolist(), _PAD
+        )),
         ("k", str(graph.k)),
         ("lists", _lists_text(inst.lists)),
         ("sigma", _sigma_text(inst.sigma)),
@@ -332,11 +406,37 @@ def dump_finish_log(log: ResampleLog, path: str | Path) -> None:
     ])
 
 
+def _edge_id(key: str) -> int:
+    """The edge id that an object key names.  Only the plain decimal text
+    of an int is one ("2", "-1"): "02", " 2", "+2" or "2.0" would alias
+    another key's edge."""
+    e = int(key)
+    if str(e) != key:
+        raise ValueError(f"edge id {key!r} is not written as a plain integer")
+    return e
+
+
 def load_colouring(path: str | Path) -> tuple[PartialColouring, bool]:
     data = _read_json(path, "colouring")
     try:
-        colours = {int(e): int(c) for e, c in data["colours"].items()}
+        colours = {_edge_id(e): int(c) for e, c in data["colours"].items()}
         complete = bool(data.get("complete", False))
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InstanceError(f"cannot read colouring {path}: {exc}") from exc
     return PartialColouring(colours), complete
+
+
+def load_vector(path: str | Path) -> dict[int, float]:
+    """The fractional edge vector at `path`: a JSON object that maps edge
+    ids (as `_edge_id` reads them) to JSON numbers.  Any other key or
+    value (a bool, a string) raises InstanceError."""
+    data = _read_json(path, "vector")
+    try:
+        vector = {}
+        for key, value in data.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"the value {value!r} of edge {key} is not a number")
+            vector[_edge_id(key)] = float(value)
+    except (AttributeError, ValueError, OverflowError) as exc:
+        raise InstanceError(f"cannot read vector {path}: {exc}") from exc
+    return vector

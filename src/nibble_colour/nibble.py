@@ -249,12 +249,7 @@ class RoundStructure:
         passes, as every caller's does: the build relies on every vertex
         lying in range and every stored map joining two distinct edges."""
         k = graph.k
-        # Without edges nothing is shaped by k, which may then be any int64.
-        edge_vertices = (
-            np.array(graph.edges, dtype=np.int64).reshape(graph.edge_count, k)
-            if graph.edge_count
-            else np.zeros((0, 0), dtype=np.int64)
-        )
+        edge_vertices = graph.vertex_table
         vertex_of = edge_vertices[lists.edge_of]
         ptr, nbr_idx = _neighbourhood_rows(sigma, lists, edge_vertices, vertex_of)
         return cls(
@@ -393,7 +388,9 @@ def _neighbourhood_rows(
     # Keys row * P + member of the maps' members and of the kept candidates,
     # written into one array: pieces kept apart until a concatenation
     # fragment the heap, which showed as peak RSS on nibble-sigma-k3.
-    rows, members = maps.members(pair_index, k)
+    listed = np.zeros(m, dtype=bool)
+    listed[lists.edge_of] = True
+    rows, members = maps.members(pair_index, k, listed)
     key = np.empty(rows.size + int((sizes * (sizes - 1)).sum()), dtype=np.int64)
     n = rows.size
     key[:n] = rows * P + members
@@ -477,19 +474,23 @@ class _StoredMaps:
         mapped[cell[se] + pos[sf]] = mapped[cell[sf] + pos[se]] = True
         return cls(sigma=sigma, row=row, je=je, jf=jf, alone=sigma.rows(f[row], e[row]) < 0, pos=pos, cell=cell, mapped=mapped)
 
-    def members(self, pair_index, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def members(self, pair_index, k: int, listed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(rows, members) of the neighbours that the placed maps give: for
         an entry (c, c') of the map of (e, f) at vertex v with (e, c) and
         (f, c') both pairs p and q, q in row p*k + (slot of v in e), and,
         for a map that stands alone, p in row q*k + (slot of v in f).
-        `pair_index(edge, colour)` finds pairs, -1 where there is none."""
+        `pair_index(edge, colour)` finds pairs, -1 where there is none, and
+        `listed[edge]` says whether the edge has a pair: only the maps
+        between two such edges are joined, as no other entry gives one."""
         sigma = self.sigma
-        length = np.diff(sigma.entry_ptr)[self.row]
-        entry = segment_ranges(sigma.entry_ptr[self.row], length)
+        live = np.flatnonzero(listed[sigma.pair_e[self.row]] & listed[sigma.pair_f[self.row]])
+        row = self.row[live]
+        length = np.diff(sigma.entry_ptr)[row]
+        entry = segment_ranges(sigma.entry_ptr[row], length)
         # Images first: fewer of them are pairs, and only those need their source.
-        q = pair_index(np.repeat(sigma.pair_f[self.row], length), sigma.entry_image[entry])
+        q = pair_index(np.repeat(sigma.pair_f[row], length), sigma.entry_image[entry])
         at = np.flatnonzero(q >= 0)
-        placed = np.searchsorted(np.cumsum(length), at, side="right")
+        placed = live[np.searchsorted(np.cumsum(length), at, side="right")]
         p = pair_index(sigma.pair_e[self.row[placed]], sigma.entry_c[entry][at])
         hit = p >= 0
         p, q, placed = p[hit], q[at[hit]], placed[hit]

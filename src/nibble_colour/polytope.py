@@ -110,7 +110,7 @@ def edmonds_membership(
     if negative.size:
         e = int(negative[0])
         return MembershipVerdict(False, Witness("nonnegativity", (e,), float(y[e])))
-    ends = np.array(graph.edges, dtype=np.int64).reshape(graph.edge_count, 2)
+    ends = graph.vertex_table
     vertices, at = np.unique(ends, return_inverse=True)
     load = np.bincount(at.ravel(), weights=np.repeat(y, 2), minlength=vertices.size)
     over = np.flatnonzero(load > 1.0 + tol)

@@ -124,6 +124,33 @@ def test_gen_flags_at_the_edge_of_their_domain_exit_0(tmp_path, flags):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("flags", [
+    ["--eps", "0"],
+    ["--eps", "nan"],
+    ["--eps", "-1"],
+    ["--eps", "inf"],
+    ["--eps", "0.3"],
+    ["--seed", 2**64],
+    ["--seed", -(2**63) - 1],
+])
+@pytest.mark.parametrize("mode", ["nibble+finish", "finish-only"])
+def test_colour_flags_outside_their_domain_exit_2(tmp_path, capsys, flags, mode):
+    inst = _p3_instance(tmp_path)
+    capsys.readouterr()
+    assert run(["colour", inst, "--mode", mode, *flags, "--out-prefix", tmp_path / "run"]) == 2
+    assert "input error: --" in capsys.readouterr().err
+    assert not (tmp_path / "run.colouring.json").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--eps", "0.25"],
+    ["--seed", 2**64 - 1],
+    ["--seed", -(2**63)],
+])
+def test_colour_flags_at_the_edge_of_their_domain_exit_0(tmp_path, flags):
+    assert run(["colour", _p3_instance(tmp_path), *flags, "--out-prefix", tmp_path / "run"]) == 0
+
+
 def test_colour_brute_p3(tmp_path):
     inst = _p3_instance(tmp_path)
     prefix = tmp_path / "run"
@@ -316,6 +343,8 @@ MALFORMED = {
     "list entry colour 2.5": {"lists": {"0": [{"colour": 2.5}], "1": [1, 2]}},
     "sigma edge id 0.5": {"sigma": [{"e": 0.5, "f": 1, "map": []}]},
     "map entry 1.5 to 3.2": {"sigma": [{"e": 0, "f": 1, "map": [[1.5, 3.2]]}]},
+    # `np.fromiter` reads null as NaN, where the format takes no null.
+    "list entry weight null": {"lists": {"0": [{"colour": 1, "weight": None}], "1": [1, 2]}},
 }
 
 
@@ -350,6 +379,10 @@ MALFORMED_COLOURINGS = {
     "colour 1e400": {"colours": {"0": "1e400", "1": 2}},
     "colour Infinity": {"colours": {"0": 1, "1": math.inf}},
     "colour 1.5": {"colours": {"0": 1.5, "1": 2}},
+    # An edge id written other than as a plain integer would alias edge 2 or 0.
+    "edge id 02": {"colours": {"0": 1, "1": 2, "02": 1}},
+    "edge id +1": {"colours": {"0": 1, "+1": 2}},
+    "edge id 1.0": {"colours": {"0": 1, "1.0": 2}},
 }
 
 
@@ -665,7 +698,13 @@ def test_polytope_25_vertices_exit_0(tmp_path, capsys):
     '{"0": NaN, "1": 0.5}',
     '{"0": Infinity, "1": 0.5}',
     '{"0": 0.5, "1": 0.5, "7": 0.5}',
-], ids=["NaN", "Infinity", "unknown edge 7"])
+    '{"0": 0.5, "1": 0.5, "01": 0.0}',
+    '{"0": 0.5, " 1": 0.5}',
+    '{"0": 0.5, "1": true}',
+    '{"0": 0.5, "1": "0.5"}',
+    '{"0": 0.5, "1": 1%s}' % ("0" * 400),
+], ids=["NaN", "Infinity", "unknown edge 7", "edge id 01", "edge id with a space", "true", "string",
+        "an integer beyond float"])
 def test_polytope_non_finite_or_unknown_entry_exits_2(tmp_path, capsys, vector):
     vec = tmp_path / "vec.json"
     vec.write_text(vector)
@@ -673,6 +712,20 @@ def test_polytope_non_finite_or_unknown_entry_exits_2(tmp_path, capsys, vector):
     assert run(["polytope", _p3_instance(tmp_path), vec]) == 2
     captured = capsys.readouterr()
     assert "input error" in captured.err and captured.out == ""
+
+
+def test_polytope_edge_id_02_does_not_alias_edge_2(tmp_path, capsys):
+    graph = LinearHypergraph.build(3, [(0, 1), (0, 2), (1, 2)], k=2)
+    inst = Instance(graph=graph, lists=WeightedListAssignment.unit({e: [0, 1] for e in range(3)}),
+                    sigma=EdgeCorrespondence(), universe=(0, 3))
+    gpath = tmp_path / "triangle.json"
+    dump_instance(inst, gpath)
+    vec = tmp_path / "vec.json"
+    vec.write_text('{"0": 0.5, "1": 0.5, "2": 0.5, "02": 0.0}')
+    capsys.readouterr()
+    assert run(["polytope", gpath, vec]) == 2
+    captured = capsys.readouterr()
+    assert "edge id '02' is not written as a plain integer" in captured.err and captured.out == ""
 
 
 # ---------------------------------------------------------------------------

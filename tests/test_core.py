@@ -416,6 +416,47 @@ def test_incident_pairs_are_the_intersecting_pairs_in_order():
         assert list(zip(e.tolist(), f.tolist())) == expected
 
 
+def _reference_graph_violations(graph):
+    """validate_instance's graph checks as first written: edge by edge its
+    distinct vertex count and out-of-range vertices, then every pair of
+    edges with two slot pairs or more at in-range vertices."""
+    out = [("uniformity", ())] if graph.k < 1 else []
+    for eid, edge in enumerate(graph.edges):
+        if len(set(edge)) != graph.k:
+            out.append(("uniformity", (eid,)))
+        out += [("vertex-range", (eid, v)) for v in edge if not 0 <= v < graph.vertex_count]
+    for e, f in itertools.combinations(range(graph.edge_count), 2):
+        meetings = sum(graph.edges[e].count(v) * graph.edges[f].count(v)
+                       for v in set(graph.edges[e]) if 0 <= v < graph.vertex_count)
+        if meetings > 1:
+            out.append(("linearity", (e, f)))
+    return out
+
+
+@given(st.integers(-1, 3), st.integers(0, 6), st.lists(st.lists(st.integers(-2, 6), max_size=4), max_size=9),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_graph_checks_of_the_slot_table_match_the_edge_loop(k, vertex_count, edges, built):
+    """Non-uniform edges, repeated and out-of-range vertices, and edges in
+    any vertex order (a graph made without `build`)."""
+    graph = (LinearHypergraph.build(vertex_count, edges, k=k) if built
+             else LinearHypergraph(vertex_count=vertex_count, edges=tuple(map(tuple, edges)), k=k))
+    assert graph.slots.tolist() == [[e, v] for e, edge in enumerate(graph.edges) for v in edge]
+    empty = WeightedListAssignment.from_pairs([], [], [], [])
+    got = [(v.kind, v.subject) for v in validate_instance(graph, EdgeCorrespondence(), empty)]
+    assert got == _reference_graph_violations(graph)
+    e, f = graph.incident_pairs
+    assert list(zip(e.tolist(), f.tolist())) == [
+        (a, b) for a, b in itertools.combinations(range(graph.edge_count), 2)
+        if any(0 <= v < vertex_count for v in set(graph.edges[a]) & set(graph.edges[b]))
+    ]
+    if graph.edges and any(len(edge) != k for edge in graph.edges):
+        with pytest.raises(PreconditionError):
+            graph.vertex_table
+    elif graph.edges:
+        assert graph.vertex_table.tolist() == [list(edge) for edge in graph.edges]
+
+
 def test_validate_colouring_matches_reference_on_random_colourings():
     odd_values = [2**70, -(2**70), -1, True, 1.0, None, "a"]
     for seed in range(60):

@@ -315,3 +315,98 @@ def test_a_collector_the_caller_turned_off_stays_off(tmp_path, collector_at_read
     finally:
         gc.enable()
     assert collector_at_read == [False, False]
+
+
+# -- bulk conversion against the per-entry reader ---------------------------
+
+
+def _entry_form(draw, colour: int, weighted: bool):
+    """One list entry: a bare id or an object, with a weight when drawn."""
+    if not weighted and draw(st.booleans()):
+        return colour
+    weight = draw(st.sampled_from([1.0, 0.5, 0.125, 1 / 3, 0.0, 1.5, math.nan]) | st.floats(0.01, 1.0))
+    return {"colour": colour, "weight": weight} if weighted else {"colour": colour}
+
+
+@st.composite
+def _format1_dicts(draw) -> tuple[dict, bool]:
+    """(format-1 JSON text decoded as `load_instance` decodes it, whether
+    the bulk reader must take it: all but mixed forms and null or NaN
+    weights).  Graphs that are valid or not (repeated,
+    out-of-range or missing vertices, edges of other sizes), lists on some
+    edges in string or file order, empty lists, repeated colours, bare ids
+    and objects (mixed in one file only when drawn), weights (one null when
+    drawn), and sigma items with repeated pairs."""
+    k = draw(st.integers(1, 3))
+    uniform = draw(st.booleans())
+    vertex = st.integers(-1, 7)
+    edges = draw(st.lists(st.lists(vertex, min_size=k, max_size=k) if uniform else st.lists(vertex, max_size=4),
+                          max_size=12))
+    mixed, null, weighted = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
+    listed = draw(st.lists(st.integers(0, len(edges) - 1), unique=True)) if edges else []
+    if draw(st.booleans()):
+        listed.sort(key=str)
+    lists = {}
+    for e in listed:
+        colours = draw(st.lists(st.integers(-2, 9), max_size=5))
+        lists[str(e)] = [_entry_form(draw, c, weighted) for c in colours]
+    entries = [entry for row in lists.values() for entry in row]
+    if mixed and entries:  # one entry of the other form
+        row = lists[draw(st.sampled_from([key for key, row in lists.items() if row]))]
+        i = draw(st.integers(0, len(row) - 1))
+        row[i] = row[i]["colour"] if isinstance(row[i], dict) else {"colour": row[i]}
+    if null and entries:
+        row = lists[draw(st.sampled_from([key for key, row in lists.items() if row]))]
+        c = row[0]["colour"] if isinstance(row[0], dict) else row[0]
+        row[0] = {"colour": c, "weight": None}
+    pair = st.integers(-1, len(edges))
+    sigma = draw(st.lists(
+        st.fixed_dictionaries({"e": pair, "f": pair, "map": st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)).map(list), max_size=3)}),
+        max_size=4,
+    ))
+    sigma += draw(st.lists(st.sampled_from(sigma), max_size=2)) if sigma else []  # repeated pairs
+    data = {"k": k, "vertex_count": draw(st.integers(0, 8)), "edges": edges,
+            "colour_universe": [-2, draw(st.integers(0, 9))], "lists": lists, "sigma": sigma}
+    forms = {type(entry) for row in lists.values() for entry in row}
+    weights = [entry.get("weight", 1.0) for row in lists.values() for entry in row if isinstance(entry, dict)]
+    # A NaN weight reads as a null one does in bulk; the per-entry reader tells them apart.
+    uncommon = len(forms) > 1 or any(w is None or math.isnan(w) for w in weights)
+    return json.loads(json.dumps(data), parse_float=instance_io._JsonFloat), not uncommon
+
+
+def _assert_same_instance(a: Instance, b: Instance) -> None:
+    assert a.graph == b.graph
+    assert a.universe == b.universe
+    tables = [(a.graph, b.graph, ["slots"]), (a.lists, b.lists, ["edges", "edge_ptr", "colour_of", "mu"]),
+              (a.sigma, b.sigma, ["pair_e", "pair_f", "entry_ptr", "entry_c", "entry_image"])]
+    for x, y, names in tables:
+        for name in names:
+            u, v = getattr(x, name), getattr(y, name)
+            assert (u.dtype, u.shape, u.tobytes()) == (v.dtype, v.shape, v.tobytes()), name
+
+
+@given(_format1_dicts())
+@settings(max_examples=400, deadline=None)
+def test_bulk_conversion_equals_the_per_entry_reader(drawn):
+    data, common = drawn
+    bulk = instance_io._bulk_instance(data)
+    try:
+        expected = instance_io._entry_instance(data)
+    except InstanceError:
+        assert bulk is None
+        with pytest.raises(InstanceError):
+            instance_from_dict(data)
+        return
+    assert (bulk is not None) == common
+    _assert_same_instance(instance_from_dict(data), expected)
+    if bulk is not None:
+        _assert_same_instance(bulk, expected)
+
+
+def test_bulk_conversion_takes_the_generated_instances(tmp_path):
+    out = tmp_path / "inst.json"
+    assert main(["gen", "--kind", "regular", "--n", "12", "--d", "3", "--weights", "degree", "--out", str(out)]) == 0
+    data = instance_io._read_json(out, "instance")
+    bulk = instance_io._bulk_instance(data)
+    assert bulk is not None
+    _assert_same_instance(bulk, instance_io._entry_instance(data))
