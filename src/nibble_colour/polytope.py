@@ -19,6 +19,7 @@ import numpy as np
 from .core import LinearHypergraph, PreconditionError, WeightedListAssignment
 
 DEFAULT_TOLERANCE = 1e-9
+_CAPACITY_BITS = 52  # odd-set separation resolves edge values to 2^-52
 
 
 class UnsupportedInstanceError(ValueError):
@@ -48,32 +49,38 @@ class MembershipVerdict:
         return {"inside": self.inside, "witness": self.witness.to_dict() if self.witness else None}
 
 
-def _most_violated_odd_set(
-    ends: np.ndarray, y: np.ndarray, load: np.ndarray, vertices: np.ndarray
-) -> tuple[float, tuple[int, ...]]:
+def _most_violated_odd_set(ends: np.ndarray, y: np.ndarray, vertices: np.ndarray) -> tuple[float, tuple[int, ...]]:
     """(cut, W): an odd vertex set W of least slack (|W|-1)/2 - y(E(W)) =
     (cut - 1)/2, for a vector y that meets the degree constraints.
 
     Padberg-Rao: a slack vertex joined to each vertex v with capacity
     1 - load(v) makes the cut around W weigh |W| - 2 y(E(W)), so the least
-    such cut with |W| odd is a fundamental cut of a Gomory-Hu tree.  Ties
-    go to the ascending vertex tuple."""
+    such cut with |W| odd is a fundamental cut of a Gomory-Hu tree.  The
+    capacities are integers in units of 2^-_CAPACITY_BITS, so every flow
+    and cut is exact: floating-point flows can leave a residual that
+    labels a tree edge with less than its minimum cut.  Ties go to the
+    ascending vertex tuple."""
     import networkx as nx
 
+    unit = 1 << _CAPACITY_BITS
+    pairs = ends.tolist()
+    capacity = [int(c) for c in np.rint(np.maximum(y, 0.0) * unit).tolist()]
+    free = dict.fromkeys(vertices.tolist(), unit)
+    for (u, v), c in zip(pairs, capacity):
+        free[u] -= c
+        free[v] -= c
     slack_vertex = -1
     support = nx.Graph()
-    support.add_weighted_edges_from(zip(*ends.T.tolist(), y.tolist()), weight="capacity")
-    support.add_weighted_edges_from(
-        ((slack_vertex, v, max(0.0, 1.0 - w)) for v, w in zip(vertices.tolist(), load.tolist())),
-        weight="capacity",
-    )
+    support.add_weighted_edges_from(((u, v, c) for (u, v), c in zip(pairs, capacity)), weight="capacity")
+    support.add_weighted_edges_from(((slack_vertex, v, max(0, c)) for v, c in free.items()), weight="capacity")
     tree = nx.gomory_hu_tree(support)
     rooted = nx.bfs_tree(tree, slack_vertex)
     sides = (
         (tree.edges[parent, v]["weight"], tuple(sorted(nx.descendants(rooted, v) | {v})))
         for parent, v in rooted.edges
     )
-    return min(side for side in sides if len(side[1]) % 2)
+    cut, odd_set = min(side for side in sides if len(side[1]) % 2)
+    return cut / unit, odd_set
 
 
 def edmonds_membership(
@@ -119,7 +126,7 @@ def edmonds_membership(
         return MembershipVerdict(False, Witness("degree", (int(vertices[v]),), float(1.0 - load[v])))
 
     if graph.edge_count:
-        cut, odd_set = _most_violated_odd_set(ends, y, load, vertices)
+        cut, odd_set = _most_violated_odd_set(ends, y, vertices)
         slack = (cut - 1.0) / 2.0
         if slack < -tol:
             return MembershipVerdict(False, Witness("odd-set", odd_set, slack))

@@ -327,6 +327,16 @@ def test_separation_matches_the_enumeration_oracle(case):
     _agrees_with_the_oracle(graph, x, shrink=shrink, tol=CROSS_CHECK_TOL)
 
 
+def test_separation_on_a_five_cycle_with_a_tight_vertex():
+    """A vector inside MP(C5) with one vertex at load 1 and one edge at 0:
+    the odd-set cuts are exact, so no fundamental cut is labelled below its
+    minimum and no singleton comes out as a violated odd set."""
+    graph = LinearHypergraph.build(5, [(0, 2), (0, 4), (1, 3), (1, 4), (2, 3)], k=2)
+    x = {0: 0.562019758507135, 1: 0.0, 2: 0.14050493962678376, 3: 0.2810098792535675, 4: 0.437980241492865}
+    assert edmonds_membership(graph, x, tol=CROSS_CHECK_TOL) == MembershipVerdict(True, None)
+    _agrees_with_the_oracle(graph, x, tol=CROSS_CHECK_TOL)
+
+
 def test_separation_matches_the_oracle_on_the_c8_graphs():
     """The graphs and vectors of acceptance criterion 8: matching
     indicators, convex combinations, and scaled random vectors under
