@@ -209,11 +209,29 @@ def _auto_eps(struct: RoundStructure) -> float:
     return min(0.25, max(0.01, (ratio - 1.0) / 2.0))
 
 
+def _eps_flag_error(eps: float) -> str | None:
+    """What makes an `--eps` fall outside the nibble's domain, or None."""
+    if not 0 < eps <= 0.25:  # NaN fails too
+        return f"--eps must be a finite number in (0, 1/4], got {eps}"
+    return None
+
+
+def _cap_flag_error(args, *names: str) -> str | None:
+    """What makes one of the cap flags `names` negative, or None."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 0:
+            return f"--{name.replace('_', '-')} must be >= 0, got {value}"
+    return None
+
+
 def _colour_flag_error(args) -> str | None:
     """What makes a `colour` flag value fall outside its domain, or None."""
-    if args.eps is not None and not 0 < args.eps <= 0.25:  # NaN fails too
-        return f"--eps must be a finite number in (0, 1/4], got {args.eps}"
-    return _seed_flag_error(args.seed)
+    return (
+        (_eps_flag_error(args.eps) if args.eps is not None else None)
+        or _cap_flag_error(args, "retry_cap", "iteration_cap", "node_cap")
+        or _seed_flag_error(args.seed)
+    )
 
 
 def cmd_colour(args) -> int:
@@ -306,6 +324,10 @@ def cmd_colour(args) -> int:
 
 
 def cmd_brute(args) -> int:
+    flag_error = _cap_flag_error(args, "node_cap")
+    if flag_error:
+        _err(f"input error: {flag_error}")
+        return EXIT_INPUT
     inst = _load_valid_instance(args.instance)
     if inst is None:
         return EXIT_INPUT
@@ -352,8 +374,21 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _schedule_flag_error(args) -> str | None:
+    """What makes a `schedule` flag value fall outside its domain, or None."""
+    if args.k < 1:
+        return f"--k must be >= 1, got {args.k}"
+    if not math.isfinite(args.delta):
+        return f"--delta must be a finite number, got {args.delta}"
+    return _eps_flag_error(args.eps)
+
+
 def cmd_schedule(args) -> int:
     started = time.monotonic()
+    flag_error = _schedule_flag_error(args)
+    if flag_error:
+        _err(f"input error: {flag_error}")
+        return EXIT_INPUT
     try:
         rows = simulate_schedule(args.eps, args.k, args.delta, mode=args.mode)
     except ScheduleCollapseError as exc:
@@ -409,10 +444,23 @@ def cmd_polytope(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _diag_flag_error(args) -> str | None:
+    """What makes a `diag` flag value fall outside its domain, or None."""
+    for name in ("L", "N"):
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            return f"--{name} must be a finite number, got {value}"
+    return _eps_flag_error(args.eps) or _seed_flag_error(args.seed)
+
+
 def cmd_diag(args) -> int:
     started = time.monotonic()
     if args.trials < 1:
         _err("usage error: --trials must be >= 1")
+        return EXIT_INPUT
+    flag_error = _diag_flag_error(args)
+    if flag_error:
+        _err(f"input error: {flag_error}")
         return EXIT_INPUT
     inst = _load_valid_instance(args.instance)
     if inst is None:
@@ -487,9 +535,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--mode", choices=["nibble+finish", "finish-only", "brute"], default="nibble+finish")
     p.add_argument("--seed", type=int, default=0, help="in [-2^63, 2^64) (default 0)")
-    p.add_argument("--retry-cap", type=int, default=10)
-    p.add_argument("--iteration-cap", type=int, default=None)
-    p.add_argument("--node-cap", type=int, default=1_000_000)
+    p.add_argument("--retry-cap", type=int, default=10,
+                   help="retries of a failed nibble round, >= 0 (default 10)")
+    p.add_argument("--iteration-cap", type=int, default=None,
+                   help="finisher resamples, >= 0 (default 100 times the edges left)")
+    p.add_argument("--node-cap", type=int, default=1_000_000,
+                   help="search nodes of --mode brute, >= 0 (default 1000000)")
     p.add_argument("--eps", type=float, default=None,
                    help="the nibble's eps, in (0, 1/4] (default: derived from the instance)")
     p.add_argument("--out-prefix", default="colour-run")
@@ -501,9 +552,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("schedule", help="simulate the parameter recursion")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--eps", type=float, required=True, help="the nibble's eps, in (0, 1/4]")
+    p.add_argument("--k", type=int, required=True, help="the edge size, >= 1")
+    p.add_argument("--delta", type=float, required=True, help="the starting N, a finite number above e^2")
     p.add_argument("--mode", choices=SCHEDULE_MODES, default="eps8")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_schedule)
@@ -526,17 +577,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diag", help="expectation diagnostics for the colouring procedure")
     p.add_argument("instance")
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=0.25)
-    p.add_argument("--L", type=float, default=None)
-    p.add_argument("--N", type=float, default=None)
+    p.add_argument("--seed", type=int, default=0, help="in [-2^63, 2^64) (default 0)")
+    p.add_argument("--eps", type=float, default=0.25, help="in (0, 1/4] (default 0.25)")
+    p.add_argument("--L", type=float, default=None, help="a finite number (default: the smallest list weight)")
+    p.add_argument("--N", type=float, default=None,
+                   help="a finite number (default: the largest neighbourhood weight, at least 8)")
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None, help="also write raw per-trial weights")
     p.set_defaults(func=cmd_diag)
 
     p = sub.add_parser("brute", help="exhaustive backtracking oracle")
     p.add_argument("instance")
-    p.add_argument("--node-cap", type=int, default=1_000_000)
+    p.add_argument("--node-cap", type=int, default=1_000_000, help="search nodes, >= 0 (default 1000000)")
     p.set_defaults(func=cmd_brute)
 
     return parser

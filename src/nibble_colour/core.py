@@ -17,6 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
@@ -390,14 +391,19 @@ class EdgeCorrespondence:
 
     # -- scalar readers (the oracles and the tests) ----------------------
 
+    @cached_property
+    def _stored_maps(self) -> dict[tuple[int, int], tuple[list, list]]:
+        """{(e, f): (colours, images)} of every stored map, as Python
+        lists, for the scalar readers."""
+        ptr, colours, images = self.entry_ptr.tolist(), self.entry_c.tolist(), self.entry_image.tolist()
+        return {
+            pair: (colours[a:b], images[a:b])
+            for pair, a, b in zip(zip(self.pair_e.tolist(), self.pair_f.tolist()), ptr, ptr[1:])
+        }
+
     def _entries(self, e: int, f: int) -> tuple[list, list] | None:
         """(colours, images) of the map stored for (e, f) as lists, or None."""
-        lo, hi = self.pair_e.searchsorted(e), self.pair_e.searchsorted(e, "right")
-        i = lo + self.pair_f[lo:hi].searchsorted(f) if lo < hi else hi
-        if i == hi or self.pair_f[i] != f:
-            return None
-        at = slice(self.entry_ptr[i], self.entry_ptr[i + 1])
-        return self.entry_c[at].tolist(), self.entry_image[at].tolist()
+        return self._stored_maps.get((e, f))
 
     def map_for(self, e: int, f: int) -> dict[int, int] | None:
         """The partial map sigma_{e,f} as a new dict: the one stored for
@@ -514,30 +520,38 @@ class WeightedListAssignment:
         """The edge id of every pair."""
         return np.repeat(self.edges, np.diff(self.edge_ptr))
 
+    @cached_property
+    def _scalar_table(self) -> tuple[list, list, list, list]:
+        """`edges`, `edge_ptr`, `colour_of` and `mu` as Python lists, for
+        the scalar readers."""
+        return self.edges.tolist(), self.edge_ptr.tolist(), self.colour_of.tolist(), self.mu.tolist()
+
     def span(self, e: int) -> tuple[int, int]:
         """The pair range (a, b) of edge e; (0, 0) when e has no list."""
-        i = int(np.searchsorted(self.edges, e))
-        if i < self.edges.size and self.edges[i] == e:
-            return int(self.edge_ptr[i]), int(self.edge_ptr[i + 1])
+        edges, ptr, _, _ = self._scalar_table
+        i = bisect_left(edges, e)
+        if i < len(edges) and edges[i] == e:
+            return ptr[i], ptr[i + 1]
         return 0, 0
 
     def colours(self, e: int) -> tuple[int, ...]:
         a, b = self.span(e)
-        return tuple(self.colour_of[a:b].tolist())
+        return tuple(self._scalar_table[2][a:b])
 
     def has(self, e: int, c: int) -> bool:
         return c in self.colours(e)
 
     def weight(self, e: int, c: int) -> float:
         a, b = self.span(e)
+        _, _, colours, mu = self._scalar_table
         try:
-            return float(self.mu[a + self.colour_of[a:b].tolist().index(c)])
+            return mu[a + colours[a:b].index(c)]
         except ValueError:
             raise MissingWeightError(f"no weight for edge {e}, colour {c}") from None
 
     def list_weight(self, e: int) -> float:
         a, b = self.span(e)
-        return sum(self.mu[a:b].tolist())
+        return sum(self._scalar_table[3][a:b])
 
     def edge_ids(self) -> tuple[int, ...]:
         return tuple(self.edges.tolist())
@@ -634,27 +648,14 @@ def _int64_colours(colour_of: Sequence | Mapping[int, object], ids: Sequence[int
     return value, exact
 
 
-def blocking_pairs(
-    sigma: EdgeCorrespondence,
-    e: np.ndarray,
-    f: np.ndarray,
-    colour_of: Sequence | Mapping[int, object],
-    ids: Sequence[int],
-    size: int,
-) -> np.ndarray:
-    """Ascending indices i at which (e[i], colour_of[e[i]]) blocks
-    (f[i], colour_of[f[i]]).
-
-    `ids` lists every edge id in e and f, each below `size`.  Pairs whose
-    two colours are ints in the int64 range are compared as arrays,
-    through `sigma.blocking` (the identity blocks equal colours); every
-    other pair goes through `sigma.blocks`, so any colour value is
-    handled."""
-    return _blocking_at(sigma, e, f, colour_of, *_int64_colours(colour_of, ids, size))
-
-
 def _blocking_at(sigma, e, f, colour_of, value: np.ndarray, exact: np.ndarray) -> np.ndarray:
-    """`blocking_pairs` given `_int64_colours` of its colours."""
+    """Ascending indices i at which (e[i], colour_of[e[i]]) blocks
+    (f[i], colour_of[f[i]]), given `_int64_colours` of the colours.
+
+    Pairs whose two colours are ints in the int64 range are compared as
+    arrays, through `sigma.blocking` (the identity blocks equal colours);
+    every other pair goes through `sigma.blocks`, so any colour value is
+    handled."""
     scalar = ~(exact[e] & exact[f])
     hit = ~scalar & (value[e] == value[f] if sigma.is_trivial else sigma.blocking(e, value[e], f, value[f]))
     at = np.flatnonzero(scalar)

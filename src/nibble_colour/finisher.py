@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -25,7 +26,6 @@ from .core import (
     LinearHypergraph,
     PreconditionError,
     WeightedListAssignment,
-    blocking_pairs,
     segment_blocks,
 )
 
@@ -204,7 +204,8 @@ def finish(
     as one array, the resamples one node at a time.  Returns the colouring
     (possibly still invalid when the cap runs out) together with the log;
     `log.outcome` is "success" or "cap-exhausted".  The default cap is 100
-    times the node count.
+    times the node count.  Raises PreconditionError when a node has an
+    empty list or a weight that is negative or NaN.
     """
     if iteration_cap is None:
         iteration_cap = 100 * len(inst.nodes)
@@ -220,6 +221,9 @@ def finish(
     bare = np.flatnonzero(lo[nodes] == hi[nodes])
     if bare.size:
         raise PreconditionError(f"node {inst.nodes[bare[0]]} has an empty list")
+    signed = np.flatnonzero(~(lists.mu >= 0))
+    if signed.size:
+        raise PreconditionError(f"node {lists.edge_of[signed[0]]} has a negative or NaN weight")
     # Each row's cumulative weights, summed left to right (np.cumsum adds
     # in sequence); the last one of a row is its weighted size.
     cumulative = np.empty_like(lists.mu)
@@ -227,32 +231,58 @@ def finish(
         cumulative[members] = np.cumsum(lists.mu[members], axis=1)
 
     # First samples: one draw per node, then the first cumulative weight
-    # above the target in each row, or the row's last colour.
-    current: list = [None] * size
+    # above the target in each row, or the row's last colour.  `value`
+    # holds the colour of every node (0 for other edge ids).
+    value = np.zeros(size, dtype=np.int64)
     if inst.nodes:
         start, stop = lists.edge_ptr[:-1], lists.edge_ptr[1:]
         target = rng.uniforms(seed, rng.KIND_SAMPLE, nodes, 0) * cumulative[stop - 1]
         above = cumulative > np.repeat(target, stop - start)
         first = np.minimum.reduceat(np.where(above, np.arange(above.size), above.size), start)
-        chosen = np.where(first < above.size, first, stop - 1)
-        for u, c in zip(inst.nodes, lists.colour_of[chosen].tolist()):
-            current[u] = c
+        value[nodes] = lists.colour_of[np.where(first < above.size, first, stop - 1)]
+    current = value.tolist()
+
+    # The stored map that decides each pair of the link graph, read
+    # forward or backwards, or -1 for the identity.
+    pe, pf = adj.pairs()
+    row, forward = sigma.deciding(pe, pf)
 
     # Violated constraints live in a lazy min-heap of (u, w, c, c') events;
     # stale entries (colours moved on) are dropped at pop time.
-    pe, pf = adj.pairs()
-    at = blocking_pairs(sigma, pe, pf, current, inst.nodes, size)
+    at = np.flatnonzero(sigma.blocking(pe, value[pe], pf, value[pf], (row, forward)))
     heap = [(u, w, current[u], current[w]) for u, w in zip(pe[at].tolist(), pf[at].tolist())]
     heapq.heapify(heap)
+    if not heap:
+        return {u: current[u] for u in inst.nodes}, log
 
-    mapped = not sigma.is_trivial
-    nbr_ptr, nbr_idx = adj.ptr, adj.idx
-    if mapped:  # for `sigma.blocking`: the colours as an array too
-        colour_at = np.zeros(size, dtype=np.int64)
-        colour_at[nodes] = [current[u] for u in inst.nodes]
-        node_of = np.repeat(np.arange(size), np.diff(nbr_ptr))
-        lower, upper = np.minimum(node_of, nbr_idx), np.maximum(node_of, nbr_idx)
-        row, forward = sigma.deciding(lower, upper)
+    # Each neighbour slot's map: -1 for the identity, else 2 * row + d,
+    # with d = 1 when the map sends the colour of the slot's own node.  The
+    # pairs are the slots u -> w with u < w, in order, and the slot w -> u
+    # has key w * size + u among the ascending slot keys.  plain[u] says
+    # that every slot of node u is -1; without a stored map no slot is read.
+    mapped = np.flatnonzero(row >= 0)
+    slot = np.full(adj.idx.size if mapped.size else 0, -1)
+    plain = np.ones(size, dtype=bool)
+    if mapped.size:
+        node_of = np.repeat(np.arange(size), np.diff(adj.ptr))
+        slot[np.flatnonzero(node_of < adj.idx)[mapped]] = 2 * row[mapped] + forward[mapped]
+        upper = np.searchsorted(node_of * size + adj.idx, pf[mapped] * size + pe[mapped])
+        slot[upper] = 2 * row[mapped] + ~forward[mapped]
+        plain[pe[mapped]] = plain[pf[mapped]] = False
+
+    # The resample loop reads flat tables built once per call, as
+    # memoryviews of arrays: their items read as Python ints and floats,
+    # and a view costs nothing to build, where converting whole arrays to
+    # lists would cost more than the loop reads.
+    # - A pick is the first cumulative weight of the row above u * total:
+    #   the weights are nonnegative, so the row is nondecreasing and that
+    #   is `bisect_right`.
+    # - A draw hashes (seed, KIND_RESAMPLE, node) once, in `prefix`.
+    # - A stored-map check is a bisect in the map's entries.
+    colours, cum, lo, hi = map(memoryview, (lists.colour_of, cumulative, lo, hi))
+    prefix = memoryview(rng.hash_words(seed, rng.KIND_RESAMPLE, np.arange(size)))
+    nbr_ptr, nbr, slot, plain = map(memoryview, (adj.ptr, adj.idx, slot, plain))
+    map_ptr, map_c, map_image = map(memoryview, (sigma.entry_ptr, sigma.entry_c, sigma.entry_image))
     while heap:
         if log.iterations >= iteration_cap:
             log.outcome = "cap-exhausted"
@@ -264,23 +294,29 @@ def finish(
         log.iterations += 1  # also the counter of this resample's draws
         log.resampled.append(ev)
         for x in (u, w):
-            current[x] = _pick(
-                lists.colour_of[lo[x] : hi[x]].tolist(),
-                cumulative[lo[x] : hi[x]].tolist(),
-                rng.uniform(seed, rng.KIND_RESAMPLE, x, log.iterations),
-            )
-        if mapped:
-            colour_at[u], colour_at[w] = current[u], current[w]
+            a, b = lo[x], hi[x]
+            i = bisect_right(cum, rng.uniform_after(prefix[x], log.iterations) * cum[b - 1], a, b)
+            current[x] = colours[i if i < b else b - 1]
         for x in (u, w):
-            if mapped:
-                at = slice(nbr_ptr[x], nbr_ptr[x + 1])
-                a, b = lower[at], upper[at]
-                hit = sigma.blocking(a, colour_at[a], b, colour_at[b], (row[at], forward[at]))
-                for a, b in zip(a[hit].tolist(), b[hit].tolist()):
-                    heapq.heappush(heap, (a, b, current[a], current[b]))
+            cx = current[x]
+            s, t = nbr_ptr[x], nbr_ptr[x + 1]
+            if plain[x]:  # no map decides a slot of x: equal colours block
+                for y in nbr[s:t]:
+                    if current[y] == cx:
+                        a, b = (x, y) if x < y else (y, x)
+                        heapq.heappush(heap, (a, b, current[a], current[b]))
                 continue
-            for y in nbr_idx[nbr_ptr[x] : nbr_ptr[x + 1]].tolist():
-                if current[x] == current[y]:
-                    a, b = (x, y) if x < y else (y, x)
-                    heapq.heappush(heap, (a, b, current[a], current[b]))
+            for y, code in zip(nbr[s:t], slot[s:t]):
+                cy = current[y]
+                if code < 0:  # the identity
+                    if cx != cy:
+                        continue
+                else:  # the map of row code >> 1, sending x's colour when code is odd
+                    c, image = (cx, cy) if code & 1 else (cy, cx)
+                    p, q = map_ptr[code >> 1], map_ptr[(code >> 1) + 1]
+                    j = bisect_left(map_c, c, p, q)
+                    if j == q or map_c[j] != c or map_image[j] != image:
+                        continue
+                a, b = (x, y) if x < y else (y, x)
+                heapq.heappush(heap, (a, b, current[a], current[b]))
     return {u: current[u] for u in inst.nodes}, log

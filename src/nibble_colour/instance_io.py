@@ -124,7 +124,10 @@ def _bulk_instance(data: Mapping) -> Instance | None:
         n = len(entries)
         if n and type(entries[0]) is dict:  # entry objects
             colour_of = np.fromiter(map(itemgetter("colour"), entries), np.int64, n)
-            mu = np.fromiter(map(dict.get, entries, repeat("weight"), repeat(1.0)), np.float64, n)
+            if max(map(len, entries)) == 1:  # "colour" only: no weight is written
+                mu = np.ones(n)
+            else:
+                mu = np.fromiter(map(dict.get, entries, repeat("weight"), repeat(1.0)), np.float64, n)
         else:  # bare colour ids
             colour_of, mu = np.fromiter(entries, np.int64, n), np.ones(n)
         sigma = data.get("sigma", [])

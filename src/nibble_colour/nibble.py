@@ -780,7 +780,10 @@ def drive(
 
     `struct`, when given, is the round structure of `lists` over all of
     its edges, so a caller that already built it does not pay twice.
+    Raises ParameterDomainError when `retry_cap` is negative.
     """
+    if retry_cap < 0:
+        raise ParameterDomainError(f"retry_cap must be >= 0, got {retry_cap}")
     k = graph.k
     target_ratio = 3.0 * math.e * k
     colouring: dict[int, int] = {}

@@ -10,10 +10,14 @@ The construction is a keyed splitmix-style hash: the seed and key words are
 absorbed one at a time through a 64-bit finaliser, and the top 53 bits of
 the result become a uniform in [0, 1).  `uniforms` evaluates it on NumPy
 arrays; `uniform` evaluates the same hash on Python ints for one scalar
-key, which gives the same bits at a fraction of the cost of a 0-d array.
+key, which gives the same bits at a fraction of the cost of a 0-d array;
+`uniform_after` finishes a scalar draw from a prefix already hashed by
+`hash_words`, for a stream that varies only its last word.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -107,6 +111,22 @@ def uniform(seed: int, kind: int, *words) -> float:
             return float(uniforms(seed, kind, *words))
         state = _mix_int(((state + _GAMMA_INT) & _M64) ^ (w * _MUL1_INT & _M64))
     return (state >> 11) * _INV53
+
+
+def uniform_after(prefix: int, word: int) -> float:
+    """`uniform(seed, kind, *words, word)` given the prefix hash
+    `int(hash_words(seed, kind, *words))`: one scalar mix of `word`, so a
+    stream that draws many last words for one prefix hashes the prefix
+    once.  Bitwise equal to `uniform` and to the element of `uniforms`."""
+    word = operator.index(word)
+    if word not in _INT_RANGE:
+        raise OverflowError(f"stream key {word} does not fit in 64 bits")
+    x = ((prefix + _GAMMA_INT) & _M64) ^ (word * _MUL1_INT & _M64)
+    x ^= x >> 30  # `_mix_int`, inlined: this runs once per draw
+    x = x * _MUL1_INT & _M64
+    x ^= x >> 27
+    x = x * _MUL2_INT & _M64
+    return ((x ^ (x >> 31)) >> 11) * _INV53
 
 
 def derive_seed(seed: int, kind: int, *words) -> int:

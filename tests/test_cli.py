@@ -132,6 +132,9 @@ def test_gen_flags_at_the_edge_of_their_domain_exit_0(tmp_path, flags):
     ["--eps", "0.3"],
     ["--seed", 2**64],
     ["--seed", -(2**63) - 1],
+    ["--retry-cap", "-1"],
+    ["--iteration-cap", "-1"],
+    ["--node-cap", "-5"],
 ])
 @pytest.mark.parametrize("mode", ["nibble+finish", "finish-only"])
 def test_colour_flags_outside_their_domain_exit_2(tmp_path, capsys, flags, mode):
@@ -146,6 +149,8 @@ def test_colour_flags_outside_their_domain_exit_2(tmp_path, capsys, flags, mode)
     ["--eps", "0.25"],
     ["--seed", 2**64 - 1],
     ["--seed", -(2**63)],
+    ["--retry-cap", "0"],
+    ["--node-cap", "0"],
 ])
 def test_colour_flags_at_the_edge_of_their_domain_exit_0(tmp_path, flags):
     assert run(["colour", _p3_instance(tmp_path), *flags, "--out-prefix", tmp_path / "run"]) == 0
@@ -604,6 +609,14 @@ def test_brute_command(tmp_path, capsys):
     assert payload["status"] == "found"
 
 
+def test_brute_negative_node_cap_exit_2(tmp_path, capsys):
+    inst = _p3_instance(tmp_path)
+    capsys.readouterr()
+    assert run(["brute", inst, "--node-cap", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert "input error: --node-cap must be >= 0, got -5" in captured.err and not captured.out
+
+
 # ---------------------------------------------------------------------------
 # schedule
 # ---------------------------------------------------------------------------
@@ -651,6 +664,22 @@ def test_schedule_exp51_mode_matches_library(capsys):
 def test_schedule_collapse_exit_3(capsys):
     assert run(["schedule", "--eps", "0.25", "--k", 2, "--delta", 100]) == 3
     assert "collapse" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--eps", "0"],
+    ["--eps", "nan"],
+    ["--eps", "0.3"],
+    ["--delta", "inf"],
+    ["--delta", "nan"],
+    ["--k", "0"],
+])
+def test_schedule_flags_outside_their_domain_exit_2(capsys, flags):
+    argv = {"--eps": "0.25", "--k": "2", "--delta": "1e13"}
+    argv.update(zip(flags[::2], flags[1::2]))
+    assert run(["schedule", *[word for item in argv.items() for word in item]]) == 2
+    captured = capsys.readouterr()
+    assert f"input error: {flags[0]}" in captured.err and not captured.out
 
 
 def test_schedule_out_file(tmp_path):
@@ -737,6 +766,20 @@ def test_diag_zero_trials_exit_2(tmp_path, capsys):
     inst = _p3_instance(tmp_path)
     assert run(["diag", inst, "--trials", 0]) == 2
     assert "trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--seed", 2**64],
+    ["--seed", -(2**63) - 1],
+    ["--L", "nan"],
+    ["--N", "inf"],
+    ["--eps", "nan"],
+])
+def test_diag_flags_outside_their_domain_exit_2(tmp_path, capsys, flags):
+    inst = _p3_instance(tmp_path)
+    assert run(["diag", inst, "--trials", 5, "--L", 40, "--N", 20, *flags]) == 2
+    captured = capsys.readouterr()
+    assert f"input error: {flags[0]}" in captured.err and not captured.out
 
 
 def test_diag_reports_json(tmp_path, capsys):

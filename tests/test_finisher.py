@@ -330,6 +330,17 @@ def _oracle_cases():
             {(e, c): 0.25 + 0.75 * rng.uniform(seed, 64, e, c) for e in range(g.edge_count) for c in range(8)},
         )
         yield "long rows", to_link_instance(g, lists, random_sigma(g, 8, seed, density=0.5)), seed, 60
+    # A few hundred nodes and many resamples: a 300-cycle with 3 of 4
+    # colours per edge, and partial maps on about half of the pairs,
+    # stored one way or the other.
+    g, lists = _cycle_instance(300, 3, 4, 0, weights_unit=False)
+    maps = {}
+    for e in range(300):
+        pair = (min(e, (e + 1) % 300), max(e, (e + 1) % 300))
+        if rng.uniform(0, 93, *pair) < 0.5:
+            image = rng.permutation(0, 94, 4, *pair).tolist()
+            maps[pair if rng.uniform(0, 95, *pair) < 0.5 else pair[::-1]] = {c: image[c] for c in range(3)}
+    yield "large", to_link_instance(g, lists, EdgeCorrespondence(maps)), 0, None
 
 
 def test_finish_matches_reference_oracle():
@@ -348,8 +359,10 @@ def test_finish_matches_reference_oracle():
             seen.add("cap-exhausted")
         if not link.sigma.is_trivial and log.iterations:
             seen.add("stored maps resampled")
-    assert seen >= {"micro", "cycle", "cap", "isolated", "active", "long rows", "resampled",
-                    "cap-exhausted", "stored maps resampled"}
+        if len(link.nodes) >= 300 and log.iterations >= 100:
+            seen.add("many resamples")
+    assert seen >= {"micro", "cycle", "cap", "isolated", "active", "long rows", "large", "resampled",
+                    "cap-exhausted", "stored maps resampled", "many resamples"}
 
 
 def test_sampler_total_is_the_left_to_right_sum(monkeypatch):
@@ -370,6 +383,38 @@ def test_sampler_total_is_the_left_to_right_sum(monkeypatch):
     assert sample_colour(lists, 0, seed=5, counter=3) == 0
     colours, _ = finish(to_link_instance(g, lists, EdgeCorrespondence()), seed=5)
     assert colours == {0: 0}
+
+
+def test_a_resample_on_a_cumulative_weight_picks_as_sample_colour(monkeypatch):
+    # Weights of 1/4 sum exactly, so the draw u = 1/2 puts the target
+    # u * total on the cumulative weight 1/2 of colour 1: the rule takes the
+    # first weight above it, colour 2, in the first sample and in the first
+    # resample.  Node 1 lists colour 2 only, so both block until a later
+    # draw, u = 1/10, picks colour 0.
+    g = LinearHypergraph.build(3, [(0, 1), (1, 2)], k=2)
+    lists = WeightedListAssignment.build({0: range(4), 1: [2]}, {**{(0, c): 0.25 for c in range(4)}, (1, 2): 1.0})
+
+    def u(counter):
+        return 0.5 if counter <= 1 else 0.1
+
+    monkeypatch.setattr(rng, "uniforms", lambda seed, kind, *words: np.full(np.broadcast(*words).shape, u(words[-1])))
+    monkeypatch.setattr(rng, "uniform", lambda seed, kind, *words: u(words[-1]))
+    monkeypatch.setattr(rng, "uniform_after", lambda prefix, word: u(word))
+    assert [sample_colour(lists, 0, seed=3, counter=i) for i in range(3)] == [2, 2, 0]
+    link = to_link_instance(g, lists, EdgeCorrespondence())
+    colours, log = finish(link, seed=3)
+    assert log.resampled == [(0, 1, 2, 2), (0, 1, 2, 2)]
+    assert colours == {0: sample_colour(lists, 0, 3, 2), 1: sample_colour(lists, 1, 3, 2)} == {0: 0, 1: 2}
+    ref_colours, ref_log = reference_finish(link, seed=3)
+    assert (colours, log.resampled) == (ref_colours, ref_log.resampled)
+
+
+def test_finish_rejects_a_negative_or_nan_weight():
+    g = LinearHypergraph.build(3, [(0, 1), (1, 2)], k=2)
+    for bad in (-0.5, math.nan):
+        lists = WeightedListAssignment.build({0: [1, 2], 1: [1]}, {(0, 1): 1.0, (0, 2): 1.0, (1, 1): bad})
+        with pytest.raises(PreconditionError, match="node 1 has a negative or NaN weight"):
+            finish(to_link_instance(g, lists, EdgeCorrespondence()), seed=0)
 
 
 def test_finish_missing_weight_raises_like_the_reference():

@@ -410,3 +410,24 @@ def test_bulk_conversion_takes_the_generated_instances(tmp_path):
     bulk = instance_io._bulk_instance(data)
     assert bulk is not None
     _assert_same_instance(bulk, instance_io._entry_instance(data))
+
+
+@pytest.mark.parametrize("row", [
+    [{"colour": 1}, {"colour": 2}],  # colour only: unit weights, no weight pass
+    [{"colour": 1}, {"colour": 2, "weight": 0.5}],
+    [{"colour": 1}, {"colour": 2, "note": 0.5}],  # an unknown key still weighs 1.0
+    [{"colour": 1}, {"weight": 0.5}],  # one key, but not the colour
+    [{"colour": 1}, {}],
+    [{"colour": 1}, 2],
+])
+def test_bulk_reader_reads_entry_objects_as_the_per_entry_reader(row):
+    data = {"k": 2, "vertex_count": 3, "edges": [[0, 1], [1, 2]], "lists": {"0": row, "1": [{"colour": 3}]}}
+    try:
+        expected = instance_io._entry_instance(data)
+    except InstanceError:
+        assert instance_io._bulk_instance(data) is None
+        return
+    bulk = instance_io._bulk_instance(data)
+    if bulk is not None:
+        _assert_same_instance(bulk, expected)
+    _assert_same_instance(instance_from_dict(data), expected)

@@ -781,6 +781,16 @@ def test_drive_zero_rounds_on_feasible_ratio():
     assert result.colouring == {} and result.trace == []
 
 
+def test_drive_rejects_a_negative_retry_cap():
+    from nibble_colour.harness import GeneratorSpec, build_local_lists, generate
+
+    g = generate(GeneratorSpec(kind="regular-graph", n=20, d=16, seed=1))
+    lists = build_local_lists(g, 1.5, 40, seed=1)  # a round is attempted at retry_cap 0
+    assert drive(g, lists, EdgeCorrespondence(), eps=0.25, seed=5, retry_cap=0).trace
+    with pytest.raises(ParameterDomainError, match="retry_cap must be >= 0, got -1"):
+        drive(g, lists, EdgeCorrespondence(), eps=0.25, seed=5, retry_cap=-1)
+
+
 def test_drive_deterministic():
     from nibble_colour.harness import GeneratorSpec, build_local_lists, generate
 

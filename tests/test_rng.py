@@ -91,3 +91,19 @@ def test_out_of_range_key_raises_overflow_error(position, bad):
     for fn in (rng.uniform, rng.uniforms):
         with pytest.raises(OverflowError):
             fn(*key)
+
+
+# `uniform_after` finishes the draw of `uniform` from a hashed prefix.
+@given(seed=_KEY, kind=_KEY, words=st.lists(_KEY, max_size=4), word=st.sampled_from(_EDGES) | st.integers(-(2**63), 2**64 - 1))
+@settings(max_examples=500, deadline=None)
+def test_uniform_after_is_bitwise_uniform(seed, kind, words, word):
+    after = rng.uniform_after(int(rng.hash_words(seed, kind, *words)), word)
+    assert type(after) is float
+    assert struct.pack("<d", after) == struct.pack("<d", rng.uniform(seed, kind, *words, word))
+    assert struct.pack("<d", after) == rng.uniforms(seed, kind, *words, word).astype("<f8").tobytes()
+
+
+@pytest.mark.parametrize("bad", [2**64, -(2**63) - 1])
+def test_uniform_after_rejects_a_word_outside_64_bits(bad):
+    with pytest.raises(OverflowError):
+        rng.uniform_after(0, bad)
