@@ -553,7 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schedule", help="simulate the parameter recursion")
     p.add_argument("--eps", type=float, required=True, help="the nibble's eps, in (0, 1/4]")
-    p.add_argument("--k", type=int, required=True, help="the edge size, >= 1")
+    p.add_argument("--k", type=int, required=True,
+                   help="the edge size, >= 1; 3ek and the iteration cap 100 k ln(delta) / eps must be finite floats")
     p.add_argument("--delta", type=float, required=True, help="the starting N, a finite number above e^2")
     p.add_argument("--mode", choices=SCHEDULE_MODES, default="eps8")
     p.add_argument("--out", default=None)

@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import gc
 import json
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Mapping
+from typing import Collection, Mapping, NamedTuple
 
 import numpy as np
 
@@ -96,53 +97,127 @@ def instance_to_dict(inst: Instance) -> dict:
 def instance_from_dict(data: Mapping) -> Instance:
     """The instance of the decoded format-1 JSON `data`.
 
-    The columns are converted in bulk (`_bulk_instance`).  Data that the
-    bulk reader does not take (lists that mix bare ids and entry objects, a
-    null or NaN weight, or any value that fails to convert) goes through the
-    per-entry reader `_entry_instance`, which reads what it can and raises
-    InstanceError naming the fault; both give the same instance."""
+    The columns are converted in bulk (`_bulk_instance`): `lists` and
+    `sigma` each as one block.  Data that the bulk reader does not take
+    (lists that mix bare ids and entry objects, a null or NaN weight, or
+    any value that fails to convert) goes through the per-entry reader
+    `_entry_instance`, which reads what it can and raises InstanceError
+    naming the fault; both give the same instance."""
     inst = _bulk_instance(data)
     return inst if inst is not None else _entry_instance(data)
+
+
+# What a bulk converter raises on data that it does not take; InstanceError
+# (from `_check_int64`) is a ValueError.
+_NOT_BULK = (AttributeError, KeyError, TypeError, ValueError, OverflowError)
+
+
+class _Head(NamedTuple):
+    """The scalars and the edges of an instance, converted."""
+
+    k: int
+    vertex_count: int
+    universe: tuple[int, int]
+    sizes: np.ndarray  # vertices per edge
+    vertices: np.ndarray  # the edges' vertices, edge after edge
+
+
+class _ListBlock(NamedTuple):
+    """Consecutive members of `lists`, converted: each row's edge id and
+    length, and its entries' colours and weights, in file order."""
+
+    keys: np.ndarray
+    counts: np.ndarray
+    colour_of: np.ndarray
+    mu: np.ndarray
+    objects: bool | None  # entries written as objects, as bare ids, or no entry
+
+
+class _SigmaBlock(NamedTuple):
+    """Consecutive items of `sigma`, converted: each item's pair and map
+    length, and the (n, 2) map entries in order."""
+
+    pair_e: np.ndarray
+    pair_f: np.ndarray
+    counts: np.ndarray
+    entries: np.ndarray
 
 
 def _bulk_instance(data: Mapping) -> Instance | None:
     """The instance of `data`, each column converted in one pass, or None
     when some column needs the per-entry reader."""
     try:
-        k = int(data["k"])
-        vertex_count = int(data["vertex_count"])
-        lo, hi = (int(x) for x in data.get("colour_universe", (0, 0)))
-        _check_int64([(k, vertex_count, lo, hi)])
-        edges = data["edges"]
-        sizes = np.fromiter(map(len, edges), np.int64, len(edges))
-        vertices = np.fromiter(chain.from_iterable(edges), np.int64, int(sizes.sum()))
+        head = _head(data)
         lists = data.get("lists", {})
-        keys = np.fromiter(lists.keys(), np.int64, len(lists))
-        rows = list(lists.values())
-        counts = np.fromiter(map(len, rows), np.int64, len(rows))
-        entries = list(chain.from_iterable(rows))
-        n = len(entries)
-        if n and type(entries[0]) is dict:  # entry objects
-            colour_of = np.fromiter(map(itemgetter("colour"), entries), np.int64, n)
-            if max(map(len, entries)) == 1:  # "colour" only: no weight is written
-                mu = np.ones(n)
-            else:
-                mu = np.fromiter(map(dict.get, entries, repeat("weight"), repeat(1.0)), np.float64, n)
-        else:  # bare colour ids
-            colour_of, mu = np.fromiter(entries, np.int64, n), np.ones(n)
-        sigma = data.get("sigma", [])
-        pair_e = np.fromiter(map(itemgetter("e"), sigma), np.int64, len(sigma))
-        pair_f = np.fromiter(map(itemgetter("f"), sigma), np.int64, len(sigma))
-        maps = list(map(dict.get, sigma, repeat("map"), repeat([])))
-        if not set(map(type, maps)) <= {list}:
-            return None
-        map_entries = _map_entries(maps)
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError):  # InstanceError is a ValueError
+        rows = _list_block(lists.keys(), list(lists.values()))
+        _check_keys(rows.keys, head.sizes.size)
+        items = _sigma_block(data.get("sigma", []))
+    except _NOT_BULK:
         return None
-    m = sizes.size
-    # `np.fromiter` reads a null weight as NaN, where `float` raises.
-    if ((keys < 0) | (keys >= m)).any() or np.isnan(mu).any():
-        return None
+    return _assemble(head, [rows], [items])
+
+
+def _head(data: Mapping) -> _Head:
+    """The scalars and the edges of the decoded top-level object `data`."""
+    k = int(data["k"])
+    vertex_count = int(data["vertex_count"])
+    lo, hi = (int(x) for x in data.get("colour_universe", (0, 0)))
+    _check_int64([(k, vertex_count, lo, hi)])
+    edges = data["edges"]
+    sizes = np.fromiter(map(len, edges), np.int64, len(edges))
+    return _Head(k, vertex_count, (lo, hi), sizes, np.fromiter(chain.from_iterable(edges), np.int64, int(sizes.sum())))
+
+
+def _list_block(keys: Collection[str], rows: list) -> _ListBlock:
+    """The block of the `lists` members `keys` (edge ids as object keys)
+    and `rows`; all its entries are objects or all bare ids, and no weight
+    is null or NaN."""
+    entries = list(chain.from_iterable(rows))
+    n = len(entries)
+    objects = type(entries[0]) is dict if n else None
+    if objects:
+        colour_of = np.fromiter(map(itemgetter("colour"), entries), np.int64, n)
+        if max(map(len, entries)) == 1:  # "colour" only: no weight is written
+            mu = np.ones(n)
+        else:
+            mu = np.fromiter(map(dict.get, entries, repeat("weight"), repeat(1.0)), np.float64, n)
+            # `np.fromiter` reads a null weight as NaN, where `float` raises.
+            if np.isnan(mu).any():
+                raise ValueError("a null or NaN weight")
+    else:  # bare colour ids
+        colour_of, mu = np.fromiter(entries, np.int64, n), np.ones(n)
+    return _ListBlock(
+        np.fromiter(keys, np.int64, len(keys)), np.fromiter(map(len, rows), np.int64, len(rows)), colour_of, mu, objects
+    )
+
+
+def _check_keys(keys: np.ndarray, m: int) -> None:
+    if ((keys < 0) | (keys >= m)).any():
+        raise ValueError("a list declared for an unknown edge")
+
+
+def _sigma_block(items: list) -> _SigmaBlock:
+    """The block of the `sigma` items `items`; every map is a list."""
+    maps = list(map(dict.get, items, repeat("map"), repeat([])))
+    if not set(map(type, maps)) <= {list}:
+        raise TypeError("a map is not a list of pairs")
+    return _SigmaBlock(
+        np.fromiter(map(itemgetter("e"), items), np.int64, len(items)),
+        np.fromiter(map(itemgetter("f"), items), np.int64, len(items)),
+        np.fromiter(map(len, maps), np.int64, len(maps)),
+        _map_entries(maps),
+    )
+
+
+def _joined(blocks: list[tuple], name: str) -> np.ndarray:
+    parts = [getattr(block, name) for block in blocks]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _assemble(head: _Head, list_blocks: list[_ListBlock], sigma_blocks: list[_SigmaBlock]) -> Instance:
+    """The instance of the converted columns, the blocks joined in order."""
+    m = head.sizes.size
+    keys, counts, colour_of, mu = (_joined(list_blocks, name) for name in ("keys", "counts", "colour_of", "mu"))
     # The rows in edge order, each row's entries in file order; a row that
     # is not ascending and distinct goes through `from_pairs`' general sort.
     order = np.argsort(keys, kind="stable")
@@ -154,13 +229,15 @@ def _bulk_instance(data: Mapping) -> Instance | None:
         table = WeightedListAssignment(edges=np.arange(m, dtype=np.int64), edge_ptr=edge_ptr, colour_of=colour_of, mu=mu)
     else:
         table = WeightedListAssignment.from_pairs(range(m), edge_of, colour_of, mu)
+    entries = _joined(sigma_blocks, "entries")
     return Instance(
-        graph=LinearHypergraph.from_slots(vertex_count, k, sizes, vertices),
+        graph=LinearHypergraph.from_slots(head.vertex_count, head.k, head.sizes, head.vertices),
         lists=table,
         sigma=EdgeCorrespondence.from_items(
-            pair_e, pair_f, np.fromiter(map(len, maps), np.int64, len(maps)), map_entries[:, 0], map_entries[:, 1]
+            _joined(sigma_blocks, "pair_e"), _joined(sigma_blocks, "pair_f"), _joined(sigma_blocks, "counts"),
+            entries[:, 0], entries[:, 1],
         ),
-        universe=(lo, hi),
+        universe=head.universe,
     )
 
 
@@ -352,31 +429,185 @@ def _sigma_text(sigma: EdgeCorrespondence) -> str:
     return _block([item[m] for m in counts.tolist()], _PAD) % tuple(values.tolist())
 
 
-def _read_json(path: str | Path, what: str):
-    """The decoded JSON file at `path`.  A file that cannot be read, is
-    not UTF-8, is not JSON or nests deeper than the decoder recurses
-    raises InstanceError."""
+def _read_text(path: str | Path, what: str) -> str:
+    """The text of the file at `path`.  A file that cannot be read or is
+    not UTF-8 raises InstanceError."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"), parse_float=_JsonFloat)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InstanceError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _decode(text: str, path: str | Path, what: str):
+    """The decoded JSON `text` of the file at `path`.  Text that is not
+    JSON or nests deeper than the decoder recurses raises InstanceError."""
+    try:
+        return json.loads(text, parse_float=_JsonFloat)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InstanceError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _read_json(path: str | Path, what: str):
+    """The decoded JSON file at `path`; see `_read_text` and `_decode`."""
+    return _decode(_read_text(path, what), path, what)
+
+
+# -- decoding format 1 a block at a time --------------------------------------
+#
+# `load_instance` walks the top-level object itself and decodes each member
+# with json's own C scanner, except `lists` and `sigma`: their members are
+# decoded and converted (`_list_block`, `_sigma_block`) _BLOCK_ROWS at a
+# time, so no Python object of the whole file exists at once.  Whatever the
+# walker does not take goes through `json.loads` and `instance_from_dict`.
+
+_BLOCK_ROWS = 1024  # `lists` members or `sigma` items decoded before they are converted
+_WS = "[ \t\n\r]*"  # JSON whitespace
+_SPACE = re.compile(_WS)
+_KEY = re.compile(_WS + r'"([^"\\\x00-\x1f]*)"' + _WS + ":" + _WS)  # a key without escapes, then the colon
+_AFTER = re.compile(_WS + r"(?:,|([]}]))" + _WS)  # the comma after a member, or the closing bracket (group 1)
+
+
+class _Cursor:
+    """A position in JSON text.  Each read moves past what it read and
+    raises ValueError where the text is not what it reads."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.at = _SPACE.match(text).end()
+        self._scan = json.JSONDecoder(parse_float=_JsonFloat).scan_once
+
+    def value(self):
+        """The JSON value at the cursor, decoded as `json.loads` decodes it."""
+        try:
+            value, self.at = self._scan(self.text, self.at)
+        except StopIteration:
+            raise ValueError(f"no JSON value at {self.at}") from None
+        return value
+
+    def opens(self, bracket: str) -> bool:
+        """Whether `bracket` comes next; the cursor moves past it and the
+        whitespace after it when it does."""
+        if not self.text.startswith(bracket, self.at):
+            return False
+        self.at = _SPACE.match(self.text, self.at + 1).end()
+        return True
+
+    def members(self, close: str):
+        """The members of the object ("}") or array ("]") just opened,
+        each yielded (as its key, or None in an array) with the cursor at
+        its value, which the caller reads before asking for the next."""
+        if self.opens(close):
+            return
+        while True:
+            if close == "]":
+                yield None
+            else:
+                key = _KEY.match(self.text, self.at)
+                if key is None:
+                    raise ValueError(f"no plain object key at {self.at}")
+                self.at = key.end()
+                yield key.group(1)
+            after = _AFTER.match(self.text, self.at)
+            if after is None or after.group(1) not in (None, close):
+                raise ValueError(f"no comma or {close!r} at {self.at}")
+            self.at = after.end()
+            if after.group(1):
+                return
+
+
+def _streamed_columns(text: str) -> tuple[_Head, list[_ListBlock], list[_SigmaBlock]] | None:
+    """The converted columns of the format-1 `text`, as `_assemble` takes
+    them, or None where `_bulk_instance(json.loads(text))` might not give
+    the same instance: text that is not one JSON object, a repeated
+    `lists` or `sigma` key or one of another JSON type, a repeated edge
+    id in `lists`, entry forms that differ between blocks, or any value
+    that a converter does not take."""
+    cursor = _Cursor(text)
+    head: dict = {}
+    blocks: dict[str, list] = {}
+    try:
+        if not cursor.opens("{"):
+            return None
+        for key in cursor.members("}"):
+            if key not in ("lists", "sigma"):
+                head[key] = cursor.value()  # a repeated key keeps its last value, as in `json.loads`
+            elif key in blocks or not cursor.opens("{" if key == "lists" else "["):
+                return None
+            else:
+                blocks[key] = _list_blocks(cursor) if key == "lists" else _sigma_blocks(cursor)
+        if cursor.at != len(text):
+            return None
+        converted = _head(head)
+        list_blocks = blocks.get("lists") or [_list_block([], [])]
+        keys = _joined(list_blocks, "keys")
+        _check_keys(keys, converted.sizes.size)
+    except (RecursionError,) + _NOT_BULK:  # JSONDecodeError is a ValueError
+        return None
+    keys = np.sort(keys)
+    if (keys[1:] == keys[:-1]).any() or len({block.objects for block in list_blocks} - {None}) > 1:
+        return None
+    return converted, list_blocks, blocks.get("sigma") or [_sigma_block([])]
+
+
+def _list_blocks(cursor: _Cursor) -> list[_ListBlock]:
+    """The members of the `lists` object just opened, converted a block
+    at a time."""
+    blocks, keys, rows = [], [], []
+    for key in cursor.members("}"):
+        keys.append(key)
+        rows.append(cursor.value())
+        if len(rows) == _BLOCK_ROWS:
+            blocks.append(_list_block(keys, rows))
+            keys.clear()
+            rows.clear()
+    blocks.append(_list_block(keys, rows))
+    return blocks
+
+
+def _sigma_blocks(cursor: _Cursor) -> list[_SigmaBlock]:
+    """The items of the `sigma` array just opened, converted a block at
+    a time."""
+    blocks, items = [], []
+    for _ in cursor.members("]"):
+        items.append(cursor.value())
+        if len(items) == _BLOCK_ROWS:
+            blocks.append(_sigma_block(items))
+            items.clear()
+    blocks.append(_sigma_block(items))
+    return blocks
 
 
 def load_instance(path: str | Path) -> Instance:
     """Read, decode and convert the instance at `path`.
 
+    The text is read once and decoded a block of `lists` members or
+    `sigma` items at a time (`_streamed_columns`), each block converted
+    and its Python objects freed before the next is decoded, so the load
+    holds the text and one block, not a Python object per entry of the
+    whole file.  Text that the walker does not take is decoded whole by
+    `json.loads` and converted by `instance_from_dict`, with the same
+    result or the same InstanceError.  The text is freed before the
+    tables are sorted and assembled.
+
     The whole load runs with the cyclic garbage collector paused.
     Decoded JSON holds only dicts, lists, strings and numbers, which form
-    no reference cycles, so the passes that its hundreds of thousands of
-    containers (one list per map entry) would trigger free nothing.  The
-    decoded dict is freed by reference counting before the collector
-    resumes, so no pass traverses it.  The pause is process-wide: no
-    thread collects automatically until this one load has returned.
+    no reference cycles, so the passes that its many containers (one list
+    per map entry) would trigger free nothing; every one of them is freed
+    by reference counting before the collector resumes.  The pause is
+    process-wide: no thread collects automatically until this one load
+    has returned.
     """
     with _collector_paused():
-        data = _read_json(path, "instance")
-        inst = instance_from_dict(data)
-        del data
+        text = _read_text(path, "instance")
+        columns = _streamed_columns(text)
+        if columns is None:
+            data = _decode(text, path, "instance")
+            del text
+            inst = instance_from_dict(data)
+            del data
+        else:
+            del text
+            inst = _assemble(*columns)
     return inst
 
 

@@ -168,8 +168,13 @@ def simulate_schedule(eps: float, k: int, delta: float, mode: str = "eps8") -> l
     3ek or the iteration cap ceil(100 k ln(delta) / eps)."""
     if delta <= E_SQUARED:
         raise ParameterDomainError(f"delta must exceed e^2, got {delta}")
-    target = 3.0 * math.e * k
-    cap = math.ceil(100.0 / eps * k * math.log(delta))
+    try:
+        target = 3.0 * math.e * k
+        cap = math.ceil(100.0 / eps * k * math.log(delta))
+    except OverflowError:  # k beyond the float range, or an infinite cap
+        raise ParameterDomainError(
+            "the target ratio 3ek or the iteration cap 100 k ln(delta) / eps lies beyond the float range"
+        ) from None
     L, N = (1.0 + eps) * delta, float(delta)
     rows = [ScheduleRow(0, L, N, L / N)]
     for i in range(cap):

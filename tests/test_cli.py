@@ -18,7 +18,7 @@ from nibble_colour.instance_io import (
     load_instance,
 )
 from nibble_colour.core import EdgeCorrespondence, LinearHypergraph, WeightedListAssignment
-from nibble_colour.nibble import RoundStructure, simulate_schedule
+from nibble_colour.nibble import ParameterDomainError, RoundStructure, simulate_schedule
 
 
 def run(argv):
@@ -680,6 +680,16 @@ def test_schedule_flags_outside_their_domain_exit_2(capsys, flags):
     assert run(["schedule", *[word for item in argv.items() for word in item]]) == 2
     captured = capsys.readouterr()
     assert f"input error: {flags[0]}" in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("eps, k", [(0.25, 10**330), (0.25, 10**307), (5e-324, 2)],
+                         ids=["k beyond float", "infinite cap from k", "infinite cap from eps"])
+def test_schedule_beyond_the_float_range_exit_2(capsys, eps, k):
+    assert run(["schedule", "--eps", eps, "--k", k, "--delta", "1e13"]) == 2
+    captured = capsys.readouterr()
+    assert "input error: " in captured.err and "beyond the float range" in captured.err and not captured.out
+    with pytest.raises(ParameterDomainError):
+        simulate_schedule(eps, k, 1e13)
 
 
 def test_schedule_out_file(tmp_path):

@@ -2,11 +2,15 @@ import gc
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nibble_colour import instance_io
 from nibble_colour.cli import main
@@ -431,3 +435,180 @@ def test_bulk_reader_reads_entry_objects_as_the_per_entry_reader(row):
     if bulk is not None:
         _assert_same_instance(bulk, expected)
     _assert_same_instance(instance_from_dict(data), expected)
+
+
+# -- the block-at-a-time load against json.loads and instance_from_dict -----
+
+
+def _reference_load(path: Path) -> Instance:
+    """The instance at `path` as `json.loads` of the whole text and
+    `instance_from_dict` read it."""
+    text = path.read_text(encoding="utf-8")
+    try:
+        data = json.loads(text, parse_float=instance_io._JsonFloat)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InstanceError(f"cannot read instance {path}: {exc}") from exc
+    return instance_from_dict(data)
+
+
+def _assert_same_load(path: Path) -> None:
+    """`load_instance(path)` gives the tables of `_reference_load(path)`
+    byte for byte, or raises the same InstanceError."""
+    outcomes = []
+    for load in (load_instance, _reference_load):
+        try:
+            outcomes.append(load(path))
+        except InstanceError as exc:
+            outcomes.append(str(exc))
+    streamed, reference = outcomes
+    if isinstance(reference, str) or isinstance(streamed, str):
+        assert streamed == reference
+    else:
+        _assert_same_instance(streamed, reference)
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000
+_LAYOUTS = ["indent None", "indent 2", "indent tab", "compact", "trailing whitespace", "shuffled with an unknown key",
+            "repeated top-level key", "no lists or sigma", "empty lists and sigma", "repeated list key", "BOM",
+            "trailing data", "truncated", "deep nesting", "top-level array", "lists as an array",
+            "sigma as an object", "NaN or Infinity"]
+
+
+@st.composite
+def _format1_texts(draw) -> tuple[str, bool | None]:
+    """(format-1 text, whether the load walks it itself): a drawn
+    `_format1_dicts` instance written in one of `_LAYOUTS`.  True: the
+    walker takes the text exactly when the bulk reader takes the dict;
+    False: it leaves the text to `json.loads`; None: either."""
+    data, _ = draw(_format1_dicts())
+    layout = draw(st.sampled_from(_LAYOUTS))
+    if layout == "indent None":
+        return json.dumps(data), True
+    if layout == "indent 2":
+        return json.dumps(data, indent=2), True
+    if layout == "indent tab":
+        return json.dumps(data, indent="\t"), True
+    if layout == "compact":
+        return json.dumps(data, separators=(",", ":")), True
+    if layout == "trailing whitespace":
+        return json.dumps(data, indent=2) + "\n\t \r", True
+    if layout == "shuffled with an unknown key":
+        note = draw(st.sampled_from([None, "text", [1, {"a": []}], 1.5, {"lists": []}]))
+        return json.dumps(dict(draw(st.permutations([*data.items(), ("note", note)])))), True
+    if layout == "repeated top-level key":  # json.loads keeps the last value, at the place of the first
+        key = draw(st.sampled_from(["lists", "sigma"]) | st.sampled_from(sorted(data)))
+        first = json.dumps(draw(st.sampled_from([{"lists": {"0": [1]}, "sigma": []}.get(key, 0), [], {}, 0, "x"])))
+        return f'{{"{key}": {first}, ' + json.dumps(data)[1:], key not in ("lists", "sigma")
+    if layout == "no lists or sigma":
+        dropped = draw(st.sampled_from([{"lists"}, {"sigma"}, {"lists", "sigma"}]))
+        return json.dumps({key: value for key, value in data.items() if key not in dropped}), True
+    if layout == "empty lists and sigma":
+        return json.dumps({**data, "lists": {}, "sigma": []}), True
+    if layout == "repeated list key":  # json.loads keeps the last row, at the place of the first
+        key = draw(st.sampled_from(sorted(data["lists"]))) if data["lists"] else "0"
+        lists = f'{{"{key}": [{draw(st.integers(0, 9))}], ' + (json.dumps(data["lists"])[1:] if data["lists"] else '"0": []}')
+        return json.dumps({**data, "lists": "@"}).replace('"@"', lists), False
+    if layout == "BOM":
+        return "\ufeff" + json.dumps(data), False
+    if layout == "trailing data":
+        return json.dumps(data) + draw(st.sampled_from([" x", "{}", "]", ",", " 1"])), False
+    if layout == "truncated":
+        text = json.dumps(data, indent=draw(st.sampled_from([None, 2])))
+        return text[: draw(st.integers(0, len(text) - 1))], False
+    if layout == "deep nesting":
+        where = draw(st.sampled_from(["note", "lists", "sigma"]))
+        value = {"note": "@", "lists": {"0": "@"}, "sigma": [{"e": 0, "f": 1, "map": "@"}]}[where]
+        return json.dumps({**data, where: value}).replace('"@"', _DEEP), False
+    if layout == "top-level array":
+        return "[" + json.dumps(data) + "]", False
+    if layout == "lists as an array":
+        return json.dumps({**data, "lists": list(data["lists"].values())}), False
+    if layout == "sigma as an object":
+        return json.dumps({**data, "sigma": {str(i): item for i, item in enumerate(data["sigma"])}}), False
+    # NaN or Infinity in place of a number; `json.dumps` writes them so.
+    special = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    where = draw(st.sampled_from(["k", "vertex_count", "colour_universe", "lists", "sigma"]))
+    value = {"k": special, "vertex_count": special, "colour_universe": [0, special],
+             "lists": {**data["lists"], "0": [special]}, "sigma": [{"e": special, "f": 0, "map": []}]}[where]
+    return json.dumps({**data, where: value}), None
+
+
+_P3_TEXT = json.dumps({"k": 2, "vertex_count": 3, "edges": [[0, 1], [1, 2]], "lists": {"0": [1, 2], "1": [2]},
+                       "sigma": [{"e": 0, "f": 1, "map": [[1, 2]]}]})
+
+
+@given(_format1_texts(), st.sampled_from([1, 2, 3, instance_io._BLOCK_ROWS]))
+@example((_P3_TEXT + "\n", True), 1)
+@example(('{"k": 5, ' + _P3_TEXT[1:], True), 1)  # a repeated top-level key
+@example((_P3_TEXT[:-1] + ', "lists": {"0": [3]}}', False), 1)  # a repeated `lists` key
+@example((_P3_TEXT.replace('"lists": {', '"lists": {"0": [3], '), False), 1)  # a repeated edge id in `lists`
+@example((_P3_TEXT + " x", False), 1)
+@example(("\ufeff" + _P3_TEXT, False), 1)
+@example(("[" + _P3_TEXT + "]", False), 1)
+@settings(max_examples=500, deadline=None)
+def test_load_equals_json_loads_then_instance_from_dict(tmp_path_factory, drawn, block_rows):
+    text, walks = drawn
+    path = tmp_path_factory.mktemp("load") / "inst.json"
+    path.write_text(text, encoding="utf-8")
+    with mock.patch.object(instance_io, "_BLOCK_ROWS", block_rows):
+        _assert_same_load(path)
+        walked = instance_io._streamed_columns(text) is not None
+    if walks:
+        assert walked == (instance_io._bulk_instance(json.loads(text, parse_float=instance_io._JsonFloat)) is not None)
+    elif walks is False:
+        assert not walked
+
+
+def _path_instance_dict(rows: int) -> dict:
+    """A path of `rows` edges, each listing colours 1 and 2 (as entry
+    objects, weighted on every third edge), with an item of `sigma` for
+    every edge and the next."""
+    return {
+        "k": 2, "vertex_count": rows + 1, "edges": [[i, i + 1] for i in range(rows)], "colour_universe": [0, 3],
+        "lists": {str(e): [{"colour": 1, "weight": 0.5}, {"colour": 2}] if e % 3 == 0 else [{"colour": 2}, {"colour": 1}]
+                  for e in range(rows)},
+        "sigma": [{"e": e, "f": e + 1, "map": [[1, 2], [2, 1]]} for e in range(rows - 1)],
+    }
+
+
+@pytest.mark.parametrize("rows", [instance_io._BLOCK_ROWS - 1, instance_io._BLOCK_ROWS, 2 * instance_io._BLOCK_ROWS + 5])
+def test_load_of_rows_on_both_sides_of_the_block_size(tmp_path, rows):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_path_instance_dict(rows), indent=2))
+    assert instance_io._streamed_columns(path.read_text()) is not None
+    _assert_same_load(path)
+
+
+def test_entry_forms_that_differ_between_blocks_load_as_instance_from_dict(tmp_path):
+    data = _path_instance_dict(instance_io._BLOCK_ROWS + 5)
+    for e in range(instance_io._BLOCK_ROWS, instance_io._BLOCK_ROWS + 5):  # the second block in bare ids
+        data["lists"][str(e)] = [1, 2]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    assert instance_io._streamed_columns(path.read_text()) is None
+    _assert_same_load(path)
+
+
+# Child process that prints how far one load raises the peak resident set
+# (kilobytes, as Linux reports `ru_maxrss`).
+_LOAD_PEAK_CHILD = """
+import resource, sys
+from nibble_colour.instance_io import load_instance
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+load_instance(sys.argv[1])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_load_peak_memory_is_the_text_and_a_block(tmp_path):
+    # About 8 MB of text with 192,000 list entries.  Decoded whole, the
+    # entry objects raise the peak by about 60 MB; a block at a time, by
+    # about 20 MB: the text read and decoded, and the tables.
+    out = tmp_path / "inst.json"
+    assert main(["gen", "--kind", "regular", "--n", "4000", "--d", "8", "--eps", "0.5", "--seed", "1",
+                 "--out", str(out)]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(instance_io.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _LOAD_PEAK_CHILD, str(out)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 35 * 1024
