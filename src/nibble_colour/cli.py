@@ -6,7 +6,9 @@ the full parameter set accompanies file outputs so runs can be reproduced
 byte-identically (the manifest's duration field excepted).
 
 Exit codes: 0 success, 1 verification failure (or proven-unsatisfiable),
-2 input error, 3 cap or regime failure, 4 resource limit.
+2 input error, 3 cap or regime failure, 4 resource limit: `main` turns a
+MemoryError raised by any command into one `resource limit:` line and
+exit 4.
 """
 
 from __future__ import annotations
@@ -170,9 +172,6 @@ def cmd_gen(args) -> int:
     except GenerationError as exc:
         _err(f"generation error: {exc}")
         return EXIT_INPUT
-    except MemoryError as exc:
-        _err(f"resource limit: {exc}")
-        return EXIT_RESOURCE
     from .core import EdgeCorrespondence
 
     inst = Instance(graph=graph, lists=lists, sigma=EdgeCorrespondence(), universe=(0, universe - 1))
@@ -509,6 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nibble-colour",
         description="List and correspondence edge colouring of linear uniform "
         "hypergraphs via an iterated nibble and a resampling finisher.",
+        epilog="Exit codes: 0 success, 1 verification failure or proven unsatisfiable, 2 input error, "
+        "3 cap or regime failure, 4 resource limit (a command that runs out of memory prints one "
+        "'resource limit:' line).",
     )
     parser.add_argument("--threads", type=int, default=None,
                         help=f"worker bound (default ${THREADS_ENV} or 1); outputs do not depend on it")
@@ -603,7 +605,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.threads < 1:
         _err("usage error: --threads must be >= 1")
         return EXIT_INPUT
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MemoryError as exc:  # numpy's _ArrayMemoryError included
+        _err(f"resource limit: {exc}")
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -11,13 +11,20 @@ Instance format::
       "sigma": [{"e": 0, "f": 1, "map": [[1, 7]]}]
     }
 
-Weights omitted from a list entry default to 1.0; a colour listed twice
-for one edge keeps its last weight.  `sigma` entries are ordered pairs;
+The keys of `lists` are edge ids written as plain integers ("1", not
+"01").  A list entry is a bare colour id or an object; weights omitted
+from an object default to 1.0, and a colour listed twice for one edge
+keeps its last weight.  `sigma` entries are ordered pairs;
 pairs not mentioned use the identity correspondence.  A repeated pair
 keeps its last map, and a colour repeated within a map its last image.
 `k`, `vertex_count`, the universe bounds, list colours, `sigma` edge ids
 and map entries are integers (a number written with a fraction or an
 exponent must be integral, as 3.0 is) in the int64 range [-2^63, 2^63).
+
+Both readers of the format, `instance_from_dict` (a decoded dict) and
+`load_instance` (a file, a block at a time), convert it with the same
+converters `_head`, `_list_block`, `_sigma_block` and `_assemble`, which
+raise InstanceError for any fault.
 
 Colouring format::
 
@@ -34,7 +41,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Collection, Mapping, NamedTuple
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -95,21 +102,27 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(data: Mapping) -> Instance:
-    """The instance of the decoded format-1 JSON `data`.
+    """The instance of the decoded format-1 JSON `data`: `lists` and
+    `sigma` each converted as one block by the converters that
+    `load_instance` applies a block at a time.  Any fault in the data
+    raises InstanceError naming it."""
+    head = _head(data)
+    with _malformed():
+        lists = data.get("lists", {})
+        keys, rows = lists.keys(), list(lists.values())
+    return _assemble(head, [_list_block(keys, rows)], [_sigma_block(data.get("sigma", []))])
 
-    The columns are converted in bulk (`_bulk_instance`): `lists` and
-    `sigma` each as one block.  Data that the bulk reader does not take
-    (lists that mix bare ids and entry objects, a null or NaN weight, or
-    any value that fails to convert) goes through the per-entry reader
-    `_entry_instance`, which reads what it can and raises InstanceError
-    naming the fault; both give the same instance."""
-    inst = _bulk_instance(data)
-    return inst if inst is not None else _entry_instance(data)
 
-
-# What a bulk converter raises on data that it does not take; InstanceError
-# (from `_check_int64`) is a ValueError.
-_NOT_BULK = (AttributeError, KeyError, TypeError, ValueError, OverflowError)
+@contextmanager
+def _malformed():
+    """Raise what goes wrong in reading the data (a missing key, a value
+    of the wrong type or shape) as the InstanceError "malformed instance"."""
+    try:
+        yield
+    except InstanceError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(inf)
+        raise InstanceError(f"malformed instance: {exc}") from exc
 
 
 class _Head(NamedTuple):
@@ -130,7 +143,6 @@ class _ListBlock(NamedTuple):
     counts: np.ndarray
     colour_of: np.ndarray
     mu: np.ndarray
-    objects: bool | None  # entries written as objects, as bare ids, or no entry
 
 
 class _SigmaBlock(NamedTuple):
@@ -143,70 +155,83 @@ class _SigmaBlock(NamedTuple):
     entries: np.ndarray
 
 
-def _bulk_instance(data: Mapping) -> Instance | None:
-    """The instance of `data`, each column converted in one pass, or None
-    when some column needs the per-entry reader."""
+def _check_int64(values: list[int]) -> None:
+    for extreme in (min(values), max(values)):
+        if not -(1 << 63) <= extreme < 1 << 63:
+            raise InstanceError(f"{extreme} lies outside the int64 range [-2^63, 2^63)")
+
+
+def _int64(values: Callable[[], Iterable], n: int) -> np.ndarray:
+    """The n integers that `values()` yields, in one `np.fromiter` pass.
+    Only when one lies outside int64 are they read again, as Python ints,
+    so that the InstanceError names it."""
     try:
-        head = _head(data)
-        lists = data.get("lists", {})
-        rows = _list_block(lists.keys(), list(lists.values()))
-        _check_keys(rows.keys, head.sizes.size)
-        items = _sigma_block(data.get("sigma", []))
-    except _NOT_BULK:
-        return None
-    return _assemble(head, [rows], [items])
+        return np.fromiter(values(), np.int64, n)
+    except OverflowError:
+        _check_int64(list(map(int, values())))
+        raise
 
 
+@_malformed()
 def _head(data: Mapping) -> _Head:
     """The scalars and the edges of the decoded top-level object `data`."""
     k = int(data["k"])
     vertex_count = int(data["vertex_count"])
     lo, hi = (int(x) for x in data.get("colour_universe", (0, 0)))
-    _check_int64([(k, vertex_count, lo, hi)])
+    _check_int64([k, vertex_count, lo, hi])
     edges = data["edges"]
     sizes = np.fromiter(map(len, edges), np.int64, len(edges))
-    return _Head(k, vertex_count, (lo, hi), sizes, np.fromiter(chain.from_iterable(edges), np.int64, int(sizes.sum())))
+    return _Head(k, vertex_count, (lo, hi), sizes, _int64(lambda: chain.from_iterable(edges), int(sizes.sum())))
 
 
+@_malformed()
 def _list_block(keys: Collection[str], rows: list) -> _ListBlock:
-    """The block of the `lists` members `keys` (edge ids as object keys)
-    and `rows`; all its entries are objects or all bare ids, and no weight
-    is null or NaN."""
+    """The block of the `lists` members `keys` (edge ids as object keys,
+    each as `_edge_id` reads it) and `rows`.  A block whose entries are
+    all bare colour ids or all objects is read in one pass; one that
+    mixes the two is read as objects, its bare ids made {"colour": id}."""
+    ids = _int64(lambda: keys, len(keys))
+    if list(map(str, ids.tolist())) != list(keys):
+        list(map(_edge_id, keys))  # raises on the first key that is not a plain integer
     entries = list(chain.from_iterable(rows))
+    try:
+        colour_of, mu = _entry_columns(entries)
+    except TypeError:  # both forms, or an entry of neither
+        colour_of, mu = _entry_columns([entry if type(entry) is dict else {"colour": entry} for entry in entries])
+    return _ListBlock(ids, np.fromiter(map(len, rows), np.int64, len(rows)), colour_of, mu)
+
+
+def _entry_columns(entries: list) -> tuple[np.ndarray, np.ndarray]:
+    """The colours and weights of list entries that are all of the form
+    of the first: bare colour ids, or objects."""
     n = len(entries)
-    objects = type(entries[0]) is dict if n else None
-    if objects:
-        colour_of = np.fromiter(map(itemgetter("colour"), entries), np.int64, n)
-        if max(map(len, entries)) == 1:  # "colour" only: no weight is written
-            mu = np.ones(n)
-        else:
-            mu = np.fromiter(map(dict.get, entries, repeat("weight"), repeat(1.0)), np.float64, n)
-            # `np.fromiter` reads a null weight as NaN, where `float` raises.
-            if np.isnan(mu).any():
-                raise ValueError("a null or NaN weight")
-    else:  # bare colour ids
-        colour_of, mu = np.fromiter(entries, np.int64, n), np.ones(n)
-    return _ListBlock(
-        np.fromiter(keys, np.int64, len(keys)), np.fromiter(map(len, rows), np.int64, len(rows)), colour_of, mu, objects
-    )
+    if not n or type(entries[0]) is not dict:  # bare colour ids
+        return _int64(lambda: entries, n), np.ones(n)
+    colour_of = _int64(lambda: map(itemgetter("colour"), entries), n)
+    if max(map(len, entries)) == 1:  # "colour" only: no weight is written
+        return colour_of, np.ones(n)
+    mu = np.fromiter(map(dict.get, entries, repeat("weight"), repeat(1.0)), np.float64, n)
+    if np.isnan(mu).any():  # `np.fromiter` reads a null weight as NaN, where `float` raises
+        for i in np.flatnonzero(np.isnan(mu)).tolist():
+            float(entries[i]["weight"])
+    return colour_of, mu
 
 
-def _check_keys(keys: np.ndarray, m: int) -> None:
-    if ((keys < 0) | (keys >= m)).any():
-        raise ValueError("a list declared for an unknown edge")
-
-
+@_malformed()
 def _sigma_block(items: list) -> _SigmaBlock:
-    """The block of the `sigma` items `items`; every map is a list."""
+    """The block of the `sigma` items `items`; every map is a list of
+    pairs [c, image]."""
+    pair_e = _int64(lambda: map(itemgetter("e"), items), len(items))
+    pair_f = _int64(lambda: map(itemgetter("f"), items), len(items))
     maps = list(map(dict.get, items, repeat("map"), repeat([])))
     if not set(map(type, maps)) <= {list}:
-        raise TypeError("a map is not a list of pairs")
-    return _SigmaBlock(
-        np.fromiter(map(itemgetter("e"), items), np.int64, len(items)),
-        np.fromiter(map(itemgetter("f"), items), np.int64, len(items)),
-        np.fromiter(map(len, maps), np.int64, len(maps)),
-        _map_entries(maps),
-    )
+        i = next(i for i, mapped in enumerate(maps) if type(mapped) is not list)
+        raise TypeError(f"map of ({pair_e[i]},{pair_f[i]}) is not a list of pairs")
+    counts = np.fromiter(map(len, maps), np.int64, len(maps))
+    entries = list(chain.from_iterable(maps))
+    if not set(map(len, entries)) <= {2}:
+        raise ValueError("a map entry is not a pair [c, image]")
+    return _SigmaBlock(pair_e, pair_f, counts, _int64(lambda: chain.from_iterable(entries), 2 * len(entries)).reshape(-1, 2))
 
 
 def _joined(blocks: list[tuple], name: str) -> np.ndarray:
@@ -215,9 +240,17 @@ def _joined(blocks: list[tuple], name: str) -> np.ndarray:
 
 
 def _assemble(head: _Head, list_blocks: list[_ListBlock], sigma_blocks: list[_SigmaBlock]) -> Instance:
-    """The instance of the converted columns, the blocks joined in order."""
+    """The instance of the converted columns, the blocks joined in order.
+    Both block lists are emptied once joined, so that the blocks are freed
+    before the tables are built, which sets the load's peak memory."""
     m = head.sizes.size
-    keys, counts, colour_of, mu = (_joined(list_blocks, name) for name in ("keys", "counts", "colour_of", "mu"))
+    keys, counts, colour_of, mu = (_joined(list_blocks, name) for name in _ListBlock._fields)
+    pair_e, pair_f, map_counts, entries = (_joined(sigma_blocks, name) for name in _SigmaBlock._fields)
+    list_blocks.clear()
+    sigma_blocks.clear()
+    unknown = (keys < 0) | (keys >= m)
+    if unknown.any():
+        raise InstanceError(f"list declared for unknown edge {keys[unknown][0]}")
     # The rows in edge order, each row's entries in file order; a row that
     # is not ascending and distinct goes through `from_pairs`' general sort.
     order = np.argsort(keys, kind="stable")
@@ -229,92 +262,12 @@ def _assemble(head: _Head, list_blocks: list[_ListBlock], sigma_blocks: list[_Si
         table = WeightedListAssignment(edges=np.arange(m, dtype=np.int64), edge_ptr=edge_ptr, colour_of=colour_of, mu=mu)
     else:
         table = WeightedListAssignment.from_pairs(range(m), edge_of, colour_of, mu)
-    entries = _joined(sigma_blocks, "entries")
     return Instance(
         graph=LinearHypergraph.from_slots(head.vertex_count, head.k, head.sizes, head.vertices),
         lists=table,
-        sigma=EdgeCorrespondence.from_items(
-            _joined(sigma_blocks, "pair_e"), _joined(sigma_blocks, "pair_f"), _joined(sigma_blocks, "counts"),
-            entries[:, 0], entries[:, 1],
-        ),
+        sigma=EdgeCorrespondence.from_items(pair_e, pair_f, map_counts, entries[:, 0], entries[:, 1]),
         universe=head.universe,
     )
-
-
-def _entry_instance(data: Mapping) -> Instance:
-    """The instance of `data`, read one entry at a time; raises
-    InstanceError naming what is malformed."""
-    try:
-        k = int(data["k"])
-        vertex_count = int(data["vertex_count"])
-        edges = [tuple(int(v) for v in edge) for edge in data["edges"]]
-        lo, hi = (int(x) for x in data.get("colour_universe", (0, 0)))
-        edge_of: list[int] = []
-        colour_of: list[int] = []
-        mu: list[float] = []
-        for key, entries in data.get("lists", {}).items():
-            e = int(key)
-            if not 0 <= e < len(edges):
-                raise InstanceError(f"list declared for unknown edge {e}")
-            listed = len(colour_of)
-            for entry in entries:
-                if isinstance(entry, dict):
-                    colour_of.append(int(entry["colour"]))
-                    mu.append(float(entry.get("weight", 1.0)))
-                else:  # bare colour id
-                    colour_of.append(int(entry))
-                    mu.append(1.0)
-            edge_of += [e] * (len(colour_of) - listed)
-        pair_e: list[int] = []
-        pair_f: list[int] = []
-        maps: list[list] = []
-        for item in data.get("sigma", []):
-            pair_e.append(int(item["e"]))
-            pair_f.append(int(item["f"]))
-            mapped = item.get("map", [])
-            if not isinstance(mapped, list):
-                raise TypeError(f"map of ({pair_e[-1]},{pair_f[-1]}) is not a list of pairs")
-            maps.append(mapped)
-        entries = _map_entries(maps)
-    except InstanceError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(inf)
-        raise InstanceError(f"malformed instance: {exc}") from exc
-    # k, vertex_count, the universe, list colours and the sigma edge ids;
-    # `_map_entries` has checked the map entries.
-    _check_int64([(k, vertex_count, lo, hi), colour_of, pair_e, pair_f])
-    return Instance(
-        graph=LinearHypergraph.build(vertex_count, edges, k=k),
-        lists=WeightedListAssignment.from_pairs(range(len(edges)), edge_of, colour_of, mu),
-        sigma=EdgeCorrespondence.from_items(
-            np.array(pair_e, dtype=np.int64), np.array(pair_f, dtype=np.int64),
-            np.fromiter(map(len, maps), np.int64, len(maps)), entries[:, 0], entries[:, 1],
-        ),
-        universe=(lo, hi),
-    )
-
-
-def _check_int64(groups: list) -> None:
-    for extreme in (min(chain.from_iterable(groups)), max(chain.from_iterable(groups))):
-        if not -(1 << 63) <= extreme < 1 << 63:
-            raise InstanceError(f"{extreme} lies outside the int64 range [-2^63, 2^63)")
-
-
-def _map_entries(maps: list[list]) -> np.ndarray:
-    """The entries of the `sigma` maps, in order, as an (n, 2) int64
-    array.  Each entry is a pair whose items convert with `int`, as a
-    JSON list of two integers does; the entries are read as one flat
-    array, or one at a time when that fails, so that a malformed entry or
-    a value outside int64 is reported as such."""
-    flat = list(chain.from_iterable(maps))
-    try:
-        if set(map(len, flat)) <= {2}:
-            return np.fromiter(chain.from_iterable(flat), np.int64, 2 * len(flat)).reshape(-1, 2)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    pairs = [(int(c1), int(c2)) for c1, c2 in flat]
-    _check_int64(pairs)
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 @contextmanager
@@ -457,8 +410,8 @@ def _read_json(path: str | Path, what: str):
 # `load_instance` walks the top-level object itself and decodes each member
 # with json's own C scanner, except `lists` and `sigma`: their members are
 # decoded and converted (`_list_block`, `_sigma_block`) _BLOCK_ROWS at a
-# time, so no Python object of the whole file exists at once.  Whatever the
-# walker does not take goes through `json.loads` and `instance_from_dict`.
+# time, so no Python object of the whole file exists at once.  Text that
+# the walker does not take goes through `json.loads` and `instance_from_dict`.
 
 _BLOCK_ROWS = 1024  # `lists` members or `sigma` items decoded before they are converted
 _WS = "[ \t\n\r]*"  # JSON whitespace
@@ -517,11 +470,12 @@ class _Cursor:
 
 def _streamed_columns(text: str) -> tuple[_Head, list[_ListBlock], list[_SigmaBlock]] | None:
     """The converted columns of the format-1 `text`, as `_assemble` takes
-    them, or None where `_bulk_instance(json.loads(text))` might not give
-    the same instance: text that is not one JSON object, a repeated
-    `lists` or `sigma` key or one of another JSON type, a repeated edge
-    id in `lists`, entry forms that differ between blocks, or any value
-    that a converter does not take."""
+    them, or None where only `instance_from_dict(json.loads(text))` gives
+    the instance or the error: text that is not one JSON object (json
+    then reports the first syntax error), a key written with an escape,
+    a repeated `lists` or `sigma` key or one of another JSON type, a
+    repeated edge id in `lists` (json keeps the last row), or a fault
+    that a converter finds (reported in `instance_from_dict`'s order)."""
     cursor = _Cursor(text)
     head: dict = {}
     blocks: dict[str, list] = {}
@@ -539,12 +493,12 @@ def _streamed_columns(text: str) -> tuple[_Head, list[_ListBlock], list[_SigmaBl
             return None
         converted = _head(head)
         list_blocks = blocks.get("lists") or [_list_block([], [])]
-        keys = _joined(list_blocks, "keys")
-        _check_keys(keys, converted.sizes.size)
-    except (RecursionError,) + _NOT_BULK:  # JSONDecodeError is a ValueError
+    except (RecursionError, ValueError):  # JSONDecodeError and InstanceError are ValueErrors
         return None
-    keys = np.sort(keys)
-    if (keys[1:] == keys[:-1]).any() or len({block.objects for block in list_blocks} - {None}) > 1:
+    # An unknown edge id, which `instance_from_dict` names, or a repeated
+    # one, whose last row `json.loads` keeps.
+    keys = np.sort(_joined(list_blocks, "keys"))
+    if keys.size and (keys[0] < 0 or keys[-1] >= converted.sizes.size or (keys[1:] == keys[:-1]).any()):
         return None
     return converted, list_blocks, blocks.get("sigma") or [_sigma_block([])]
 
@@ -584,10 +538,11 @@ def load_instance(path: str | Path) -> Instance:
     `sigma` items at a time (`_streamed_columns`), each block converted
     and its Python objects freed before the next is decoded, so the load
     holds the text and one block, not a Python object per entry of the
-    whole file.  Text that the walker does not take is decoded whole by
-    `json.loads` and converted by `instance_from_dict`, with the same
-    result or the same InstanceError.  The text is freed before the
-    tables are sorted and assembled.
+    whole file.  The converters are those of `instance_from_dict`, so
+    both read the same values to the same tables.  Text that the walker
+    does not take (see `_streamed_columns`) is decoded whole by
+    `json.loads` and converted by `instance_from_dict`.  The text is
+    freed before the tables are sorted and assembled.
 
     The whole load runs with the cyclic garbage collector paused.
     Decoded JSON holds only dicts, lists, strings and numbers, which form

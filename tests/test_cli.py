@@ -102,7 +102,7 @@ def test_gen_eps_beyond_any_list_size_exits_2(tmp_path, capsys):
 def test_gen_universe_beyond_memory(tmp_path, flags, code):
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
     argv = ["gen", "--kind", "random", "--n", "8", "--p", "0.5", *map(str, flags), "--out", str(tmp_path / "x.json")]
-    proc = subprocess.run([sys.executable, "-c", _CAPPED_CHILD, *argv], env=env, capture_output=True, text=True, timeout=30)
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_CHILD, _CAP, *argv], env=env, capture_output=True, text=True, timeout=30)
     assert proc.returncode == code, proc.stderr
     assert ("generation error" if code == 2 else "resource limit") in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -320,6 +320,11 @@ MALFORMED = {
     "lists as an array": {"lists": [[1, 2]]},
     "list entry of a wrong type": {"lists": {"0": [[1]]}},
     "list key not an edge id": {"lists": {"x": [1]}},
+    # An edge id written other than as a plain integer would alias edge 1 or 10.
+    "list key 01": {"lists": {"0": [1, 2], "1": [1], "01": [2]}},
+    "list key with a space": {"lists": {"0": [1, 2], " 1": [1, 2]}},
+    "list key +1": {"lists": {"0": [1, 2], "+1": [1, 2]}},
+    "list key 1_0": {"lists": {"0": [1, 2], "1": [1, 2], "1_0": [3]}},
     "sigma entry without e": {"sigma": [{"f": 1, "map": [[1, 2]]}]},
     "sigma entry of a wrong type": {"sigma": [[0, 1]]},
     "map item not a pair": {"sigma": [{"e": 0, "f": 1, "map": [[1]]}]},
@@ -483,15 +488,17 @@ def test_too_deeply_nested_colouring_or_vector_exits_2(tmp_path, capsys, command
     assert "input error" in capsys.readouterr().err
 
 
-# Child process with its address space capped, so that a cost that grows
-# with vertex_count, k or the universe fails fast instead of filling memory.
+# Child process that runs `main` on its arguments after the first, with its
+# address space capped at the first (bytes), so that a cost that grows with
+# vertex_count, k or the universe fails fast instead of filling memory.
 _CAPPED_CHILD = """
 import resource, sys
-cap = 2 << 30
+cap = int(sys.argv[1])
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 from nibble_colour.cli import main
-sys.exit(main(sys.argv[1:]))
+sys.exit(main(sys.argv[2:]))
 """
+_CAP = str(2 << 30)
 
 
 @pytest.mark.parametrize("argv", [
@@ -507,10 +514,28 @@ def test_cost_does_not_grow_with_unused_vertices(tmp_path, argv):
     (tmp_path / "vec.json").write_text(json.dumps({"0": 0.5, "1": 0.5}))
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run(
-        [sys.executable, "-c", _CAPPED_CHILD, *(a.format(inst=inst, tmp=tmp_path) for a in argv)],
+        [sys.executable, "-c", _CAPPED_CHILD, _CAP, *(a.format(inst=inst, tmp=tmp_path) for a in argv)],
         env=env, capture_output=True, text=True, timeout=10,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_running_out_of_memory_exits_4(tmp_path):
+    # A star of 1,500 edges that all list colours 0-19: every pair has 1,499
+    # neighbours, and the round structure's (30,000, 1,499) arrays do not
+    # fit under a 512 MB cap.  numpy raises _ArrayMemoryError, a MemoryError.
+    d = 1500
+    inst = tmp_path / "star.json"
+    inst.write_text(json.dumps({"k": 2, "vertex_count": d + 1, "edges": [[0, v] for v in range(1, d + 1)],
+                                "colour_universe": [0, 19], "lists": {str(e): list(range(20)) for e in range(d)}}))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CHILD, str(512 << 20), "colour", str(inst), "--out-prefix", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("resource limit: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert not (tmp_path / "run.colouring.json").exists()
 
 
 # A valid instance of huge uniformity: without edges nothing may be shaped by k.
@@ -525,7 +550,7 @@ def test_huge_k_without_edges_allocates_nothing_shaped_by_k(tmp_path, argv, code
     inst.write_text(json.dumps({"k": 2**62, "vertex_count": 3, "edges": [], "lists": {}}))
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run(
-        [sys.executable, "-c", _CAPPED_CHILD, *(a.format(inst=inst, tmp=tmp_path) for a in argv)],
+        [sys.executable, "-c", _CAPPED_CHILD, _CAP, *(a.format(inst=inst, tmp=tmp_path) for a in argv)],
         env=env, capture_output=True, text=True, timeout=10,
     )
     assert proc.returncode == code, proc.stderr

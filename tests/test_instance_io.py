@@ -34,6 +34,7 @@ from nibble_colour.instance_io import (
     load_instance,
 )
 from conftest import pair_table
+from oracles import entry_instance
 
 
 def _sample_instance() -> Instance:
@@ -321,7 +322,7 @@ def test_a_collector_the_caller_turned_off_stays_off(tmp_path, collector_at_read
     assert collector_at_read == [False, False]
 
 
-# -- bulk conversion against the per-entry reader ---------------------------
+# -- the converters against the per-entry reader ----------------------------
 
 
 def _entry_form(draw, colour: int, weighted: bool):
@@ -333,14 +334,14 @@ def _entry_form(draw, colour: int, weighted: bool):
 
 
 @st.composite
-def _format1_dicts(draw) -> tuple[dict, bool]:
-    """(format-1 JSON text decoded as `load_instance` decodes it, whether
-    the bulk reader must take it: all but mixed forms and null or NaN
-    weights).  Graphs that are valid or not (repeated,
-    out-of-range or missing vertices, edges of other sizes), lists on some
-    edges in string or file order, empty lists, repeated colours, bare ids
-    and objects (mixed in one file only when drawn), weights (one null when
-    drawn), and sigma items with repeated pairs."""
+def _format1_dicts(draw) -> dict:
+    """Format-1 JSON text decoded as `load_instance` decodes it.  Graphs
+    that are valid or not (repeated, out-of-range or missing vertices,
+    edges of other sizes), lists on some edges in string or file order,
+    empty lists, repeated colours, bare ids and objects (mixed in one
+    file when drawn), weights (NaN, or one null when drawn), edge ids
+    not written as plain integers (when drawn), and sigma items with
+    repeated pairs."""
     k = draw(st.integers(1, 3))
     uniform = draw(st.booleans())
     vertex = st.integers(-1, 7)
@@ -363,6 +364,9 @@ def _format1_dicts(draw) -> tuple[dict, bool]:
         row = lists[draw(st.sampled_from([key for key, row in lists.items() if row]))]
         c = row[0]["colour"] if isinstance(row[0], dict) else row[0]
         row[0] = {"colour": c, "weight": None}
+    if lists and draw(st.integers(0, 7)) == 0:  # an edge id that aliases another, or none
+        key = draw(st.sampled_from(sorted(lists)))
+        lists[draw(st.sampled_from(["0", " ", "+", "-"])) + key] = lists.pop(key)
     pair = st.integers(-1, len(edges))
     sigma = draw(st.lists(
         st.fixed_dictionaries({"e": pair, "f": pair, "map": st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)).map(list), max_size=3)}),
@@ -371,11 +375,7 @@ def _format1_dicts(draw) -> tuple[dict, bool]:
     sigma += draw(st.lists(st.sampled_from(sigma), max_size=2)) if sigma else []  # repeated pairs
     data = {"k": k, "vertex_count": draw(st.integers(0, 8)), "edges": edges,
             "colour_universe": [-2, draw(st.integers(0, 9))], "lists": lists, "sigma": sigma}
-    forms = {type(entry) for row in lists.values() for entry in row}
-    weights = [entry.get("weight", 1.0) for row in lists.values() for entry in row if isinstance(entry, dict)]
-    # A NaN weight reads as a null one does in bulk; the per-entry reader tells them apart.
-    uncommon = len(forms) > 1 or any(w is None or math.isnan(w) for w in weights)
-    return json.loads(json.dumps(data), parse_float=instance_io._JsonFloat), not uncommon
+    return json.loads(json.dumps(data), parse_float=instance_io._JsonFloat)
 
 
 def _assert_same_instance(a: Instance, b: Instance) -> None:
@@ -389,31 +389,29 @@ def _assert_same_instance(a: Instance, b: Instance) -> None:
             assert (u.dtype, u.shape, u.tobytes()) == (v.dtype, v.shape, v.tobytes()), name
 
 
-@given(_format1_dicts())
-@settings(max_examples=400, deadline=None)
-def test_bulk_conversion_equals_the_per_entry_reader(drawn):
-    data, common = drawn
-    bulk = instance_io._bulk_instance(data)
+def _assert_reads_as_the_oracle(data) -> None:
+    """`instance_from_dict(data)` gives the tables of `entry_instance(data)`
+    to the bit, or both raise InstanceError."""
     try:
-        expected = instance_io._entry_instance(data)
+        expected = entry_instance(data)
     except InstanceError:
-        assert bulk is None
         with pytest.raises(InstanceError):
             instance_from_dict(data)
         return
-    assert (bulk is not None) == common
     _assert_same_instance(instance_from_dict(data), expected)
-    if bulk is not None:
-        _assert_same_instance(bulk, expected)
+
+
+@given(_format1_dicts())
+@settings(max_examples=400, deadline=None)
+def test_bulk_conversion_equals_the_per_entry_reader(data):
+    _assert_reads_as_the_oracle(data)
 
 
 def test_bulk_conversion_takes_the_generated_instances(tmp_path):
     out = tmp_path / "inst.json"
     assert main(["gen", "--kind", "regular", "--n", "12", "--d", "3", "--weights", "degree", "--out", str(out)]) == 0
     data = instance_io._read_json(out, "instance")
-    bulk = instance_io._bulk_instance(data)
-    assert bulk is not None
-    _assert_same_instance(bulk, instance_io._entry_instance(data))
+    _assert_same_instance(instance_from_dict(data), entry_instance(data))
 
 
 @pytest.mark.parametrize("row", [
@@ -425,16 +423,30 @@ def test_bulk_conversion_takes_the_generated_instances(tmp_path):
     [{"colour": 1}, 2],
 ])
 def test_bulk_reader_reads_entry_objects_as_the_per_entry_reader(row):
-    data = {"k": 2, "vertex_count": 3, "edges": [[0, 1], [1, 2]], "lists": {"0": row, "1": [{"colour": 3}]}}
-    try:
-        expected = instance_io._entry_instance(data)
-    except InstanceError:
-        assert instance_io._bulk_instance(data) is None
-        return
-    bulk = instance_io._bulk_instance(data)
-    if bulk is not None:
-        _assert_same_instance(bulk, expected)
-    _assert_same_instance(instance_from_dict(data), expected)
+    _assert_reads_as_the_oracle({"k": 2, "vertex_count": 3, "edges": [[0, 1], [1, 2]],
+                                 "lists": {"0": row, "1": [{"colour": 3}]}})
+
+
+@pytest.mark.parametrize("row", [
+    [1, {"colour": 2, "weight": None}],
+    [{"colour": 2, "weight": None}, 1],
+    [{"colour": 1, "weight": math.nan}, 3, {"colour": 2, "weight": None}],
+], ids=["bare id first", "object first", "after a NaN"])
+def test_a_null_weight_among_mixed_forms_is_malformed(row):
+    data = {"k": 2, "vertex_count": 3, "edges": [[0, 1], [1, 2]], "lists": {"0": row, "1": [1]}}
+    with pytest.raises(InstanceError, match="malformed instance: float"):
+        instance_from_dict(data)
+    with pytest.raises(InstanceError):
+        entry_instance(data)
+
+
+def test_a_nan_weight_loads_as_nan():
+    data = {"k": 2, "vertex_count": 3, "edges": [[0, 1], [1, 2]],
+            "lists": {"0": [4, {"colour": 1, "weight": math.nan}, {"colour": 3, "weight": 0.5}], "1": [1]}}
+    inst = instance_from_dict(data)
+    assert inst.lists.colour_of.tolist() == [1, 3, 4, 1]
+    assert np.isnan(inst.lists.mu[0]) and inst.lists.mu[1:].tolist() == [0.5, 1.0, 1.0]
+    _assert_same_instance(inst, entry_instance(data))
 
 
 # -- the block-at-a-time load against json.loads and instance_from_dict -----
@@ -478,9 +490,9 @@ _LAYOUTS = ["indent None", "indent 2", "indent tab", "compact", "trailing whites
 def _format1_texts(draw) -> tuple[str, bool | None]:
     """(format-1 text, whether the load walks it itself): a drawn
     `_format1_dicts` instance written in one of `_LAYOUTS`.  True: the
-    walker takes the text exactly when the bulk reader takes the dict;
-    False: it leaves the text to `json.loads`; None: either."""
-    data, _ = draw(_format1_dicts())
+    walker takes the text exactly when `instance_from_dict` takes the
+    dict; False: it leaves the text to `json.loads`; None: either."""
+    data = draw(_format1_dicts())
     layout = draw(st.sampled_from(_LAYOUTS))
     if layout == "indent None":
         return json.dumps(data), True
@@ -542,6 +554,8 @@ _P3_TEXT = json.dumps({"k": 2, "vertex_count": 3, "edges": [[0, 1], [1, 2]], "li
 @example(('{"k": 5, ' + _P3_TEXT[1:], True), 1)  # a repeated top-level key
 @example((_P3_TEXT[:-1] + ', "lists": {"0": [3]}}', False), 1)  # a repeated `lists` key
 @example((_P3_TEXT.replace('"lists": {', '"lists": {"0": [3], '), False), 1)  # a repeated edge id in `lists`
+@example((_P3_TEXT.replace('"lists": {', '"lists": {"5": [3], '), True), 1)  # an unknown edge
+@example((_P3_TEXT.replace('"lists": {', '"lists": {"01": [3], '), True), 1)  # an edge id that is not plain
 @example((_P3_TEXT + " x", False), 1)
 @example(("\ufeff" + _P3_TEXT, False), 1)
 @example(("[" + _P3_TEXT + "]", False), 1)
@@ -554,7 +568,12 @@ def test_load_equals_json_loads_then_instance_from_dict(tmp_path_factory, drawn,
         _assert_same_load(path)
         walked = instance_io._streamed_columns(text) is not None
     if walks:
-        assert walked == (instance_io._bulk_instance(json.loads(text, parse_float=instance_io._JsonFloat)) is not None)
+        try:
+            instance_from_dict(json.loads(text, parse_float=instance_io._JsonFloat))
+        except InstanceError:
+            assert not walked
+        else:
+            assert walked
     elif walks is False:
         assert not walked
 
@@ -585,7 +604,7 @@ def test_entry_forms_that_differ_between_blocks_load_as_instance_from_dict(tmp_p
         data["lists"][str(e)] = [1, 2]
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(data))
-    assert instance_io._streamed_columns(path.read_text()) is None
+    assert instance_io._streamed_columns(path.read_text()) is not None
     _assert_same_load(path)
 
 
