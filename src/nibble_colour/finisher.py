@@ -24,6 +24,7 @@ from . import rng
 from .core import (
     EdgeCorrespondence,
     LinearHypergraph,
+    PairIndex,
     PreconditionError,
     WeightedListAssignment,
     segment_blocks,
@@ -258,7 +259,7 @@ def finish(
     # Each neighbour slot's map: -1 for the identity, else 2 * row + d,
     # with d = 1 when the map sends the colour of the slot's own node.  The
     # pairs are the slots u -> w with u < w, in order, and the slot w -> u
-    # has key w * size + u among the ascending slot keys.  plain[u] says
+    # is found among the (node, neighbour) slots, ascending.  plain[u] says
     # that every slot of node u is -1; without a stored map no slot is read.
     mapped = np.flatnonzero(row >= 0)
     slot = np.full(adj.idx.size if mapped.size else 0, -1)
@@ -266,7 +267,7 @@ def finish(
     if mapped.size:
         node_of = np.repeat(np.arange(size), np.diff(adj.ptr))
         slot[np.flatnonzero(node_of < adj.idx)[mapped]] = 2 * row[mapped] + forward[mapped]
-        upper = np.searchsorted(node_of * size + adj.idx, pf[mapped] * size + pe[mapped])
+        upper = PairIndex(node_of, adj.idx).find(pf[mapped], pe[mapped])
         slot[upper] = 2 * row[mapped] + ~forward[mapped]
         plain[pe[mapped]] = plain[pf[mapped]] = False
 

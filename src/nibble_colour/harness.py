@@ -21,9 +21,10 @@ from .core import (
     PreconditionError,
     WeightedListAssignment,
     colour_neighbours,
+    segment_blocks,
     segment_ranges,
 )
-from .nibble import NibbleParams, RoundStructure, apply_procedure, draw_round, equalizing_probability
+from .nibble import NibbleParams, RoundStructure, _runs, apply_procedure, draw_round, equalizing_probability
 
 
 # Keys per `rng.uniforms` call of the generators (8 MB per uint64 array).
@@ -503,13 +504,19 @@ def neighbourhood_audit(
     struct = RoundStructure.build(graph, lists, sigma)
     max_n, max_w, _ = struct.max_neighbourhood()
     min_w, min_e = struct.min_list_weight()
-    sums: dict[tuple[int, int], float] = {}
-    for vertices, c, w in zip(struct.vertex_of.tolist(), struct.colour_of.tolist(), struct.mu.tolist()):
-        for v in vertices:
-            sums[v, c] = sums.get((v, c), 0.0) + w
-    if sums:
-        max_key = max(sorted(sums), key=lambda kv: sums[kv])
-        max_sum = sums[max_key]
+    # The weights of the slots (p, j), stably sorted by (vertex, colour):
+    # each group's sum is added left to right in pair order, its cumulative
+    # sum's last entry, and the first maximum is in (vertex, colour) order.
+    vertex, colour = struct.vertex_of.ravel(), np.repeat(struct.colour_of, struct.k)
+    order = np.lexsort((colour, vertex))
+    vertex, colour, weight = vertex[order], colour[order], np.repeat(struct.mu, struct.k)[order]
+    bounds = _runs(vertex, colour)
+    sums = np.empty(bounds.size - 1)
+    for rows, members in segment_blocks(bounds):
+        sums[rows] = np.cumsum(weight[members], axis=1)[:, -1]
+    if sums.size:
+        i = int(np.argmax(sums))
+        max_key, max_sum = (int(vertex[bounds[i]]), int(colour[bounds[i]])), float(sums[i])
     else:
         max_key, max_sum = None, 0.0
     return AuditReport(

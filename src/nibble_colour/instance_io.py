@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import gc
 import json
+import operator
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -67,13 +68,15 @@ class Instance:
 
 
 class _JsonFloat(float):
-    """A JSON number written with a fraction or an exponent: `int` (and
-    `np.fromiter` to int64) takes it only when integral, `float` as is."""
+    """A JSON number written with a fraction or an exponent:
+    `operator.index` and `int` take it only when integral, `float` as is."""
 
-    def __int__(self) -> int:
+    def __index__(self) -> int:
         if not self.is_integer():
             raise ValueError(f"{float(self)!r} is not an integer")
         return float.__int__(self)
+
+    __int__ = __index__
 
 
 def instance_to_dict(inst: Instance) -> dict:
@@ -161,23 +164,35 @@ def _check_int64(values: list[int]) -> None:
             raise InstanceError(f"{extreme} lies outside the int64 range [-2^63, 2^63)")
 
 
+def _integer(value) -> int:
+    """`value` read as an integer: an int, or a float (plain or
+    `_JsonFloat`) only when integral.  A string, which `int` parses, is
+    no integer and raises TypeError."""
+    return operator.index(_JsonFloat(value) if isinstance(value, float) else value)
+
+
 def _int64(values: Callable[[], Iterable], n: int) -> np.ndarray:
-    """The n integers that `values()` yields, in one `np.fromiter` pass.
-    Only when one lies outside int64 are they read again, as Python ints,
-    so that the InstanceError names it."""
+    """The n integers that `values()` yields, in one `np.fromiter` pass of
+    `operator.index`: an int or an integral `_JsonFloat`, and no string.
+    Only a value it does not take (a plain float, or no number) sends the
+    values through `_integer`, and only one outside int64 has them read
+    as Python ints, so that the InstanceError names it."""
     try:
-        return np.fromiter(values(), np.int64, n)
+        try:
+            return np.fromiter(map(operator.index, values()), np.int64, n)
+        except TypeError:
+            return np.fromiter(map(_integer, values()), np.int64, n)
     except OverflowError:
-        _check_int64(list(map(int, values())))
+        _check_int64(list(map(_integer, values())))
         raise
 
 
 @_malformed()
 def _head(data: Mapping) -> _Head:
     """The scalars and the edges of the decoded top-level object `data`."""
-    k = int(data["k"])
-    vertex_count = int(data["vertex_count"])
-    lo, hi = (int(x) for x in data.get("colour_universe", (0, 0)))
+    k = _integer(data["k"])
+    vertex_count = _integer(data["vertex_count"])
+    lo, hi = map(_integer, data.get("colour_universe", (0, 0)))
     _check_int64([k, vertex_count, lo, hi])
     edges = data["edges"]
     sizes = np.fromiter(map(len, edges), np.int64, len(edges))
@@ -190,7 +205,7 @@ def _list_block(keys: Collection[str], rows: list) -> _ListBlock:
     each as `_edge_id` reads it) and `rows`.  A block whose entries are
     all bare colour ids or all objects is read in one pass; one that
     mixes the two is read as objects, its bare ids made {"colour": id}."""
-    ids = _int64(lambda: keys, len(keys))
+    ids = _int64(lambda: map(int, keys), len(keys))  # keys are strings: `int` parses them
     if list(map(str, ids.tolist())) != list(keys):
         list(map(_edge_id, keys))  # raises on the first key that is not a plain integer
     entries = list(chain.from_iterable(rows))
@@ -210,11 +225,12 @@ def _entry_columns(entries: list) -> tuple[np.ndarray, np.ndarray]:
     colour_of = _int64(lambda: map(itemgetter("colour"), entries), n)
     if max(map(len, entries)) == 1:  # "colour" only: no weight is written
         return colour_of, np.ones(n)
-    mu = np.fromiter(map(dict.get, entries, repeat("weight"), repeat(1.0)), np.float64, n)
-    if np.isnan(mu).any():  # `np.fromiter` reads a null weight as NaN, where `float` raises
-        for i in np.flatnonzero(np.isnan(mu)).tolist():
-            float(entries[i]["weight"])
-    return colour_of, mu
+    weights = list(map(dict.get, entries, repeat("weight"), repeat(1.0)))
+    try:  # unary plus takes numbers only, where `np.fromiter` parses a string and reads null as NaN
+        return colour_of, np.fromiter(map(operator.pos, weights), np.float64, n)
+    except TypeError:
+        list(map(float, weights))  # names a null weight as `float` does
+        raise
 
 
 @_malformed()

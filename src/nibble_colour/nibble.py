@@ -34,8 +34,8 @@ import numpy as np
 from . import rng
 from .core import (
     EdgeCorrespondence,
-    LexCodes,
     LinearHypergraph,
+    PairIndex,
     PreconditionError,
     WeightedListAssignment,
     segment_blocks,
@@ -368,34 +368,12 @@ def _neighbourhood_rows(
         return ptr, nbr_idx
 
     m, maps = len(edge_vertices), _StoredMaps.place(sigma, edge_vertices)
-    # Pairs by (edge, colour): a table over every colour that a list or an
-    # entry holds, else a binary search over the pairs' codes.  The table is
-    # about five times faster than the search at four slots per pair or
-    # entry, and as fast near sixty-four (BENCH_correspondence.json); four
-    # keeps its memory within a few times the entries'.
-    lo = min(int(colour_of.min()), sigma.colour_span[0])
-    width = max(int(colour_of.max()), sigma.colour_span[1]) - lo + 1
-    if m * width <= 4 * max(P, sigma.entry_c.size):
-        table = np.full(m * width, -1, dtype=np.int64)
-        table[lists.edge_of * width + (colour_of - lo)] = np.arange(P)
-
-        def pair_index(edge: np.ndarray, colour: np.ndarray) -> np.ndarray:
-            return table[edge * width + (colour - lo)]
-
-    else:
-        codes, pair_keys = LexCodes.fitted_keys(m, lists.edge_of, colour_of)
-
-        def pair_index(edge: np.ndarray, colour: np.ndarray) -> np.ndarray:
-            key, known = codes.keys(edge, colour)
-            pos = np.minimum(np.searchsorted(pair_keys, key), P - 1)
-            return np.where(known & (pair_keys[pos] == key), pos, -1)
-
     # Keys row * P + member of the maps' members and of the kept candidates,
     # written into one array: pieces kept apart until a concatenation
     # fragment the heap, which showed as peak RSS on nibble-sigma-k3.
     listed = np.zeros(m, dtype=bool)
     listed[lists.edge_of] = True
-    rows, members = maps.members(pair_index, k, listed)
+    rows, members = maps.members(PairIndex(lists.edge_of, colour_of), k, listed)
     key = np.empty(rows.size + int((sizes * (sizes - 1)).sum()), dtype=np.int64)
     n = rows.size
     key[:n] = rows * P + members
@@ -479,24 +457,24 @@ class _StoredMaps:
         mapped[cell[se] + pos[sf]] = mapped[cell[sf] + pos[se]] = True
         return cls(sigma=sigma, row=row, je=je, jf=jf, alone=sigma.rows(f[row], e[row]) < 0, pos=pos, cell=cell, mapped=mapped)
 
-    def members(self, pair_index, k: int, listed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def members(self, pairs: PairIndex, k: int, listed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(rows, members) of the neighbours that the placed maps give: for
         an entry (c, c') of the map of (e, f) at vertex v with (e, c) and
         (f, c') both pairs p and q, q in row p*k + (slot of v in e), and,
         for a map that stands alone, p in row q*k + (slot of v in f).
-        `pair_index(edge, colour)` finds pairs, -1 where there is none, and
-        `listed[edge]` says whether the edge has a pair: only the maps
-        between two such edges are joined, as no other entry gives one."""
+        `pairs` indexes the (edge, colour) pairs, and `listed[edge]` says
+        whether the edge has a pair: only the maps between two such edges
+        are joined, as no other entry gives one."""
         sigma = self.sigma
         live = np.flatnonzero(listed[sigma.pair_e[self.row]] & listed[sigma.pair_f[self.row]])
         row = self.row[live]
         length = np.diff(sigma.entry_ptr)[row]
         entry = segment_ranges(sigma.entry_ptr[row], length)
         # Images first: fewer of them are pairs, and only those need their source.
-        q = pair_index(np.repeat(sigma.pair_f[row], length), sigma.entry_image[entry])
+        q = pairs.find(np.repeat(sigma.pair_f[row], length), sigma.entry_image[entry])
         at = np.flatnonzero(q >= 0)
         placed = live[np.searchsorted(np.cumsum(length), at, side="right")]
-        p = pair_index(sigma.pair_e[self.row[placed]], sigma.entry_c[entry][at])
+        p = pairs.find(sigma.pair_e[self.row[placed]], sigma.entry_c[entry][at])
         hit = p >= 0
         p, q, placed = p[hit], q[at[hit]], placed[hit]
         back = self.alone[placed]

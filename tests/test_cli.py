@@ -355,6 +355,20 @@ MALFORMED = {
     "map entry 1.5 to 3.2": {"sigma": [{"e": 0, "f": 1, "map": [[1.5, 3.2]]}]},
     # `np.fromiter` reads null as NaN, where the format takes no null.
     "list entry weight null": {"lists": {"0": [{"colour": 1, "weight": None}], "1": [1, 2]}},
+    # Strings where the format holds numbers, which `int`, `float` and
+    # `np.fromiter` would parse ("12" as the colours 1 and 2).
+    "list row a string": {"lists": {"0": "12", "1": [1, 2]}},
+    "list entry colour a string": {"lists": {"0": [{"colour": "3"}], "1": [1, 2]}},
+    "list entry weight a string": {"lists": {"0": [{"colour": 1, "weight": "0.5"}], "1": [1, 2]}},
+    "list colour a string": {"lists": {"0": ["3", 2], "1": [1, 2]}},
+    "edge a string": {"edges": ["01", [1, 2]]},
+    "edge vertex a string": {"edges": [["0", 1], [1, 2]]},
+    "k a string": {"k": "2"},
+    "vertex_count a string": {"vertex_count": "3"},
+    "universe bound a string": {"colour_universe": [0, "9"]},
+    "sigma edge id a string": {"sigma": [{"e": "0", "f": 1, "map": []}]},
+    "map entry of strings": {"sigma": [{"e": 0, "f": 1, "map": [["1", "2"]]}]},
+    "map entry a string": {"sigma": [{"e": 0, "f": 1, "map": ["12"]}]},
 }
 
 
@@ -578,7 +592,7 @@ def _modules_after_colour(tmp_path, inst, mode) -> set[str]:
 
 
 # Colours spread over int64: keys of (pair, colour) cannot be offsets from
-# the smallest colour, so `LexCodes.fit` ranks the distinct colours.
+# the smallest colour, so `PairIndex` ranks the distinct colours.
 @pytest.mark.parametrize("mode", ["nibble+finish", "finish-only"])
 def test_colour_leaves_numpy_ma_unimported(tmp_path, mode):
     big = 1 << 62

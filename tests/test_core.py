@@ -9,6 +9,7 @@ from nibble_colour.core import (
     EdgeCorrespondence,
     LinearHypergraph,
     MissingWeightError,
+    PairIndex,
     PreconditionError,
     WeightedListAssignment,
     colour_neighbours,
@@ -76,6 +77,92 @@ def test_pair_table_readers_match_a_dict_reference(raw, keep):
 
 
 # ---------------------------------------------------------------------------
+# the pair index
+# ---------------------------------------------------------------------------
+
+_INT64_ENDS = st.sampled_from([-(2**63), 2**63 - 1])
+# The values of one coordinate: a narrow span, whose keys a table covers;
+# a wide one (0..5 times 10^17), whose product with a narrow span still
+# gives offsets; and small values with the int64 ends, which give ranks.
+_AXES = st.sampled_from([
+    st.integers(-3, 12),
+    st.integers(0, 5).map(lambda c: c * 10**17 - 3 * 10**17),
+    st.integers(-3, 3) | _INT64_ENDS,
+])
+
+
+@st.composite
+def _indexed_pairs(draw):
+    """Distinct ascending pairs, and a batch of queries: stored pairs and
+    their neighbours one step away in either coordinate, pairs of values
+    in the spans, and values anywhere in int64."""
+    axis_a, axis_b = draw(_AXES), draw(_AXES)
+    pairs = sorted(draw(st.sets(st.tuples(axis_a, axis_b), max_size=24)))
+    anywhere = st.integers(-(2**63), 2**63 - 1) | _INT64_ENDS
+    query = st.tuples(axis_a | anywhere, axis_b | anywhere)
+    if pairs:
+        step = st.sampled_from([-1, 0, 1])
+        near = st.tuples(st.sampled_from(pairs), step, step).map(
+            lambda p: tuple(min(max(x + d, -(2**63)), 2**63 - 1) for x, d in zip(p[0], p[1:]))
+        )
+        query = st.sampled_from(pairs) | near | query
+    return pairs, draw(st.lists(query, max_size=40))
+
+
+def _columns(pairs):
+    return tuple(np.array([p[i] for p in pairs], dtype=np.int64) for i in (0, 1))
+
+
+@given(_indexed_pairs())
+@settings(max_examples=400, deadline=None)
+def test_pair_index_finds_as_a_dict(drawn):
+    pairs, queries = drawn
+    reference = {pair: i for i, pair in enumerate(pairs)}
+    expected = [reference.get(query, -1) for query in queries]
+    qa, qb = _columns(queries)
+    searched = PairIndex(*_columns(pairs))
+    searched.TABLE_SLOTS = 0  # no batch takes the table
+    assert searched.find(qa, qb).tolist() == expected
+    assert searched._table is None
+    if not pairs:
+        return
+    tabled = PairIndex(*_columns(pairs))
+    span = int(tabled.keys[-1] - tabled.keys[0]) + 1
+    if span <= 4096 and queries:  # a batch of one query or more takes a table of this span
+        tabled.TABLE_SLOTS = 4096
+        assert tabled.find(qa, qb).tolist() == expected
+        assert tabled._table is not None and tabled._table.size == span
+        tabled.TABLE_SLOTS = 0  # later batches read the kept table
+        assert tabled.find(qa[::-1], qb[::-1]).tolist() == expected[::-1]
+
+
+@given(st.lists(st.tuples(_AXES.flatmap(lambda axis: axis), _AXES.flatmap(lambda axis: axis)), max_size=16))
+@settings(max_examples=300, deadline=None)
+def test_pair_index_keys_ascend_exactly_when_the_pairs_do(pairs):
+    keys = PairIndex(*_columns(pairs)).keys.tolist()
+    for (i, p), (j, q) in itertools.product(enumerate(pairs), repeat=2):
+        assert (keys[i] < keys[j]) == (p < q) and (keys[i] == keys[j]) == (p == q)
+
+
+def test_pair_index_codes_offsets_or_ranks_and_the_table_rule():
+    # Offsets from each minimum: spans 3 and 5.
+    assert PairIndex([0, 2], [5, 9]).keys.tolist() == [0, 14]
+    # Spans whose product passes 2^63: ranks among 2 and 2 distinct values.
+    ends = [-(2**63), 2**63 - 1]
+    assert PairIndex(ends, [0, 1]).keys.tolist() == [0, 3]
+    assert PairIndex(ends, [0, 1]).find([2**63 - 1, 0], [1, 1]).tolist() == [1, -1]
+    # The table is taken when the key span has at most 4 slots per query.
+    a, b = np.zeros(2, dtype=np.int64), np.array([0, 7])  # key span 8
+    index = PairIndex(a, b)
+    assert index.find([0], [7]).tolist() == [1] and index._table is None
+    assert index.find([0, 0], [7, 3]).tolist() == [1, -1] and index._table.size == 8
+    # The empty index finds nothing.
+    empty = PairIndex([], [])
+    assert empty.keys.tolist() == [] and empty.find([0, 1], [0, 2]).tolist() == [-1, -1]
+    assert empty.find([], []).tolist() == []
+
+
+# ---------------------------------------------------------------------------
 # the correspondence table
 # ---------------------------------------------------------------------------
 
@@ -94,8 +181,8 @@ _SIGMA_ITEMS = st.lists(
     ),
     max_size=8,
 )
-# How one map entry is written: as the JSON integers, or in a form that
-# `int` reads to the same value.
+# How one map entry is written: as the JSON integers, as integral floats,
+# or as strings, which `int` reads to the same value but the load rejects.
 _ENTRY_FORM = st.sampled_from(["ints", "floats", "strings"])
 # Entries that the parser must reject, each replacing one entry.
 _MALFORMED_ENTRY = st.sampled_from(
@@ -158,12 +245,18 @@ def test_correspondence_table_matches_a_dict_reference(items, mirrors, form, mal
         maps[e, f] = dict(entries)  # the last item, and within it the last image, wins
     graph, universe = _SIGMA_GRAPH, (0, 5)
     lists = WeightedListAssignment.unit({e: [0, 1, 2, 3] for e in range(graph.edge_count)})
+    def sigma_json(form):
+        return [{"e": e, "f": f, "map": [_json_entry(c, i, form) for c, i in entries]} for e, f, entries in items]
+
     data = {
         "k": 2, "vertex_count": 7, "edges": [list(edge) for edge in graph.edges], "colour_universe": list(universe),
         "lists": {str(e): [0, 1, 2, 3] for e in range(graph.edge_count)},
-        "sigma": [{"e": e, "f": f, "map": [_json_entry(c, i, form) for c, i in entries]} for e, f, entries in items],
+        "sigma": sigma_json("ints" if form == "strings" else form),
     }
     flat = [entry for _, _, entries in items for entry in entries]
+    if form == "strings" and flat:  # a string is no number
+        with pytest.raises(InstanceError, match="malformed instance"):
+            instance_from_dict({**data, "sigma": sigma_json(form)})
     tables = [
         EdgeCorrespondence(maps),
         EdgeCorrespondence.from_items(
@@ -224,6 +317,13 @@ def test_correspondence_table_is_read_only():
             table[0] = 7
     given[0] = 7  # the table holds its own arrays
     assert sigma.entry_c.tolist() == [1, 3] and sigma.blocks(0, 3, 1, 4)
+
+
+def test_correspondence_table_copies_entries_given_in_table_order():
+    c, image = np.array([1, 3]), np.array([4, 5])  # ascending: no sort, no gather
+    sigma = EdgeCorrespondence.from_items([0], [1], [2], c, image)
+    c[0] = image[0] = 7
+    assert sigma.entry_c.tolist() == [1, 3] and sigma.entry_image.tolist() == [4, 5]
 
 
 # ---------------------------------------------------------------------------

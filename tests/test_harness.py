@@ -413,6 +413,43 @@ def test_audit_witness_is_first_maximum_in_edge_vertex_colour_order():
     assert audit.max_neighbourhood_witness == (0, 1, 0)  # colour 1 of edge 0 no longer meets edge 2
 
 
+def _colour_sums_by_dict(struct):
+    """The audit's largest (vertex, colour) weight sum and its witness, as
+    one Python dict adds the weights, pair by pair in pair order."""
+    sums: dict[tuple[int, int], float] = {}
+    for vertices, c, w in zip(struct.vertex_of.tolist(), struct.colour_of.tolist(), struct.mu.tolist()):
+        for v in vertices:
+            sums[v, c] = sums.get((v, c), 0.0) + w
+    if not sums:
+        return 0.0, None
+    key = max(sorted(sums), key=lambda kv: sums[kv])
+    return sums[key], key
+
+
+# Weights whose sums round differently in another order, and ties.
+_AUDIT_WEIGHT = st.sampled_from([0.1, 0.2, 0.3, 0.7, 1 / 3, 0.5, 1.0]) | st.floats(0.01, 1.0)
+
+
+@given(
+    st.sampled_from([path_graph(4), star_graph(5), triangle_graph(), LinearHypergraph.build(3, [(0,), (0,), (1,)], k=1),
+                     LinearHypergraph.build(9, [(0, 1, 2), (0, 3, 4), (2, 5, 6), (3, 7, 8)], k=3)]),
+    st.lists(st.lists(st.tuples(st.integers(0, 4), _AUDIT_WEIGHT), max_size=5), min_size=6, max_size=6),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_audit_colour_sums_equal_a_dict_to_the_bit(graph, rows, mapped):
+    from nibble_colour.nibble import RoundStructure
+
+    lists = WeightedListAssignment.build(
+        {e: [c for c, _ in rows[e]] for e in range(graph.edge_count)},
+        {(e, c): w for e in range(graph.edge_count) for c, w in rows[e]},
+    )
+    sigma = EdgeCorrespondence(maps={(0, 1): {c: (c + 1) % 5 for c in range(5)}} if mapped and graph.k > 1 else {})
+    audit = neighbourhood_audit(graph, lists, sigma)
+    best, witness = _colour_sums_by_dict(RoundStructure.build(graph, lists, sigma))
+    assert audit.max_colour_sum.hex() == best.hex() and audit.max_colour_sum_witness == witness
+
+
 def test_audit_disjoint_lists():
     g = path_graph(3)
     lists = WeightedListAssignment.unit({0: [0], 1: [1], 2: [2]})

@@ -89,7 +89,7 @@ def test_integral_numbers_with_a_fraction_load_as_integers(tmp_path):
     path.write_text(
         '{"k": 2.0, "vertex_count": 3e0, "edges": [[0.0, 1], [1, 2.0]], "colour_universe": [0, 5.0],'
         ' "lists": {"0": [1.0, {"colour": 2e0, "weight": 0.5}], "1": [2, 3]},'
-        ' "sigma": [{"e": 0.0, "f": 1, "map": [[1.0, 3], ["2", 2e0]]}]}'
+        ' "sigma": [{"e": 0.0, "f": 1, "map": [[1.0, 3], [2.0, 2e0]]}]}'
     )
     inst = load_instance(path)
     assert (inst.graph.k, inst.graph.vertex_count, inst.graph.edges, inst.universe) == (2, 3, ((0, 1), (1, 2)), (0, 5))

@@ -269,7 +269,7 @@ def test_structure_rows_match_colour_neighbours():
 
 # A drawn colour c in 0..5 is written as c * scale + offset: small colours
 # find pairs through the (edge, colour) table, the two wide spreads by
-# binary search over LexCodes offsets and over LexCodes ranks.
+# binary search over PairIndex offsets and over PairIndex ranks.
 SPREADS = ((1, 0), (10**17, -(3 * 10**17)), (2**61, -(2**62)))
 
 
