@@ -5,6 +5,10 @@ run is a pure function of (inputs, flags, seed); a JSON manifest echoing
 the full parameter set accompanies file outputs so runs can be reproduced
 byte-identically (the manifest's duration field excepted).
 
+Every numeric flag's domain is its argparse `type` (`_flag`); `main`
+returns argparse's exit code (2 for a bad flag, before any file is read)
+rather than raising SystemExit.  Without `--eps`, `drive` derives eps.
+
 Exit codes: 0 success, 1 verification failure (or proven-unsatisfiable),
 2 input error, 3 cap or regime failure, 4 resource limit: `main` turns a
 MemoryError raised by any command into one `resource limit:` line and
@@ -22,6 +26,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .core import InstanceError, validate_colouring, validate_instance
@@ -46,11 +51,11 @@ from .instance_io import (
     load_vector,
 )
 from .nibble import (
+    E_SQUARED,
     SCHEDULE_MODES,
     NibbleFailureError,
     ParameterDomainError,
     NibbleParams,
-    RoundStructure,
     ScheduleCollapseError,
     drive,
     simulate_schedule,
@@ -72,6 +77,33 @@ def _threads_default() -> int:
         return max(1, int(raw))
     except ValueError:
         return 1
+
+
+def _flag(name: str, convert: Callable[[str], float], ok: Callable[[float], bool], rule: str) -> Callable[[str], float]:
+    """The argparse `type` of `--name`: the text read by `convert`, when
+    `ok` holds of the value.  Any other text raises ArgumentTypeError, so
+    argparse prints its usage line and `input error: --name must be
+    <rule>` and exits 2."""
+
+    def parse(text: str) -> float:
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:  # not a number that `convert` reads
+            pass
+        raise argparse.ArgumentTypeError(f"input error: --{name} must be {rule}, got {text}")
+
+    return parse
+
+
+def _at_least(name: str, low: int) -> Callable[[str], int]:
+    return _flag(name, int, lambda value: value >= low, f">= {low}")
+
+
+# The keys the random streams take, and the nibble's domain (NaN fails too).
+_SEED = _flag("seed", int, lambda seed: -(1 << 63) <= seed < 1 << 64, "in [-2^63, 2^64)")
+_EPS = _flag("eps", float, lambda eps: 0 < eps <= 0.25, "a finite number in (0, 1/4]")
 
 
 def _write_manifest(path: Path, command: str, params: dict, seed: int | None,
@@ -134,28 +166,8 @@ _KIND_MAP = {
 }
 
 
-def _gen_flag_error(args) -> str | None:
-    """What makes a `gen` flag value fall outside its domain, or None."""
-    if not (math.isfinite(args.eps) and args.eps > -1):
-        return f"--eps must be a finite number above -1, got {args.eps}"
-    if args.p is not None and not 0 <= args.p <= 1:
-        return f"--p must be in [0, 1], got {args.p}"
-    return _seed_flag_error(args.seed)
-
-
-def _seed_flag_error(seed: int) -> str | None:
-    """What makes a `--seed` fall outside the keys the random streams take, or None."""
-    if not -(1 << 63) <= seed < 1 << 64:
-        return f"--seed must be in [-2^63, 2^64), got {seed}"
-    return None
-
-
 def cmd_gen(args) -> int:
     started = time.monotonic()
-    flag_error = _gen_flag_error(args)
-    if flag_error:
-        _err(f"input error: {flag_error}")
-        return EXIT_INPUT
     try:
         spec = GeneratorSpec(
             kind=_KIND_MAP[args.kind], n=args.n, seed=args.seed, d=args.d, p=args.p,
@@ -198,47 +210,8 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _auto_eps(struct: RoundStructure) -> float:
-    """eps from the ratio of the smallest list weight to the largest
-    neighbourhood weight of the instance's round structure."""
-    max_neighbourhood = struct.max_neighbourhood()[0]
-    if max_neighbourhood <= 0:
-        return 0.25
-    ratio = struct.min_list_weight()[0] / max_neighbourhood
-    return min(0.25, max(0.01, (ratio - 1.0) / 2.0))
-
-
-def _eps_flag_error(eps: float) -> str | None:
-    """What makes an `--eps` fall outside the nibble's domain, or None."""
-    if not 0 < eps <= 0.25:  # NaN fails too
-        return f"--eps must be a finite number in (0, 1/4], got {eps}"
-    return None
-
-
-def _cap_flag_error(args, *names: str) -> str | None:
-    """What makes one of the cap flags `names` negative, or None."""
-    for name in names:
-        value = getattr(args, name)
-        if value is not None and value < 0:
-            return f"--{name.replace('_', '-')} must be >= 0, got {value}"
-    return None
-
-
-def _colour_flag_error(args) -> str | None:
-    """What makes a `colour` flag value fall outside its domain, or None."""
-    return (
-        (_eps_flag_error(args.eps) if args.eps is not None else None)
-        or _cap_flag_error(args, "retry_cap", "iteration_cap", "node_cap")
-        or _seed_flag_error(args.seed)
-    )
-
-
 def cmd_colour(args) -> int:
     started = time.monotonic()
-    flag_error = _colour_flag_error(args)
-    if flag_error:
-        _err(f"input error: {flag_error}")
-        return EXIT_INPUT
     inst = _load_valid_instance(args.instance)
     if inst is None:
         return EXIT_INPUT
@@ -266,13 +239,8 @@ def cmd_colour(args) -> int:
             status = EXIT_CAP
     else:
         if args.mode == "nibble+finish":
-            struct = RoundStructure.build(inst.graph, inst.lists, inst.sigma)
-            eps = args.eps if args.eps is not None else _auto_eps(struct)
             try:
-                result = drive(
-                    inst.graph, inst.lists, inst.sigma, eps=eps, seed=args.seed,
-                    retry_cap=args.retry_cap, struct=struct,
-                )
+                result = drive(inst.graph, inst.lists, inst.sigma, eps=args.eps, seed=args.seed, retry_cap=args.retry_cap)
             except NibbleFailureError as exc:
                 _err(f"nibble failure: {exc}; diagnostics: {exc.diagnostics}")
                 return EXIT_CAP
@@ -323,10 +291,6 @@ def cmd_colour(args) -> int:
 
 
 def cmd_brute(args) -> int:
-    flag_error = _cap_flag_error(args, "node_cap")
-    if flag_error:
-        _err(f"input error: {flag_error}")
-        return EXIT_INPUT
     inst = _load_valid_instance(args.instance)
     if inst is None:
         return EXIT_INPUT
@@ -373,21 +337,8 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _schedule_flag_error(args) -> str | None:
-    """What makes a `schedule` flag value fall outside its domain, or None."""
-    if args.k < 1:
-        return f"--k must be >= 1, got {args.k}"
-    if not math.isfinite(args.delta):
-        return f"--delta must be a finite number, got {args.delta}"
-    return _eps_flag_error(args.eps)
-
-
 def cmd_schedule(args) -> int:
     started = time.monotonic()
-    flag_error = _schedule_flag_error(args)
-    if flag_error:
-        _err(f"input error: {flag_error}")
-        return EXIT_INPUT
     try:
         rows = simulate_schedule(args.eps, args.k, args.delta, mode=args.mode)
     except ScheduleCollapseError as exc:
@@ -443,24 +394,8 @@ def cmd_polytope(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _diag_flag_error(args) -> str | None:
-    """What makes a `diag` flag value fall outside its domain, or None."""
-    for name in ("L", "N"):
-        value = getattr(args, name)
-        if value is not None and not math.isfinite(value):
-            return f"--{name} must be a finite number, got {value}"
-    return _eps_flag_error(args.eps) or _seed_flag_error(args.seed)
-
-
 def cmd_diag(args) -> int:
     started = time.monotonic()
-    if args.trials < 1:
-        _err("usage error: --trials must be >= 1")
-        return EXIT_INPUT
-    flag_error = _diag_flag_error(args)
-    if flag_error:
-        _err(f"input error: {flag_error}")
-        return EXIT_INPUT
     inst = _load_valid_instance(args.instance)
     if inst is None:
         return EXIT_INPUT
@@ -512,39 +447,40 @@ def build_parser() -> argparse.ArgumentParser:
         "3 cap or regime failure, 4 resource limit (a command that runs out of memory prints one "
         "'resource limit:' line).",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help=f"worker bound (default ${THREADS_ENV} or 1); outputs do not depend on it")
+    threads_help = f"worker bound, >= 1 (default ${THREADS_ENV} or 1); outputs do not depend on it"
+    parser.add_argument("--threads", type=_at_least("threads", 1), default=None, help=threads_help)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an instance file")
     p.add_argument("--kind", choices=["regular", "bipartite", "random", "linear"], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, default=None)
-    p.add_argument("--p", type=float, default=None, help="edge probability, in [0, 1]")
+    p.add_argument("--p", type=_flag("p", float, lambda p: 0 <= p <= 1, "in [0, 1]"), default=None,
+                   help="edge probability, in [0, 1]")
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n2", type=int, default=None)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--eps", type=float, default=0.5,
-                   help="lists of ceil((1+eps) maxdeg(e)) colours; a finite number above -1 (default 0.5)")
+    p.add_argument("--eps", type=_flag("eps", float, lambda eps: -1 < eps < math.inf, "a finite number above -1"),
+                   default=0.5, help="lists of ceil((1+eps) maxdeg(e)) colours; a finite number above -1 (default 0.5)")
     p.add_argument("--universe", type=int, default=None,
                    help="colours 0..universe-1 (default 4 times the longest list)")
     p.add_argument("--weights", choices=["unit", "degree"], default="unit")
-    p.add_argument("--seed", type=int, default=0, help="in [-2^63, 2^64) (default 0)")
+    p.add_argument("--seed", type=_SEED, default=0, help="in [-2^63, 2^64) (default 0)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("colour", help="colour an instance")
     p.add_argument("instance")
     p.add_argument("--mode", choices=["nibble+finish", "finish-only", "brute"], default="nibble+finish")
-    p.add_argument("--seed", type=int, default=0, help="in [-2^63, 2^64) (default 0)")
-    p.add_argument("--retry-cap", type=int, default=10,
+    p.add_argument("--seed", type=_SEED, default=0, help="in [-2^63, 2^64) (default 0)")
+    p.add_argument("--retry-cap", type=_at_least("retry-cap", 0), default=10,
                    help="retries of a failed nibble round, >= 0 (default 10)")
-    p.add_argument("--iteration-cap", type=int, default=None,
+    p.add_argument("--iteration-cap", type=_at_least("iteration-cap", 0), default=None,
                    help="finisher resamples, >= 0 (default 100 times the edges left)")
-    p.add_argument("--node-cap", type=int, default=1_000_000,
+    p.add_argument("--node-cap", type=_at_least("node-cap", 0), default=1_000_000,
                    help="search nodes of --mode brute, >= 0 (default 1000000)")
-    p.add_argument("--eps", type=float, default=None,
-                   help="the nibble's eps, in (0, 1/4] (default: derived from the instance)")
+    p.add_argument("--eps", type=_EPS, default=None,
+                   help="the nibble's eps, in (0, 1/4] (default: derived from the instance by drive)")
     p.add_argument("--out-prefix", default="colour-run")
     p.set_defaults(func=cmd_colour)
 
@@ -554,10 +490,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("schedule", help="simulate the parameter recursion")
-    p.add_argument("--eps", type=float, required=True, help="the nibble's eps, in (0, 1/4]")
-    p.add_argument("--k", type=int, required=True,
+    p.add_argument("--eps", type=_EPS, required=True, help="the nibble's eps, in (0, 1/4]")
+    p.add_argument("--k", type=_at_least("k", 1), required=True,
                    help="the edge size, >= 1; 3ek and the iteration cap 100 k ln(delta) / eps must be finite floats")
-    p.add_argument("--delta", type=float, required=True, help="the starting N, a finite number above e^2")
+    p.add_argument("--delta", type=_flag("delta", float, lambda delta: E_SQUARED < delta < math.inf, "a finite number above e^2"),
+                   required=True, help="the starting N, a finite number above e^2")
     p.add_argument("--mode", choices=SCHEDULE_MODES, default="eps8")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_schedule)
@@ -573,17 +510,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="an instance file with k = 2")
     p.add_argument("vector", help="a JSON object that maps every edge id, and nothing else, "
                    "to a finite JSON number; an id is written as a plain integer (\"2\", not \"02\")")
-    p.add_argument("--shrink", type=float, default=0.0,
+    p.add_argument("--shrink", type=_flag("shrink", float, lambda shrink: 0 <= shrink < 1, "in [0, 1)"), default=0.0,
                    help="test vector/(1-shrink), for shrink in [0, 1) (default 0)")
     p.set_defaults(func=cmd_polytope)
 
     p = sub.add_parser("diag", help="expectation diagnostics for the colouring procedure")
     p.add_argument("instance")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0, help="in [-2^63, 2^64) (default 0)")
-    p.add_argument("--eps", type=float, default=0.25, help="in (0, 1/4] (default 0.25)")
-    p.add_argument("--L", type=float, default=None, help="a finite number (default: the smallest list weight)")
-    p.add_argument("--N", type=float, default=None,
+    p.add_argument("--trials", type=_at_least("trials", 1), required=True, help=">= 1")
+    p.add_argument("--seed", type=_SEED, default=0, help="in [-2^63, 2^64) (default 0)")
+    p.add_argument("--eps", type=_EPS, default=0.25, help="in (0, 1/4] (default 0.25)")
+    p.add_argument("--L", type=_flag("L", float, math.isfinite, "a finite number"), default=None,
+                   help="a finite number (default: the smallest list weight)")
+    p.add_argument("--N", type=_flag("N", float, math.isfinite, "a finite number"), default=None,
                    help="a finite number (default: the largest neighbourhood weight, at least 8)")
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None, help="also write raw per-trial weights")
@@ -591,20 +529,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("brute", help="exhaustive backtracking oracle")
     p.add_argument("instance")
-    p.add_argument("--node-cap", type=int, default=1_000_000, help="search nodes, >= 0 (default 1000000)")
+    p.add_argument("--node-cap", type=_at_least("node-cap", 0), default=1_000_000,
+                   help="search nodes, >= 0 (default 1000000)")
     p.set_defaults(func=cmd_brute)
 
+    for p in sub.choices.values():  # --threads also after the command; a value given there wins
+        p.add_argument("--threads", type=_at_least("threads", 1), default=argparse.SUPPRESS, help=threads_help)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or a bad argument: argparse has printed why
+        return exc.code
     if args.threads is None:
         args.threads = _threads_default()
-    if args.threads < 1:
-        _err("usage error: --threads must be >= 1")
-        return EXIT_INPUT
     try:
         return args.func(args)
     except MemoryError as exc:  # numpy's _ArrayMemoryError included

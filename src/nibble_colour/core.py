@@ -501,17 +501,23 @@ class WeightedListAssignment:
         """The table of the ascending edge ids `edges` and the pairs
         (edge_of[i], colour_of[i]) of weight mu[i], given in any order; a
         pair given twice keeps its last weight.  Every edge_of must be in
-        `edges`."""
+        `edges`.  Pairs given ascending and distinct, as a table's own
+        pairs or a mask of them are, skip the sort and are copied once."""
         colours = np.asarray(colour_of, dtype=np.int64)
         edge_of = np.asarray(edge_of, dtype=np.int64)
-        order = np.lexsort((colours, edge_of))  # stable: repeats stay in input order
-        edge_of, colours, weights = edge_of[order], colours[order], np.asarray(mu, dtype=np.float64)[order]
-        last = np.ones(order.size, dtype=bool)
-        last[:-1] = (edge_of[1:] != edge_of[:-1]) | (colours[1:] != colours[:-1])
-        edge_of = edge_of[last]
+        weights = np.asarray(mu, dtype=np.float64)
+        step = np.diff(edge_of)
+        if (step >= 0).all() and ((step > 0) | (colours[1:] > colours[:-1])).all():
+            colours, weights = colours.copy(), weights.copy()  # the table's own arrays, as a gather makes
+        else:
+            order = np.lexsort((colours, edge_of))  # stable: repeats stay in input order
+            edge_of, colours, weights = edge_of[order], colours[order], weights[order]
+            last = np.ones(order.size, dtype=bool)
+            last[:-1] = (edge_of[1:] != edge_of[:-1]) | (colours[1:] != colours[:-1])
+            edge_of, colours, weights = edge_of[last], colours[last], weights[last]
         edges = np.asarray(edges, dtype=np.int64)
         edge_ptr = np.append(np.searchsorted(edge_of, edges), edge_of.size)
-        return cls(edges=edges, edge_ptr=edge_ptr, colour_of=colours[last], mu=weights[last])
+        return cls(edges=edges, edge_ptr=edge_ptr, colour_of=colours, mu=weights)
 
     @classmethod
     def build(cls, lists: Mapping[int, Iterable[int]], weights: Mapping[tuple[int, int], float] | None = None) -> "WeightedListAssignment":

@@ -267,20 +267,12 @@ def _assemble(head: _Head, list_blocks: list[_ListBlock], sigma_blocks: list[_Si
     unknown = (keys < 0) | (keys >= m)
     if unknown.any():
         raise InstanceError(f"list declared for unknown edge {keys[unknown][0]}")
-    # The rows in edge order, each row's entries in file order; a row that
-    # is not ascending and distinct goes through `from_pairs`' general sort.
+    # The rows in edge order, each row's entries in file order.
     order = np.argsort(keys, kind="stable")
     at = segment_ranges((np.cumsum(counts) - counts)[order], counts[order])
-    edge_of, colour_of, mu = np.repeat(keys[order], counts[order]), colour_of[at], mu[at]
-    if ((edge_of[1:] != edge_of[:-1]) | (colour_of[1:] > colour_of[:-1])).all():
-        edge_ptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(edge_of, minlength=m), out=edge_ptr[1:])
-        table = WeightedListAssignment(edges=np.arange(m, dtype=np.int64), edge_ptr=edge_ptr, colour_of=colour_of, mu=mu)
-    else:
-        table = WeightedListAssignment.from_pairs(range(m), edge_of, colour_of, mu)
     return Instance(
         graph=LinearHypergraph.from_slots(head.vertex_count, head.k, head.sizes, head.vertices),
-        lists=table,
+        lists=WeightedListAssignment.from_pairs(np.arange(m), np.repeat(keys[order], counts[order]), colour_of[at], mu[at]),
         sigma=EdgeCorrespondence.from_items(pair_e, pair_f, map_counts, entries[:, 0], entries[:, 1]),
         universe=head.universe,
     )
@@ -504,7 +496,7 @@ def _streamed_columns(text: str) -> tuple[_Head, list[_ListBlock], list[_SigmaBl
             elif key in blocks or not cursor.opens("{" if key == "lists" else "["):
                 return None
             else:
-                blocks[key] = _list_blocks(cursor) if key == "lists" else _sigma_blocks(cursor)
+                blocks[key] = _blocks(cursor, key)
         if cursor.at != len(text):
             return None
         converted = _head(head)
@@ -519,31 +511,19 @@ def _streamed_columns(text: str) -> tuple[_Head, list[_ListBlock], list[_SigmaBl
     return converted, list_blocks, blocks.get("sigma") or [_sigma_block([])]
 
 
-def _list_blocks(cursor: _Cursor) -> list[_ListBlock]:
-    """The members of the `lists` object just opened, converted a block
-    at a time."""
-    blocks, keys, rows = [], [], []
-    for key in cursor.members("}"):
+def _blocks(cursor: _Cursor, name: str) -> list[_ListBlock] | list[_SigmaBlock]:
+    """The members of the `lists` object or the items of the `sigma`
+    array (`name`) just opened, converted a block at a time."""
+    close, convert = ("}", _list_block) if name == "lists" else ("]", lambda _keys, items: _sigma_block(items))
+    blocks, keys, values = [], [], []
+    for key in cursor.members(close):
         keys.append(key)
-        rows.append(cursor.value())
-        if len(rows) == _BLOCK_ROWS:
-            blocks.append(_list_block(keys, rows))
+        values.append(cursor.value())
+        if len(values) == _BLOCK_ROWS:
+            blocks.append(convert(keys, values))
             keys.clear()
-            rows.clear()
-    blocks.append(_list_block(keys, rows))
-    return blocks
-
-
-def _sigma_blocks(cursor: _Cursor) -> list[_SigmaBlock]:
-    """The items of the `sigma` array just opened, converted a block at
-    a time."""
-    blocks, items = [], []
-    for _ in cursor.members("]"):
-        items.append(cursor.value())
-        if len(items) == _BLOCK_ROWS:
-            blocks.append(_sigma_block(items))
-            items.clear()
-    blocks.append(_sigma_block(items))
+            values.clear()
+    blocks.append(convert(keys, values))
     return blocks
 
 
@@ -622,13 +602,19 @@ def _edge_id(key: str) -> int:
 
 
 def load_colouring(path: str | Path) -> tuple[PartialColouring, bool]:
+    """The colouring at `path` and its `complete` flag.  Edge ids are
+    read as `_edge_id` reads them and colours as the instance's list
+    colours are (`_int64`): an int64, never a string; any other value
+    raises InstanceError."""
     data = _read_json(path, "colouring")
     try:
-        colours = {_edge_id(e): int(c) for e, c in data["colours"].items()}
+        colours = data["colours"]
+        edges = list(map(_edge_id, colours))
+        values = _int64(colours.values, len(edges)).tolist()
         complete = bool(data.get("complete", False))
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:  # InstanceError is a ValueError
         raise InstanceError(f"cannot read colouring {path}: {exc}") from exc
-    return PartialColouring(colours), complete
+    return PartialColouring(dict(zip(edges, values))), complete
 
 
 def load_vector(path: str | Path) -> dict[int, float]:

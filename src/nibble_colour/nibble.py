@@ -725,6 +725,7 @@ class DriveResult:
     lists: WeightedListAssignment
     L: float
     N: float
+    eps: float  # the rounds' eps: the one given, or the one derived
     trace: list[DriveRow] = field(default_factory=list)
     stop_reason: str = ""
 
@@ -737,10 +738,9 @@ def drive(
     graph: LinearHypergraph,
     lists: WeightedListAssignment,
     sigma: EdgeCorrespondence,
-    eps: float,
+    eps: float | None = None,
     seed: int = 0,
     retry_cap: int = 10,
-    struct: RoundStructure | None = None,
 ) -> DriveResult:
     """Iterate rounds until the list/neighbourhood ratio supports the
     finisher (L/N >= 3ek) or the regime runs out.
@@ -761,8 +761,8 @@ def drive(
     the truncation target must keep at least half of the expected
     surviving weight L K^k.
 
-    `struct`, when given, is the round structure of `lists` over all of
-    its edges, so a caller that already built it does not pay twice.
+    With `eps` None, eps is min(1/4, max(1/100, (L/N - 1)/2)) for the
+    entering L and N, the instance's own (1/4 when N <= 0).
     Raises ParameterDomainError when `retry_cap` is negative.
     """
     if retry_cap < 0:
@@ -771,13 +771,12 @@ def drive(
     target_ratio = 3.0 * math.e * k
     colouring: dict[int, int] = {}
     cur_lists = lists
-    result = DriveResult(colouring=colouring, lists=cur_lists, L=0.0, N=0.0)
-
-    if struct is None:
-        struct = RoundStructure.build(graph, cur_lists, sigma)
+    struct = RoundStructure.build(graph, cur_lists, sigma)
     L = struct.min_list_weight()[0]
     N, _, max_card = struct.max_neighbourhood()
-    result.L, result.N = L, N
+    if eps is None:
+        eps = 0.25 if N <= 0 else min(0.25, max(0.01, (L / N - 1.0) / 2.0))
+    result = DriveResult(colouring=colouring, lists=cur_lists, L=L, N=N, eps=eps)
     max_rounds = math.ceil(100.0 / eps * k * math.log(N)) if N > 1.0 else 0
 
     i = 0

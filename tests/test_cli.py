@@ -40,6 +40,31 @@ def _p3_instance(tmp_path, lists=None) -> Path:
 
 
 # ---------------------------------------------------------------------------
+# main
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["colour"], 2),
+    (["colour", "INSTANCE", "--eps", "abc"], 2),
+    (["--threads", "0", "colour", "INSTANCE"], 2),
+])
+def test_main_returns_argparse_exit_codes_without_raising(tmp_path, monkeypatch, capsys, argv, code):
+    inst = _p3_instance(tmp_path)
+    monkeypatch.chdir(tmp_path)  # where colour's default --out-prefix writes
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main([str(inst) if word == "INSTANCE" else word for word in argv]) == code
+    captured = capsys.readouterr()
+    assert "usage: nibble-colour" in (captured.out if code == 0 else captured.err)
+    assert "Traceback" not in captured.err
+    assert sorted(tmp_path.iterdir()) == before
+    if "--eps" in argv:
+        assert "input error: --eps must be a finite number in (0, 1/4], got abc" in captured.err
+
+
+# ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
 
@@ -135,6 +160,7 @@ def test_gen_flags_at_the_edge_of_their_domain_exit_0(tmp_path, flags):
     ["--retry-cap", "-1"],
     ["--iteration-cap", "-1"],
     ["--node-cap", "-5"],
+    ["--threads", "0"],
 ])
 @pytest.mark.parametrize("mode", ["nibble+finish", "finish-only"])
 def test_colour_flags_outside_their_domain_exit_2(tmp_path, capsys, flags, mode):
@@ -403,6 +429,10 @@ MALFORMED_COLOURINGS = {
     "colour 1e400": {"colours": {"0": "1e400", "1": 2}},
     "colour Infinity": {"colours": {"0": 1, "1": math.inf}},
     "colour 1.5": {"colours": {"0": 1.5, "1": 2}},
+    # Colours follow the instance's integer rules: no string, nothing outside int64.
+    "colour string 1": {"colours": {"0": "1", "1": 2}},
+    "colour 2**70": {"colours": {"0": 2**70, "1": 2}},
+    "colour -(2**63)-1": {"colours": {"0": -(2**63) - 1, "1": 2}},
     # An edge id written other than as a plain integer would alias edge 2 or 0.
     "edge id 02": {"colours": {"0": 1, "1": 2, "02": 1}},
     "edge id +1": {"colours": {"0": 1, "+1": 2}},
@@ -849,6 +879,17 @@ def test_diag_raw_csv(tmp_path, capsys):
     lines = raw.read_text().strip().splitlines()
     assert lines[0] == "trial,edge,surviving_weight"
     assert len(lines) == 1 + 8 * 2  # trials x edges
+
+
+def test_threads_before_or_after_the_command_reach_the_manifest(tmp_path):
+    inst = _p3_instance(tmp_path)
+    for argv, threads in [
+        (["--threads", 3, "colour", inst], 3),
+        (["colour", inst, "--threads", 2], 2),
+        (["--threads", 3, "colour", inst, "--threads", 2], 2),  # the later one wins
+    ]:
+        assert run([*argv, "--out-prefix", tmp_path / "run"]) == 0
+        assert json.loads((tmp_path / "run.manifest.json").read_text())["parameters"]["threads"] == threads
 
 
 def test_threads_env_fallback(tmp_path, monkeypatch, capsys):

@@ -76,6 +76,32 @@ def test_pair_table_readers_match_a_dict_reference(raw, keep):
     assert instance_to_dict(instance_from_dict(dumped)) == dumped
 
 
+@given(_RAW_LISTS, st.sets(st.integers(-1, 8), max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_pairs_given_in_order_give_the_table_of_the_sort(raw, extra):
+    """Pairs given ascending and distinct skip the sort; the same pairs led
+    by a repeat of the first pair, which the sort drops, give the same
+    table, to the bit, in arrays that the table owns."""
+    weights = {(e, c): w for e, entries in raw.items() for c, w in entries}  # the last weight wins
+    pairs = sorted(weights)
+    edges = sorted({e for e, _ in pairs} | extra)  # edges without a pair too
+    edge_of = np.array([e for e, _ in pairs], dtype=np.int64)
+    colour_of = np.array([c for _, c in pairs], dtype=np.int64)
+    mu = np.array([weights[pair] for pair in pairs])
+    in_order = WeightedListAssignment.from_pairs(edges, edge_of, colour_of, mu)
+    sorted_ = WeightedListAssignment.from_pairs(
+        edges, np.append(edge_of[:1], edge_of), np.append(colour_of[:1], colour_of), np.append(mu[:1] / 2, mu)
+    )
+    bits = [
+        [(a.dtype, a.tobytes()) for a in (table.edges, table.edge_ptr, table.colour_of, table.mu)]
+        for table in (in_order, sorted_)
+    ]
+    assert bits[0] == bits[1]
+    colour_of[:], mu[:] = 7, 0.5
+    assert in_order.colour_of.tobytes() == sorted_.colour_of.tobytes()
+    assert in_order.mu.tobytes() == sorted_.mu.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the pair index
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from nibble_colour.nibble import (
     simulate_schedule,
     truncate_edge,
 )
-from conftest import fano_hypergraph, pair_table, path_graph, random_micro_instance, star_graph
+from conftest import fano_hypergraph, pair_table, path_graph, random_micro_instance, random_sigma, star_graph
 
 mp.mp.dps = 50
 
@@ -779,6 +779,76 @@ def test_drive_zero_rounds_on_feasible_ratio():
     result = drive(g, lists, EdgeCorrespondence(), eps=0.25, seed=0)
     assert result.stop_reason == "ratio-reached"
     assert result.colouring == {} and result.trace == []
+
+
+def _auto_eps_reference(graph, lists, sigma) -> float:
+    """eps from the ratio of the smallest list weight to the largest
+    neighbourhood weight of the instance's round structure, as the CLI
+    derived it before `drive` took the rule over."""
+    struct = RoundStructure.build(graph, lists, sigma)
+    max_neighbourhood = struct.max_neighbourhood()[0]
+    if max_neighbourhood <= 0:
+        return 0.25
+    ratio = struct.min_list_weight()[0] / max_neighbourhood
+    return min(0.25, max(0.01, (ratio - 1.0) / 2.0))
+
+
+def _drive_bits(result) -> tuple:
+    tables = (result.lists.edges, result.lists.edge_ptr, result.lists.colour_of, result.lists.mu)
+    return repr(result.trace), result.colouring, result.stop_reason, [a.tobytes() for a in tables], result.eps.hex()
+
+
+def _disjoint_lists_path():
+    """No colour neighbourhoods at all: N = 0."""
+    return path_graph(3), WeightedListAssignment.unit({0: [1, 2], 1: [3, 4], 2: [5, 6]}), EdgeCorrespondence()
+
+
+@st.composite
+def _drive_instances(draw):
+    """Micro instances; a path without neighbourhoods; and regular graphs
+    with lists of ceil((1 + list_eps) maxdeg) colours from a universe a
+    few colours wider, unit or degree weights, some with correspondences."""
+    from nibble_colour.harness import GeneratorSpec, build_local_lists, generate, list_sizes
+
+    seed = draw(st.integers(0, 2**16))
+    shape = draw(st.sampled_from(["micro", "disjoint", "regular"]))
+    if shape == "micro":
+        return random_micro_instance(seed)[:3], seed
+    if shape == "disjoint":
+        return _disjoint_lists_path(), seed
+    d = draw(st.sampled_from([8, 12, 16]))
+    graph = generate(GeneratorSpec(kind="regular-graph", n=d + 4, d=d, seed=seed))
+    list_eps = draw(st.sampled_from([0.1, 0.125, 0.2, 0.5, 1.5]))
+    universe = int(list_sizes(graph, list_eps).max()) + draw(st.integers(0, 8))
+    mode = draw(st.sampled_from(["unit-weight", "degree-weighted"]))
+    lists = build_local_lists(graph, list_eps, universe, mode=mode, seed=seed)
+    sigma = random_sigma(graph, universe, seed, density=0.2) if draw(st.booleans()) else EdgeCorrespondence()
+    return (graph, lists, sigma), seed
+
+
+@given(_drive_instances())
+@settings(max_examples=60, deadline=None)
+def test_drive_derives_eps_as_the_reference_rule(drawn):
+    (graph, lists, sigma), seed = drawn
+    eps = _auto_eps_reference(graph, lists, sigma)
+    assert _drive_bits(drive(graph, lists, sigma, seed=seed)) == _drive_bits(drive(graph, lists, sigma, eps=eps, seed=seed))
+
+
+def test_drive_derived_eps_cases():
+    from nibble_colour.harness import GeneratorSpec, build_local_lists, generate
+
+    graph, lists, sigma = _disjoint_lists_path()
+    assert _auto_eps_reference(graph, lists, sigma) == 0.25
+    assert _drive_bits(drive(graph, lists, sigma)) == _drive_bits(drive(graph, lists, sigma, eps=0.25))
+    # L/N = 18/15: the rule gives 0.1, under which the nibble starts where
+    # eps 0.25 would stop at once.
+    graph = generate(GeneratorSpec(kind="regular-graph", n=20, d=16, seed=0))
+    lists = build_local_lists(graph, 0.125, 20, seed=0)
+    eps = _auto_eps_reference(graph, lists, EdgeCorrespondence())
+    assert eps == pytest.approx(0.1)
+    derived = drive(graph, lists, EdgeCorrespondence(), seed=0)
+    assert _drive_bits(derived) == _drive_bits(drive(graph, lists, EdgeCorrespondence(), eps=eps, seed=0))
+    assert derived.stop_reason != drive(graph, lists, EdgeCorrespondence(), eps=0.25, seed=0).stop_reason == "ratio-below"
 
 
 def test_drive_rejects_a_negative_retry_cap():
