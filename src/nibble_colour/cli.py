@@ -5,14 +5,15 @@ run is a pure function of (inputs, flags, seed); a JSON manifest echoing
 the full parameter set accompanies file outputs so runs can be reproduced
 byte-identically (the manifest's duration field excepted).
 
-Every numeric flag's domain is its argparse `type` (`_flag`); `main`
-returns argparse's exit code (2 for a bad flag, before any file is read)
-rather than raising SystemExit.  Without `--eps`, `drive` derives eps.
+Every numeric flag's domain is its argparse `type` (`_flag`), and its
+`--help` states the rule that type enforces; `main` returns argparse's
+exit code (2 for a bad flag, before any file is read) rather than raising
+SystemExit.  Without `--eps`, `drive` derives eps.
 
 Exit codes: 0 success, 1 verification failure (or proven-unsatisfiable),
-2 input error, 3 cap or regime failure, 4 resource limit: `main` turns a
-MemoryError raised by any command into one `resource limit:` line and
-exit 4.
+2 input error, 3 cap or regime failure, 4 resource limit.  The exceptions
+that commands raise reach one table in `main`, which turns each into its
+stderr line and exit code (a MemoryError into `resource limit:`, 4).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .core import InstanceError, validate_colouring, validate_instance
+from .core import EdgeCorrespondence, InstanceError, validate_colouring, validate_instance
 from .finisher import finish, to_link_instance
 from .harness import (
     GenerationError,
@@ -60,7 +61,7 @@ from .nibble import (
     drive,
     simulate_schedule,
 )
-from .polytope import UnsupportedInstanceError, edmonds_membership
+from .polytope import edmonds_membership
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -94,6 +95,7 @@ def _flag(name: str, convert: Callable[[str], float], ok: Callable[[float], bool
             pass
         raise argparse.ArgumentTypeError(f"input error: --{name} must be {rule}, got {text}")
 
+    parse.rule = rule  # the domain that the flag's --help states
     return parse
 
 
@@ -106,8 +108,9 @@ _SEED = _flag("seed", int, lambda seed: -(1 << 63) <= seed < 1 << 64, "in [-2^63
 _EPS = _flag("eps", float, lambda eps: 0 < eps <= 0.25, "a finite number in (0, 1/4]")
 
 
-def _write_manifest(path: Path, command: str, params: dict, seed: int | None,
+def _write_manifest(base: str | Path, command: str, params: dict, seed: int | None,
                     inputs: list[str], outputs: list[str], started: float) -> None:
+    """Write `<base>.manifest.json`."""
     manifest = {
         "artifact_version": __version__,
         "command": command,
@@ -117,39 +120,31 @@ def _write_manifest(path: Path, command: str, params: dict, seed: int | None,
         "outputs": sorted(outputs),
         "duration_s": round(time.monotonic() - started, 6),
     }
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    Path(f"{base}.manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _err(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _load_valid_instance(path) -> Instance | None:
-    """The instance at `path`, or None after reporting why it cannot be
-    loaded or what makes it invalid."""
-    try:
-        inst = load_instance(path)
-    except InstanceError as exc:
-        _err(f"input error: {exc}")
-        return None
+class _Refused(Exception):
+    """An instance that loads but fails validation; args: its first ten violations."""
+
+
+def _load_valid_instance(path) -> Instance:
+    """The instance at `path`; raises InstanceError or, when invalid, _Refused."""
+    inst = load_instance(path)
     problems = validate_instance(inst.graph, inst.sigma, inst.lists, inst.universe)
-    for p in problems[:10]:
-        _err(str(p))
-    return None if problems else inst
+    if problems:
+        raise _Refused(*problems[:10])
+    return inst
 
 
-def _trace_csv(rows) -> str:
+def _csv(header: list[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([
-        "round", "L", "N", "ratio", "edges_coloured", "edges_remaining",
-        "retries", "min_list_size", "max_neighbourhood_size",
-    ])
-    for r in rows:
-        writer.writerow([
-            r.round, repr(r.L), repr(r.N), repr(r.ratio), r.edges_coloured,
-            r.edges_remaining, r.retries, r.min_list_size, r.max_neighbourhood_size,
-        ])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -168,24 +163,18 @@ _KIND_MAP = {
 
 def cmd_gen(args) -> int:
     started = time.monotonic()
-    try:
-        spec = GeneratorSpec(
-            kind=_KIND_MAP[args.kind], n=args.n, seed=args.seed, d=args.d, p=args.p,
-            m=args.m, n2=args.n2, k=args.k,
-        )
-        graph = generate(spec)
-        if graph.edge_count == 0:
-            raise GenerationError("generated graph has no edges; adjust the parameters")
-        universe = args.universe if args.universe is not None else 4 * int(list_sizes(graph, args.eps).max())
-        if not 1 <= universe < 1 << 62:
-            raise GenerationError(f"the universe must hold 1 to 2^62 - 1 colours, not {universe}")
-        mode = "unit-weight" if args.weights == "unit" else "degree-weighted"
-        lists = build_local_lists(graph, args.eps, universe, mode=mode, seed=args.seed)
-    except GenerationError as exc:
-        _err(f"generation error: {exc}")
-        return EXIT_INPUT
-    from .core import EdgeCorrespondence
-
+    spec = GeneratorSpec(
+        kind=_KIND_MAP[args.kind], n=args.n, seed=args.seed, d=args.d, p=args.p,
+        m=args.m, n2=args.n2, k=args.k,
+    )
+    graph = generate(spec)
+    if graph.edge_count == 0:
+        raise GenerationError("generated graph has no edges; adjust the parameters")
+    universe = args.universe if args.universe is not None else 4 * int(list_sizes(graph, args.eps).max())
+    if not 1 <= universe < 1 << 62:
+        raise GenerationError(f"the universe must hold 1 to 2^62 - 1 colours, not {universe}")
+    mode = "unit-weight" if args.weights == "unit" else "degree-weighted"
+    lists = build_local_lists(graph, args.eps, universe, mode=mode, seed=args.seed)
     inst = Instance(graph=graph, lists=lists, sigma=EdgeCorrespondence(), universe=(0, universe - 1))
     problems = validate_instance(inst.graph, inst.sigma, inst.lists, inst.universe)
     if problems:  # generator contract: never happens
@@ -194,7 +183,7 @@ def cmd_gen(args) -> int:
     out = Path(args.out)
     dump_instance(inst, out)
     _write_manifest(
-        Path(str(out) + ".manifest.json"), "gen",
+        out, "gen",
         {
             "kind": args.kind, "n": args.n, "d": args.d, "p": args.p, "m": args.m,
             "n2": args.n2, "k": args.k, "eps": args.eps, "universe": universe,
@@ -210,14 +199,16 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _brute_exit(status: str) -> int:
+    """The exit code of a brute-force search that ended in `status`."""
+    return {"found": EXIT_OK, "proven-unsatisfiable": EXIT_VERIFY}.get(status, EXIT_CAP)
+
+
 def cmd_colour(args) -> int:
     started = time.monotonic()
     inst = _load_valid_instance(args.instance)
-    if inst is None:
-        return EXIT_INPUT
 
     prefix = Path(args.out_prefix)
-    outputs: list[str] = []
     trace_rows = []
     finish_log = None
     colours: dict[int, int] = {}
@@ -229,26 +220,17 @@ def cmd_colour(args) -> int:
         status = EXIT_VERIFY
     elif args.mode == "brute":
         result = brute_force_colour(inst.graph, inst.lists, inst.sigma, node_cap=args.node_cap)
-        if result.status == "found":
-            colours = result.colouring
-        elif result.status == "proven-unsatisfiable":
-            _err("brute force: proven unsatisfiable")
-            status = EXIT_VERIFY
-        else:
-            _err(f"brute force: node cap {args.node_cap} exceeded")
-            status = EXIT_CAP
+        colours = result.colouring or {}
+        status = _brute_exit(result.status)
+        if status != EXIT_OK:
+            _err("brute force: proven unsatisfiable" if status == EXIT_VERIFY
+                 else f"brute force: node cap {args.node_cap} exceeded")
     else:
+        lists_left = inst.lists
         if args.mode == "nibble+finish":
-            try:
-                result = drive(inst.graph, inst.lists, inst.sigma, eps=args.eps, seed=args.seed, retry_cap=args.retry_cap)
-            except NibbleFailureError as exc:
-                _err(f"nibble failure: {exc}; diagnostics: {exc.diagnostics}")
-                return EXIT_CAP
+            result = drive(inst.graph, inst.lists, inst.sigma, eps=args.eps, seed=args.seed, retry_cap=args.retry_cap)
             colours.update(result.colouring)
-            trace_rows = result.trace
-            lists_left = result.lists
-        else:  # finish-only
-            lists_left = inst.lists
+            trace_rows, lists_left = result.trace, result.lists
         if lists_left.edges.size:
             cap = args.iteration_cap if args.iteration_cap is not None else 100 * lists_left.edges.size
             link = to_link_instance(inst.graph, lists_left, inst.sigma)
@@ -266,18 +248,19 @@ def cmd_colour(args) -> int:
             _err(str(v))
         status = EXIT_VERIFY
 
-    colouring_path = Path(str(prefix) + ".colouring.json")
-    dump_colouring(colours, complete and not violations, colouring_path)
-    outputs.append(str(colouring_path))
-    trace_path = Path(str(prefix) + ".trace.csv")
-    trace_path.write_text(_trace_csv(trace_rows))
-    outputs.append(str(trace_path))
+    outputs = [f"{prefix}.colouring.json", f"{prefix}.trace.csv"]
+    dump_colouring(colours, complete and not violations, outputs[0])
+    Path(outputs[1]).write_text(_csv(
+        ["round", "L", "N", "ratio", "edges_coloured", "edges_remaining",
+         "retries", "min_list_size", "max_neighbourhood_size"],
+        ([r.round, repr(r.L), repr(r.N), repr(r.ratio), r.edges_coloured, r.edges_remaining,
+          r.retries, r.min_list_size, r.max_neighbourhood_size] for r in trace_rows),
+    ))
     if finish_log is not None:
-        log_path = Path(str(prefix) + ".finish.json")
-        dump_finish_log(finish_log, log_path)
-        outputs.append(str(log_path))
+        outputs.append(f"{prefix}.finish.json")
+        dump_finish_log(finish_log, outputs[2])
     _write_manifest(
-        Path(str(prefix) + ".manifest.json"), "colour",
+        prefix, "colour",
         {
             "mode": args.mode, "retry_cap": args.retry_cap, "iteration_cap": args.iteration_cap,
             "eps": args.eps, "node_cap": args.node_cap, "threads": args.threads,
@@ -292,18 +275,12 @@ def cmd_colour(args) -> int:
 
 def cmd_brute(args) -> int:
     inst = _load_valid_instance(args.instance)
-    if inst is None:
-        return EXIT_INPUT
     result = brute_force_colour(inst.graph, inst.lists, inst.sigma, node_cap=args.node_cap)
     payload = {"status": result.status, "nodes": result.nodes}
     if result.colouring is not None:
         payload["colours"] = {str(e): c for e, c in sorted(result.colouring.items())}
     print(json.dumps(payload, indent=2, sort_keys=True))
-    if result.status == "found":
-        return EXIT_OK
-    if result.status == "proven-unsatisfiable":
-        return EXIT_VERIFY
-    return EXIT_CAP
+    return _brute_exit(result.status)
 
 
 # ---------------------------------------------------------------------------
@@ -313,23 +290,13 @@ def cmd_brute(args) -> int:
 
 def cmd_verify(args) -> int:
     inst = _load_valid_instance(args.instance)
-    if inst is None:
-        return EXIT_INPUT
-    try:
-        colouring, _ = load_colouring(args.colouring)
-    except InstanceError as exc:
-        _err(f"input error: {exc}")
-        return EXIT_INPUT
+    colouring, _ = load_colouring(args.colouring)
     violations = validate_colouring(inst.graph, inst.lists, inst.sigma, colouring)
+    for v in violations:
+        _err(str(v))
     if any(v.kind == "unknown-edge" for v in violations):
-        for v in violations:
-            _err(str(v))
         return EXIT_INPUT
-    if violations:
-        for v in violations:
-            _err(str(v))
-        return EXIT_VERIFY
-    return EXIT_OK
+    return EXIT_VERIFY if violations else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -339,25 +306,13 @@ def cmd_verify(args) -> int:
 
 def cmd_schedule(args) -> int:
     started = time.monotonic()
-    try:
-        rows = simulate_schedule(args.eps, args.k, args.delta, mode=args.mode)
-    except ScheduleCollapseError as exc:
-        _err(f"schedule collapse at round {exc.round_index}: {exc}")
-        return EXIT_CAP
-    except ParameterDomainError as exc:
-        _err(f"input error: {exc}")
-        return EXIT_INPUT
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["round", "L", "N", "ratio"])
-    for r in rows:
-        writer.writerow([r.round, repr(r.L), repr(r.N), repr(r.ratio)])
-    text = buf.getvalue()
+    rows = simulate_schedule(args.eps, args.k, args.delta, mode=args.mode)
+    text = _csv(["round", "L", "N", "ratio"], ([r.round, repr(r.L), repr(r.N), repr(r.ratio)] for r in rows))
     if args.out:
         out = Path(args.out)
         out.write_text(text)
         _write_manifest(
-            Path(str(out) + ".manifest.json"), "schedule",
+            out, "schedule",
             {"eps": args.eps, "k": args.k, "delta": args.delta, "mode": args.mode, "threads": args.threads},
             None, [], [str(out)], started,
         )
@@ -373,16 +328,10 @@ def cmd_schedule(args) -> int:
 
 def cmd_polytope(args) -> int:
     inst = _load_valid_instance(args.graph)
-    if inst is None:
-        return EXIT_INPUT
-    try:
-        x = load_vector(args.vector)
-    except InstanceError as exc:
-        _err(f"input error: {exc}")
-        return EXIT_INPUT
+    x = load_vector(args.vector)
     try:
         verdict = edmonds_membership(inst.graph, x, shrink=args.shrink)
-    except (UnsupportedInstanceError, ValueError) as exc:
+    except ValueError as exc:  # UnsupportedInstanceError included
         _err(f"input error: {exc}")
         return EXIT_INPUT
     print(json.dumps(verdict.to_dict(), indent=2, sort_keys=True))
@@ -397,8 +346,6 @@ def cmd_polytope(args) -> int:
 def cmd_diag(args) -> int:
     started = time.monotonic()
     inst = _load_valid_instance(args.instance)
-    if inst is None:
-        return EXIT_INPUT
     audit = neighbourhood_audit(inst.graph, inst.lists, inst.sigma)
     L = args.L if args.L is not None else audit.min_list_weight
     N = args.N if args.N is not None else max(audit.max_neighbourhood, 8.0)
@@ -412,24 +359,23 @@ def cmd_diag(args) -> int:
         collect_samples=args.csv is not None,
     )
     if args.csv:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["trial", "edge", "surviving_weight"])
-        for e in sorted(report.samples):
-            for t, w in enumerate(report.samples[e]):
-                writer.writerow([t, e, repr(float(w))])
-        Path(args.csv).write_text(buf.getvalue())
+        Path(args.csv).write_text(_csv(
+            ["trial", "edge", "surviving_weight"],
+            ([t, e, repr(float(w))] for e in sorted(report.samples) for t, w in enumerate(report.samples[e])),
+        ))
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text)
-        _write_manifest(
-            Path(str(args.out) + ".manifest.json"), "diag",
-            {"trials": args.trials, "eps": args.eps, "L": L, "N": N, "threads": args.threads,
-             "instance": str(args.instance)},
-            args.seed, [str(args.instance)], [args.out], started,
-        )
     else:
         sys.stdout.write(text)
+    outputs = [path for path in (args.out, args.csv) if path]
+    if outputs:  # beside --out, else beside --csv
+        _write_manifest(
+            outputs[0], "diag",
+            {"trials": args.trials, "eps": args.eps, "L": L, "N": N, "threads": args.threads,
+             "instance": str(args.instance), **({"csv": args.csv} if args.csv else {})},
+            args.seed, [str(args.instance)], outputs, started,
+        )
     return EXIT_OK
 
 
@@ -447,40 +393,44 @@ def build_parser() -> argparse.ArgumentParser:
         "3 cap or regime failure, 4 resource limit (a command that runs out of memory prints one "
         "'resource limit:' line).",
     )
-    threads_help = f"worker bound, >= 1 (default ${THREADS_ENV} or 1); outputs do not depend on it"
-    parser.add_argument("--threads", type=_at_least("threads", 1), default=None, help=threads_help)
+    # Each help states the domain of its `_flag` type as that type's own rule.
+    threads = _at_least("threads", 1)
+    threads_help = f"worker bound, {threads.rule} (default ${THREADS_ENV} or 1); outputs do not depend on it"
+    parser.add_argument("--threads", type=threads, default=None, help=threads_help)
     sub = parser.add_subparsers(dest="command", required=True)
+    seed_help = f"{_SEED.rule} (default %(default)s)"
+    node_cap = _at_least("node-cap", 0)
 
     p = sub.add_parser("gen", help="generate an instance file")
     p.add_argument("--kind", choices=["regular", "bipartite", "random", "linear"], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, default=None)
-    p.add_argument("--p", type=_flag("p", float, lambda p: 0 <= p <= 1, "in [0, 1]"), default=None,
-                   help="edge probability, in [0, 1]")
+    p.add_argument("--p", type=(flag := _flag("p", float, lambda p: 0 <= p <= 1, "in [0, 1]")), default=None,
+                   help=f"edge probability, {flag.rule}")
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n2", type=int, default=None)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--eps", type=_flag("eps", float, lambda eps: -1 < eps < math.inf, "a finite number above -1"),
-                   default=0.5, help="lists of ceil((1+eps) maxdeg(e)) colours; a finite number above -1 (default 0.5)")
+    p.add_argument("--eps", type=(flag := _flag("eps", float, lambda eps: -1 < eps < math.inf, "a finite number above -1")),
+                   default=0.5, help=f"lists of ceil((1+eps) maxdeg(e)) colours; {flag.rule} (default %(default)s)")
     p.add_argument("--universe", type=int, default=None,
                    help="colours 0..universe-1 (default 4 times the longest list)")
     p.add_argument("--weights", choices=["unit", "degree"], default="unit")
-    p.add_argument("--seed", type=_SEED, default=0, help="in [-2^63, 2^64) (default 0)")
+    p.add_argument("--seed", type=_SEED, default=0, help=seed_help)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("colour", help="colour an instance")
     p.add_argument("instance")
     p.add_argument("--mode", choices=["nibble+finish", "finish-only", "brute"], default="nibble+finish")
-    p.add_argument("--seed", type=_SEED, default=0, help="in [-2^63, 2^64) (default 0)")
-    p.add_argument("--retry-cap", type=_at_least("retry-cap", 0), default=10,
-                   help="retries of a failed nibble round, >= 0 (default 10)")
-    p.add_argument("--iteration-cap", type=_at_least("iteration-cap", 0), default=None,
-                   help="finisher resamples, >= 0 (default 100 times the edges left)")
-    p.add_argument("--node-cap", type=_at_least("node-cap", 0), default=1_000_000,
-                   help="search nodes of --mode brute, >= 0 (default 1000000)")
+    p.add_argument("--seed", type=_SEED, default=0, help=seed_help)
+    p.add_argument("--retry-cap", type=(flag := _at_least("retry-cap", 0)), default=10,
+                   help=f"retries of a failed nibble round, {flag.rule} (default %(default)s)")
+    p.add_argument("--iteration-cap", type=(flag := _at_least("iteration-cap", 0)), default=None,
+                   help=f"finisher resamples, {flag.rule} (default 100 times the edges left)")
+    p.add_argument("--node-cap", type=node_cap, default=1_000_000,
+                   help=f"search nodes of --mode brute, {node_cap.rule} (default %(default)s)")
     p.add_argument("--eps", type=_EPS, default=None,
-                   help="the nibble's eps, in (0, 1/4] (default: derived from the instance by drive)")
+                   help=f"the nibble's eps, {_EPS.rule} (default: derived from the instance by drive)")
     p.add_argument("--out-prefix", default="colour-run")
     p.set_defaults(func=cmd_colour)
 
@@ -490,11 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("schedule", help="simulate the parameter recursion")
-    p.add_argument("--eps", type=_EPS, required=True, help="the nibble's eps, in (0, 1/4]")
-    p.add_argument("--k", type=_at_least("k", 1), required=True,
-                   help="the edge size, >= 1; 3ek and the iteration cap 100 k ln(delta) / eps must be finite floats")
-    p.add_argument("--delta", type=_flag("delta", float, lambda delta: E_SQUARED < delta < math.inf, "a finite number above e^2"),
-                   required=True, help="the starting N, a finite number above e^2")
+    p.add_argument("--eps", type=_EPS, required=True, help=f"the nibble's eps, {_EPS.rule}")
+    p.add_argument("--k", type=(flag := _at_least("k", 1)), required=True,
+                   help=f"the edge size, {flag.rule}; 3ek and the iteration cap 100 k ln(delta) / eps must be finite floats")
+    p.add_argument("--delta", type=(flag := _flag("delta", float, lambda delta: E_SQUARED < delta < math.inf, "a finite number above e^2")),
+                   required=True, help=f"the starting N, {flag.rule}")
     p.add_argument("--mode", choices=SCHEDULE_MODES, default="eps8")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_schedule)
@@ -510,31 +460,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="an instance file with k = 2")
     p.add_argument("vector", help="a JSON object that maps every edge id, and nothing else, "
                    "to a finite JSON number; an id is written as a plain integer (\"2\", not \"02\")")
-    p.add_argument("--shrink", type=_flag("shrink", float, lambda shrink: 0 <= shrink < 1, "in [0, 1)"), default=0.0,
-                   help="test vector/(1-shrink), for shrink in [0, 1) (default 0)")
+    p.add_argument("--shrink", type=(flag := _flag("shrink", float, lambda shrink: 0 <= shrink < 1, "in [0, 1)")), default=0.0,
+                   help=f"test vector/(1-shrink), for shrink {flag.rule} (default %(default)s)")
     p.set_defaults(func=cmd_polytope)
 
     p = sub.add_parser("diag", help="expectation diagnostics for the colouring procedure")
     p.add_argument("instance")
-    p.add_argument("--trials", type=_at_least("trials", 1), required=True, help=">= 1")
-    p.add_argument("--seed", type=_SEED, default=0, help="in [-2^63, 2^64) (default 0)")
-    p.add_argument("--eps", type=_EPS, default=0.25, help="in (0, 1/4] (default 0.25)")
-    p.add_argument("--L", type=_flag("L", float, math.isfinite, "a finite number"), default=None,
-                   help="a finite number (default: the smallest list weight)")
-    p.add_argument("--N", type=_flag("N", float, math.isfinite, "a finite number"), default=None,
-                   help="a finite number (default: the largest neighbourhood weight, at least 8)")
+    p.add_argument("--trials", type=(flag := _at_least("trials", 1)), required=True, help=flag.rule)
+    p.add_argument("--seed", type=_SEED, default=0, help=seed_help)
+    p.add_argument("--eps", type=_EPS, default=0.25, help=f"{_EPS.rule} (default %(default)s)")
+    for name, default in (("L", "the smallest list weight"), ("N", "the largest neighbourhood weight, at least 8")):
+        flag = _flag(name, float, math.isfinite, "a finite number")
+        p.add_argument(f"--{name}", type=flag, default=None, help=f"{flag.rule} (default: {default})")
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None, help="also write raw per-trial weights")
     p.set_defaults(func=cmd_diag)
 
     p = sub.add_parser("brute", help="exhaustive backtracking oracle")
     p.add_argument("instance")
-    p.add_argument("--node-cap", type=_at_least("node-cap", 0), default=1_000_000,
-                   help="search nodes, >= 0 (default 1000000)")
+    p.add_argument("--node-cap", type=node_cap, default=1_000_000,
+                   help=f"search nodes, {node_cap.rule} (default %(default)s)")
     p.set_defaults(func=cmd_brute)
 
     for p in sub.choices.values():  # --threads also after the command; a value given there wins
-        p.add_argument("--threads", type=_at_least("threads", 1), default=argparse.SUPPRESS, help=threads_help)
+        p.add_argument("--threads", type=threads, default=argparse.SUPPRESS, help=threads_help)
     return parser
 
 
@@ -547,7 +496,23 @@ def main(argv: list[str] | None = None) -> int:
         args.threads = _threads_default()
     try:
         return args.func(args)
+    except _Refused as exc:
+        _err("\n".join(map(str, exc.args)))
+        return EXIT_INPUT
+    except (InstanceError, ParameterDomainError) as exc:
+        _err(f"input error: {exc}")
+        return EXIT_INPUT
+    except GenerationError as exc:
+        _err(f"generation error: {exc}")
+        return EXIT_INPUT
+    except NibbleFailureError as exc:
+        _err(f"nibble failure: {exc}; diagnostics: {exc.diagnostics}")
+        return EXIT_CAP
+    except ScheduleCollapseError as exc:
+        _err(f"schedule collapse at round {exc.round_index}: {exc}")
+        return EXIT_CAP
     except MemoryError as exc:  # numpy's _ArrayMemoryError included
+        exc.__traceback__ = None  # frees the command's frames, whose memory printing may need
         _err(f"resource limit: {exc}")
         return EXIT_RESOURCE
 

@@ -476,20 +476,6 @@ class AuditReport:
     max_colour_sum: float
     max_colour_sum_witness: tuple[int, int] | None  # (vertex, colour)
 
-    def to_dict(self) -> dict:
-        return {
-            "max_neighbourhood": self.max_neighbourhood,
-            "max_neighbourhood_witness": list(self.max_neighbourhood_witness)
-            if self.max_neighbourhood_witness
-            else None,
-            "min_list_weight": self.min_list_weight,
-            "min_list_edge": self.min_list_edge,
-            "max_colour_sum": self.max_colour_sum,
-            "max_colour_sum_witness": list(self.max_colour_sum_witness)
-            if self.max_colour_sum_witness
-            else None,
-        }
-
 
 def neighbourhood_audit(
     graph: LinearHypergraph,

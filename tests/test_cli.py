@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -62,6 +63,20 @@ def test_main_returns_argparse_exit_codes_without_raising(tmp_path, monkeypatch,
     assert sorted(tmp_path.iterdir()) == before
     if "--eps" in argv:
         assert "input error: --eps must be a finite number in (0, 1/4], got abc" in captured.err
+
+
+def test_every_help_exits_0_and_states_each_flag_domain_from_its_type(capsys):
+    # argparse formats help only when asked, so a stray % would fail here only.
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted(commands) == ["brute", "colour", "diag", "gen", "polytope", "schedule", "verify"]
+    for p in (parser, *commands.values()):
+        for action in p._actions:
+            if action.type not in (None, int):  # a `_flag` type
+                assert action.type.rule in action.help, (p.prog, action.option_strings, action.help)
+    for command in commands:
+        assert main([command, "--help"]) == 0
+        assert f"usage: nibble-colour {command}" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -564,17 +579,35 @@ def test_cost_does_not_grow_with_unused_vertices(tmp_path, argv):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_running_out_of_memory_exits_4(tmp_path):
-    # A star of 1,500 edges that all list colours 0-19: every pair has 1,499
-    # neighbours, and the round structure's (30,000, 1,499) arrays do not
-    # fit under a 512 MB cap.  numpy raises _ArrayMemoryError, a MemoryError.
-    d = 1500
+# One child per command under a 512 MB address-space cap, on a star: every
+# edge at vertex 0, each listing colours 0 to `colours` - 1.
+# - nibble+finish: every pair has 1,499 neighbours, and the round
+#   structure's (30,000, 1,499) arrays do not fit.
+# - finish-only, diag and verify: the command's own work runs out, in the
+#   finisher's resample loop, the neighbourhood rows of diag's audit, and
+#   the violations of a colouring that gives every edge colour 0.  The loop
+#   fills the cap a little at a time, so printing the line needs the memory
+#   that the command's frames held.
+# - brute and polytope: validating the instance runs out, since their own
+#   search and Gomory-Hu tree take seconds to fill the cap.
+@pytest.mark.parametrize("edges, colours, argv", [
+    (1500, 20, ["colour", "{inst}", "--out-prefix", "{tmp}/run"]),
+    (2000, 2, ["colour", "{inst}", "--mode", "finish-only", "--out-prefix", "{tmp}/run"]),
+    (3000, 2, ["diag", "{inst}", "--trials", "3", "--L", "40", "--N", "20"]),
+    (3000, 2, ["verify", "{inst}", "{tmp}/col.json"]),
+    (6000, 2, ["brute", "{inst}"]),
+    (6000, 2, ["polytope", "{inst}", "{tmp}/vec.json"]),
+], ids=["nibble+finish", "finish-only", "diag", "verify", "brute", "polytope"])
+def test_running_out_of_memory_exits_4(tmp_path, edges, colours, argv):
     inst = tmp_path / "star.json"
-    inst.write_text(json.dumps({"k": 2, "vertex_count": d + 1, "edges": [[0, v] for v in range(1, d + 1)],
-                                "colour_universe": [0, 19], "lists": {str(e): list(range(20)) for e in range(d)}}))
+    inst.write_text(json.dumps({"k": 2, "vertex_count": edges + 1, "edges": [[0, v] for v in range(1, edges + 1)],
+                                "colour_universe": [0, colours - 1],
+                                "lists": {str(e): list(range(colours)) for e in range(edges)}}))
+    (tmp_path / "col.json").write_text(json.dumps({"complete": True, "colours": {str(e): 0 for e in range(edges)}}))
+    (tmp_path / "vec.json").write_text(json.dumps({str(e): 1 / edges for e in range(edges)}))
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run(
-        [sys.executable, "-c", _CAPPED_CHILD, str(512 << 20), "colour", str(inst), "--out-prefix", str(tmp_path / "run")],
+        [sys.executable, "-c", _CAPPED_CHILD, str(512 << 20), *(a.format(inst=inst, tmp=tmp_path) for a in argv)],
         env=env, capture_output=True, text=True, timeout=30,
     )
     assert proc.returncode == 4, proc.stderr
@@ -879,6 +912,16 @@ def test_diag_raw_csv(tmp_path, capsys):
     lines = raw.read_text().strip().splitlines()
     assert lines[0] == "trial,edge,surviving_weight"
     assert len(lines) == 1 + 8 * 2  # trials x edges
+
+
+@pytest.mark.parametrize("out", [True, False], ids=["--out and --csv", "--csv alone"])
+def test_diag_csv_is_listed_in_a_manifest(tmp_path, out):
+    raw, report = tmp_path / "raw.csv", tmp_path / "d.json"
+    flags = ["--out", report] if out else []
+    assert run(["diag", _p3_instance(tmp_path), "--trials", 4, "--L", 40, "--N", 20, *flags, "--csv", raw]) == 0
+    manifest = json.loads(Path(f"{report if out else raw}.manifest.json").read_text())
+    assert manifest["outputs"] == sorted([str(raw), str(report)] if out else [str(raw)])
+    assert manifest["parameters"]["csv"] == str(raw)
 
 
 def test_threads_before_or_after_the_command_reach_the_manifest(tmp_path):
