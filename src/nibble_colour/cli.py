@@ -14,12 +14,16 @@ Exit codes: 0 success, 1 verification failure (or proven-unsatisfiable),
 2 input error, 3 cap or regime failure, 4 resource limit.  The exceptions
 that commands raise reach one table in `main`, which turns each into its
 stderr line and exit code (a MemoryError into `resource limit:`, 4).
+An output path whose directory does not exist is an input error, found
+before any work; a write that fails later exits 4 when the disk or quota
+is full, else 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
@@ -127,6 +131,15 @@ def _err(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _output_dirs(*paths: str | None) -> None:
+    """Raise FileNotFoundError (exit 2) for an output path, None for no
+    output, whose directory does not exist; commands call it before any
+    work."""
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, f"no directory {Path(path).parent} for the output", path)
+
+
 class _Refused(Exception):
     """An instance that loads but fails validation; args: its first ten violations."""
 
@@ -163,6 +176,7 @@ _KIND_MAP = {
 
 def cmd_gen(args) -> int:
     started = time.monotonic()
+    _output_dirs(args.out)
     spec = GeneratorSpec(
         kind=_KIND_MAP[args.kind], n=args.n, seed=args.seed, d=args.d, p=args.p,
         m=args.m, n2=args.n2, k=args.k,
@@ -206,6 +220,7 @@ def _brute_exit(status: str) -> int:
 
 def cmd_colour(args) -> int:
     started = time.monotonic()
+    _output_dirs(f"{args.out_prefix}.colouring.json")
     inst = _load_valid_instance(args.instance)
 
     prefix = Path(args.out_prefix)
@@ -306,6 +321,7 @@ def cmd_verify(args) -> int:
 
 def cmd_schedule(args) -> int:
     started = time.monotonic()
+    _output_dirs(args.out)
     rows = simulate_schedule(args.eps, args.k, args.delta, mode=args.mode)
     text = _csv(["round", "L", "N", "ratio"], ([r.round, repr(r.L), repr(r.N), repr(r.ratio)] for r in rows))
     if args.out:
@@ -345,6 +361,7 @@ def cmd_polytope(args) -> int:
 
 def cmd_diag(args) -> int:
     started = time.monotonic()
+    _output_dirs(args.out, args.csv)
     inst = _load_valid_instance(args.instance)
     audit = neighbourhood_audit(inst.graph, inst.lists, inst.sigma)
     L = args.L if args.L is not None else audit.min_list_weight
@@ -515,6 +532,12 @@ def main(argv: list[str] | None = None) -> int:
         exc.__traceback__ = None  # frees the command's frames, whose memory printing may need
         _err(f"resource limit: {exc}")
         return EXIT_RESOURCE
+    except OSError as exc:  # an output that cannot be written
+        if exc.errno in (errno.ENOSPC, errno.EDQUOT):
+            _err(f"resource limit: {exc}")
+            return EXIT_RESOURCE
+        _err(f"input error: {exc}")
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":  # pragma: no cover

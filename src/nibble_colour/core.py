@@ -302,16 +302,20 @@ class EdgeCorrespondence:
         self._assign(pairs[:, 0], pairs[:, 1], count, entries[:, 0], entries[:, 1])
 
     @classmethod
-    def from_items(cls, e: np.ndarray, f: np.ndarray, count: np.ndarray, c: np.ndarray, image: np.ndarray) -> "EdgeCorrespondence":
+    def from_items(
+        cls, e: np.ndarray, f: np.ndarray, count: np.ndarray, c: np.ndarray, image: np.ndarray, *, _handed_over: bool = False
+    ) -> "EdgeCorrespondence":
         """The maps given as items: item i stores for (e[i], f[i]) the next
         count[i] entries (c, image), in order.  A later item for the same
         (e, f) replaces the whole map; a colour repeated within an item
-        keeps its last image."""
+        keeps its last image.  The table copies `c` and `image` unless
+        the caller hands them over (`_handed_over`) and never uses them
+        again."""
         out = cls.__new__(cls)
-        out._assign(e, f, count, c, image)
+        out._assign(e, f, count, c, image, _handed_over)
         return out
 
-    def _assign(self, e, f, count, c, image) -> None:
+    def _assign(self, e, f, count, c, image, handed_over: bool = False) -> None:
         e, f, count = (np.asarray(a, dtype=np.int64) for a in (e, f, count))
         c, image = np.asarray(c, dtype=np.int64), np.asarray(image, dtype=np.int64)
         # The last item of each (e, f) keeps its entries; rows in (e, f) order.
@@ -327,11 +331,11 @@ class EdgeCorrespondence:
             kept = row >= 0
             row, c, image = row[kept], c[kept], image[kept]
         # Entries by (row, c); a repeated c keeps its last image.
-        key = PairIndex(row, c).keys
-        if (key[1:] > key[:-1]).all():  # in that order already, each once
-            del key
-            c, image = c.copy(), image.copy()  # the table's own arrays, as a gather makes
+        if ((row[1:] > row[:-1]) | ((row[1:] == row[:-1]) & (c[1:] > c[:-1]))).all():  # in that order already, each once
+            if not handed_over:
+                c, image = c.copy(), image.copy()  # the table's own arrays, as a gather makes
         else:
+            key = PairIndex(row, c).keys
             order = np.argsort(key, kind="stable")
             key = key[order]
             last = np.ones(key.size, dtype=bool)
@@ -497,18 +501,24 @@ class WeightedListAssignment:
     mu: np.ndarray
 
     @classmethod
-    def from_pairs(cls, edges: Sequence[int], edge_of: Sequence[int], colour_of: Sequence[int], mu: Sequence[float]) -> "WeightedListAssignment":
+    def from_pairs(
+        cls, edges: Sequence[int], edge_of: Sequence[int], colour_of: Sequence[int], mu: Sequence[float],
+        *, _handed_over: bool = False,
+    ) -> "WeightedListAssignment":
         """The table of the ascending edge ids `edges` and the pairs
         (edge_of[i], colour_of[i]) of weight mu[i], given in any order; a
         pair given twice keeps its last weight.  Every edge_of must be in
         `edges`.  Pairs given ascending and distinct, as a table's own
-        pairs or a mask of them are, skip the sort and are copied once."""
+        pairs or a mask of them are, skip the sort and are copied once,
+        unless the caller hands `colour_of` and `mu` over (`_handed_over`)
+        and never uses them again."""
         colours = np.asarray(colour_of, dtype=np.int64)
         edge_of = np.asarray(edge_of, dtype=np.int64)
         weights = np.asarray(mu, dtype=np.float64)
         step = np.diff(edge_of)
         if (step >= 0).all() and ((step > 0) | (colours[1:] > colours[:-1])).all():
-            colours, weights = colours.copy(), weights.copy()  # the table's own arrays, as a gather makes
+            if not _handed_over:
+                colours, weights = colours.copy(), weights.copy()  # the table's own arrays, as a gather makes
         else:
             order = np.lexsort((colours, edge_of))  # stable: repeats stay in input order
             edge_of, colours, weights = edge_of[order], colours[order], weights[order]

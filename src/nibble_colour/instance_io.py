@@ -22,9 +22,10 @@ and map entries are integers (a number written with a fraction or an
 exponent must be integral, as 3.0 is) in the int64 range [-2^63, 2^63).
 
 Both readers of the format, `instance_from_dict` (a decoded dict) and
-`load_instance` (a file, a block at a time), convert it with the same
-converters `_head`, `_list_block`, `_sigma_block` and `_assemble`, which
-raise InstanceError for any fault.
+`load_instance` (a file, read a window of the text and decoded a block
+of members at a time), convert it with the same converters `_head`,
+`_list_block`, `_sigma_block` and `_assemble`, which raise InstanceError
+for any fault.
 
 Colouring format::
 
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Mapping, NamedTuple
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple, TextIO
 
 import numpy as np
 
@@ -150,12 +151,13 @@ class _ListBlock(NamedTuple):
 
 class _SigmaBlock(NamedTuple):
     """Consecutive items of `sigma`, converted: each item's pair and map
-    length, and the (n, 2) map entries in order."""
+    length, and the colours and images of the map entries in order."""
 
     pair_e: np.ndarray
     pair_f: np.ndarray
     counts: np.ndarray
-    entries: np.ndarray
+    c: np.ndarray
+    image: np.ndarray
 
 
 def _check_int64(values: list[int]) -> None:
@@ -247,7 +249,8 @@ def _sigma_block(items: list) -> _SigmaBlock:
     entries = list(chain.from_iterable(maps))
     if not set(map(len, entries)) <= {2}:
         raise ValueError("a map entry is not a pair [c, image]")
-    return _SigmaBlock(pair_e, pair_f, counts, _int64(lambda: chain.from_iterable(entries), 2 * len(entries)).reshape(-1, 2))
+    flat = _int64(lambda: chain.from_iterable(entries), 2 * len(entries))
+    return _SigmaBlock(pair_e, pair_f, counts, flat[0::2].copy(), flat[1::2].copy())
 
 
 def _joined(blocks: list[tuple], name: str) -> np.ndarray:
@@ -261,7 +264,7 @@ def _assemble(head: _Head, list_blocks: list[_ListBlock], sigma_blocks: list[_Si
     before the tables are built, which sets the load's peak memory."""
     m = head.sizes.size
     keys, counts, colour_of, mu = (_joined(list_blocks, name) for name in _ListBlock._fields)
-    pair_e, pair_f, map_counts, entries = (_joined(sigma_blocks, name) for name in _SigmaBlock._fields)
+    pair_e, pair_f, map_counts, c, image = (_joined(sigma_blocks, name) for name in _SigmaBlock._fields)
     list_blocks.clear()
     sigma_blocks.clear()
     unknown = (keys < 0) | (keys >= m)
@@ -272,8 +275,10 @@ def _assemble(head: _Head, list_blocks: list[_ListBlock], sigma_blocks: list[_Si
     at = segment_ranges((np.cumsum(counts) - counts)[order], counts[order])
     return Instance(
         graph=LinearHypergraph.from_slots(head.vertex_count, head.k, head.sizes, head.vertices),
-        lists=WeightedListAssignment.from_pairs(np.arange(m), np.repeat(keys[order], counts[order]), colour_of[at], mu[at]),
-        sigma=EdgeCorrespondence.from_items(pair_e, pair_f, map_counts, entries[:, 0], entries[:, 1]),
+        lists=WeightedListAssignment.from_pairs(
+            np.arange(m), np.repeat(keys[order], counts[order]), colour_of[at], mu[at], _handed_over=True
+        ),
+        sigma=EdgeCorrespondence.from_items(pair_e, pair_f, map_counts, c, image, _handed_over=True),
         universe=head.universe,
     )
 
@@ -390,27 +395,14 @@ def _sigma_text(sigma: EdgeCorrespondence) -> str:
     return _block([item[m] for m in counts.tolist()], _PAD) % tuple(values.tolist())
 
 
-def _read_text(path: str | Path, what: str) -> str:
-    """The text of the file at `path`.  A file that cannot be read or is
-    not UTF-8 raises InstanceError."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InstanceError(f"cannot read {what} {path}: {exc}") from exc
-
-
-def _decode(text: str, path: str | Path, what: str):
-    """The decoded JSON `text` of the file at `path`.  Text that is not
-    JSON or nests deeper than the decoder recurses raises InstanceError."""
-    try:
-        return json.loads(text, parse_float=_JsonFloat)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise InstanceError(f"cannot read {what} {path}: {exc}") from exc
-
-
 def _read_json(path: str | Path, what: str):
-    """The decoded JSON file at `path`; see `_read_text` and `_decode`."""
-    return _decode(_read_text(path, what), path, what)
+    """The decoded JSON file at `path`.  A file that cannot be read or is
+    not UTF-8, and text that is not JSON or nests deeper than the decoder
+    recurses, raise InstanceError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"), parse_float=_JsonFloat)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise InstanceError(f"cannot read {what} {path}: {exc}") from exc
 
 
 # -- decoding format 1 a block at a time --------------------------------------
@@ -418,39 +410,86 @@ def _read_json(path: str | Path, what: str):
 # `load_instance` walks the top-level object itself and decodes each member
 # with json's own C scanner, except `lists` and `sigma`: their members are
 # decoded and converted (`_list_block`, `_sigma_block`) _BLOCK_ROWS at a
-# time, so no Python object of the whole file exists at once.  Text that
-# the walker does not take goes through `json.loads` and `instance_from_dict`.
+# time, so no Python object of the whole file exists at once.  The walker
+# reads the file through one text stream, a window of _WINDOW characters or
+# more at a time, so no str of the whole file exists either.  Text that the
+# walker does not take goes through `json.loads` and `instance_from_dict`.
 
 _BLOCK_ROWS = 1024  # `lists` members or `sigma` items decoded before they are converted
+_WINDOW = 1 << 16  # characters of the file held at once, unless one value needs more
 _WS = "[ \t\n\r]*"  # JSON whitespace
 _SPACE = re.compile(_WS)
 _KEY = re.compile(_WS + r'"([^"\\\x00-\x1f]*)"' + _WS + ":" + _WS)  # a key without escapes, then the colon
 _AFTER = re.compile(_WS + r"(?:,|([]}]))" + _WS)  # the comma after a member, or the closing bracket (group 1)
+# A JSON number decides within three characters whether it goes on ("1.5",
+# "1e5", "1e+5"), so one that ends three characters before the window's end
+# ends there in the whole text too.
+_LOOKAHEAD = 3
 
 
 class _Cursor:
-    """A position in JSON text.  Each read moves past what it read and
-    raises ValueError where the text is not what it reads."""
+    """A position in the JSON text of a stream, read a window at a time.
+    Each read moves past what it read and raises ValueError where the text
+    is not what it reads.  A read that fails, or that ends within
+    _LOOKAHEAD characters of the window's end (a whitespace run, a key, or
+    a value such as a number), is made again once the window has been
+    extended, so it reads what it would read in the whole text."""
 
-    def __init__(self, text: str):
-        self.text = text
-        self.at = _SPACE.match(text).end()
+    def __init__(self, file: TextIO):
+        self._file = file
+        self.text, self.at = "", 0  # the window, and the cursor's offset in it
+        self._sure = 0  # a read that ends before this offset ends there in the whole text
         self._scan = json.JSONDecoder(parse_float=_JsonFloat).scan_once
+        self.at = self._match(_SPACE).end()
+
+    def _extend(self) -> bool:
+        """Drop the window's text before the cursor and read on, to a
+        window of _WINDOW characters, or of twice the text left after the
+        cursor when that is longer: a value that does not fit is reread
+        in a window twice as long, which costs linear time in all.  False
+        at the end of the file."""
+        rest = self.text[self.at :]
+        more = self._file.read(max(_WINDOW, 2 * len(rest)) - len(rest))
+        if not more:
+            self._sure = len(self.text) + 1  # the whole text is in the window
+            return False
+        self.text, self.at = rest + more, 0
+        self._sure = len(self.text) - _LOOKAHEAD
+        return True
+
+    def _match(self, pattern: re.Pattern) -> re.Match | None:
+        """`pattern` matched at the cursor, in a window extended while the
+        match fails or ends within _LOOKAHEAD characters of its end."""
+        while True:
+            found = pattern.match(self.text, self.at)
+            if (found is None or found.end() >= self._sure) and self._extend():
+                continue
+            return found
+
+    def at_end(self) -> bool:
+        """Whether the cursor is at the end of the text."""
+        return self.at == len(self.text) and not self._extend()
 
     def value(self):
         """The JSON value at the cursor, decoded as `json.loads` decodes it."""
-        try:
-            value, self.at = self._scan(self.text, self.at)
-        except StopIteration:
-            raise ValueError(f"no JSON value at {self.at}") from None
-        return value
+        while True:
+            try:
+                value, end = self._scan(self.text, self.at)
+            except (StopIteration, ValueError):  # no value, or one cut by the window's end
+                if self._extend():
+                    continue
+                raise ValueError(f"no JSON value at {self.at}") from None
+            if end < self._sure or not self._extend():
+                self.at = end
+                return value
 
     def opens(self, bracket: str) -> bool:
         """Whether `bracket` comes next; the cursor moves past it and the
         whitespace after it when it does."""
         if not self.text.startswith(bracket, self.at):
             return False
-        self.at = _SPACE.match(self.text, self.at + 1).end()
+        self.at += 1
+        self.at = self._match(_SPACE).end()
         return True
 
     def members(self, close: str):
@@ -464,11 +503,15 @@ class _Cursor:
                 yield None
             else:
                 key = _KEY.match(self.text, self.at)
-                if key is None:
-                    raise ValueError(f"no plain object key at {self.at}")
+                if key is None or key.end() >= self._sure:
+                    key = self._match(_KEY)
+                    if key is None:
+                        raise ValueError(f"no plain object key at {self.at}")
                 self.at = key.end()
                 yield key.group(1)
             after = _AFTER.match(self.text, self.at)
+            if after is None or after.end() >= self._sure:
+                after = self._match(_AFTER)
             if after is None or after.group(1) not in (None, close):
                 raise ValueError(f"no comma or {close!r} at {self.at}")
             self.at = after.end()
@@ -476,18 +519,20 @@ class _Cursor:
                 return
 
 
-def _streamed_columns(text: str) -> tuple[_Head, list[_ListBlock], list[_SigmaBlock]] | None:
-    """The converted columns of the format-1 `text`, as `_assemble` takes
-    them, or None where only `instance_from_dict(json.loads(text))` gives
-    the instance or the error: text that is not one JSON object (json
-    then reports the first syntax error), a key written with an escape,
-    a repeated `lists` or `sigma` key or one of another JSON type, a
-    repeated edge id in `lists` (json keeps the last row), or a fault
-    that a converter finds (reported in `instance_from_dict`'s order)."""
-    cursor = _Cursor(text)
+def _streamed_columns(file: TextIO) -> tuple[_Head, list[_ListBlock], list[_SigmaBlock]] | None:
+    """The converted columns of the format-1 text of the stream `file`, as
+    `_assemble` takes them, or None where only
+    `instance_from_dict(json.loads(text))` gives the instance or the
+    error: text that is not one JSON object (json then reports the first
+    syntax error), a key written with an escape, a repeated `lists` or
+    `sigma` key or one of another JSON type, a repeated edge id in `lists`
+    (json keeps the last row), a fault that a converter finds (reported in
+    `instance_from_dict`'s order), or a file that is not UTF-8 (reported
+    as the whole read reports it)."""
     head: dict = {}
     blocks: dict[str, list] = {}
     try:
+        cursor = _Cursor(file)
         if not cursor.opens("{"):
             return None
         for key in cursor.members("}"):
@@ -497,11 +542,11 @@ def _streamed_columns(text: str) -> tuple[_Head, list[_ListBlock], list[_SigmaBl
                 return None
             else:
                 blocks[key] = _blocks(cursor, key)
-        if cursor.at != len(text):
+        if not cursor.at_end():
             return None
         converted = _head(head)
         list_blocks = blocks.get("lists") or [_list_block([], [])]
-    except (RecursionError, ValueError):  # JSONDecodeError and InstanceError are ValueErrors
+    except (RecursionError, ValueError):  # JSONDecodeError, InstanceError and UnicodeDecodeError are ValueErrors
         return None
     # An unknown edge id, which `instance_from_dict` names, or a repeated
     # one, whose last row `json.loads` keeps.
@@ -530,15 +575,18 @@ def _blocks(cursor: _Cursor, name: str) -> list[_ListBlock] | list[_SigmaBlock]:
 def load_instance(path: str | Path) -> Instance:
     """Read, decode and convert the instance at `path`.
 
-    The text is read once and decoded a block of `lists` members or
-    `sigma` items at a time (`_streamed_columns`), each block converted
-    and its Python objects freed before the next is decoded, so the load
-    holds the text and one block, not a Python object per entry of the
-    whole file.  The converters are those of `instance_from_dict`, so
-    both read the same values to the same tables.  Text that the walker
-    does not take (see `_streamed_columns`) is decoded whole by
-    `json.loads` and converted by `instance_from_dict`.  The text is
-    freed before the tables are sorted and assembled.
+    The file is read through one text stream, decoded as
+    `Path.read_text(encoding="utf-8")` decodes it, a window of the text at
+    a time, and decoded a block of `lists` members or `sigma` items at a
+    time (`_streamed_columns`), each block converted and its Python
+    objects freed before the next is decoded.  So the load holds a window
+    of the text and one block, not the text of the whole file nor a
+    Python object per entry.  The converters are those of
+    `instance_from_dict`, so both read the same values to the same
+    tables.  Text that the walker does not take (see `_streamed_columns`),
+    and a file that cannot be opened, are read again whole, decoded by
+    `json.loads` and converted by `instance_from_dict`, which raise the
+    InstanceError that names the fault.
 
     The whole load runs with the cyclic garbage collector paused.
     Decoded JSON holds only dicts, lists, strings and numbers, which form
@@ -549,15 +597,16 @@ def load_instance(path: str | Path) -> Instance:
     has returned.
     """
     with _collector_paused():
-        text = _read_text(path, "instance")
-        columns = _streamed_columns(text)
+        try:
+            with Path(path).open(encoding="utf-8") as file:
+                columns = _streamed_columns(file)
+        except OSError:
+            columns = None
         if columns is None:
-            data = _decode(text, path, "instance")
-            del text
+            data = _read_json(path, "instance")
             inst = instance_from_dict(data)
             del data
         else:
-            del text
             inst = _assemble(*columns)
     return inst
 

@@ -202,6 +202,11 @@ EQUALIZING_BLOCK = 1 << 14
 # sit in memory together.
 NEIGHBOUR_BLOCK = 1 << 14
 
+# Stored-map entries joined with the pairs at once: a few MB of
+# temporaries.  Enough queries that `PairIndex.find` takes its table over
+# a key span of up to 4 * _JOIN_BLOCK pairs (PairIndex.TABLE_SLOTS).
+_JOIN_BLOCK = 1 << 17
+
 
 def segment_sums(values: np.ndarray, ptr: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
     """Sum of each segment `values[ptr[i]:ptr[i+1]]`, or of
@@ -249,14 +254,18 @@ class RoundStructure:
         graph: LinearHypergraph,
         lists: WeightedListAssignment,
         sigma: EdgeCorrespondence,
+        *,
+        _maps: "_StoredMaps | None" = None,
     ) -> "RoundStructure":
         """The structure of `lists` on an instance that `validate_instance`
         passes, as every caller's does: the build relies on every vertex
-        lying in range and every stored map joining two distinct edges."""
+        lying in range and every stored map joining two distinct edges.
+        `_maps` is `_StoredMaps.place(sigma, graph.vertex_table)` when the
+        caller has it, as `drive` does for all its builds."""
         k = graph.k
         edge_vertices = graph.vertex_table
         vertex_of = edge_vertices[lists.edge_of]
-        ptr, nbr_idx = _neighbourhood_rows(sigma, lists, edge_vertices, vertex_of)
+        ptr, nbr_idx = _neighbourhood_rows(sigma, lists, edge_vertices, vertex_of, _maps)
         return cls(
             mu=lists.mu,
             edge_of=lists.edge_of,
@@ -341,8 +350,10 @@ def _neighbourhood_rows(
     lists: WeightedListAssignment,
     edge_vertices: np.ndarray,
     vertex_of: np.ndarray,
+    maps: "_StoredMaps | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(ptr, nbr_idx) of the CSR rows N(e, v_j, c).
+    """(ptr, nbr_idx) of the CSR rows N(e, v_j, c), with `maps` the
+    stored maps placed on `edge_vertices`, or None to place them here.
 
     Where edges e and f at v store no map either way, (e, c) has (f, c)
     as a neighbour at v.  So the rows r = p*k + j, stably sorted by
@@ -367,7 +378,9 @@ def _neighbourhood_rows(
             nbr_idx[ptr[rows][..., None] + np.arange(others.shape[-1])] = others // k
         return ptr, nbr_idx
 
-    m, maps = len(edge_vertices), _StoredMaps.place(sigma, edge_vertices)
+    m = len(edge_vertices)
+    if maps is None:
+        maps = _StoredMaps.place(sigma, edge_vertices)
     # Keys row * P + member of the maps' members and of the kept candidates,
     # written into one array: pieces kept apart until a concatenation
     # fragment the heap, which showed as peak RSS on nibble-sigma-k3.
@@ -467,19 +480,27 @@ class _StoredMaps:
         are joined, as no other entry gives one."""
         sigma = self.sigma
         live = np.flatnonzero(listed[sigma.pair_e[self.row]] & listed[sigma.pair_f[self.row]])
-        row = self.row[live]
-        length = np.diff(sigma.entry_ptr)[row]
-        entry = segment_ranges(sigma.entry_ptr[row], length)
-        # Images first: fewer of them are pairs, and only those need their source.
-        q = pairs.find(np.repeat(sigma.pair_f[row], length), sigma.entry_image[entry])
-        at = np.flatnonzero(q >= 0)
-        placed = live[np.searchsorted(np.cumsum(length), at, side="right")]
-        p = pairs.find(sigma.pair_e[self.row[placed]], sigma.entry_c[entry][at])
-        hit = p >= 0
-        p, q, placed = p[hit], q[at[hit]], placed[hit]
-        back = self.alone[placed]
-        rows = np.concatenate([p * k + self.je[placed], q[back] * k + self.jf[placed[back]]])
-        return rows, np.concatenate([q, p[back]])
+        length = np.diff(sigma.entry_ptr)[self.row[live]]
+        start = np.cumsum(length) - length
+        # The live maps in blocks of about _JOIN_BLOCK entries: those whose
+        # first entry falls in one stretch of _JOIN_BLOCK entries.
+        cuts = np.append(np.searchsorted(start, np.arange(0, max(int(length.sum()), 1), _JOIN_BLOCK)), live.size)
+        parts = []
+        for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            block = live[a:b]
+            row = self.row[block]
+            entry = segment_ranges(sigma.entry_ptr[row], length[a:b])
+            # Images first: fewer of them are pairs, and only those need their source.
+            q = pairs.find(np.repeat(sigma.pair_f[row], length[a:b]), sigma.entry_image[entry])
+            at = np.flatnonzero(q >= 0)
+            placed = block[np.searchsorted(np.cumsum(length[a:b]), at, side="right")]
+            p = pairs.find(sigma.pair_e[self.row[placed]], sigma.entry_c[entry[at]])
+            hit = p >= 0
+            p, q, placed = p[hit], q[at[hit]], placed[hit]
+            back = self.alone[placed]
+            parts += [(p * k + self.je[placed], q), (q[back] * k + self.jf[placed[back]], p[back])]
+        rows, members = zip(*parts)
+        return np.concatenate(rows), np.concatenate(members)
 
 
 def equalizing_probability(
@@ -771,7 +792,8 @@ def drive(
     target_ratio = 3.0 * math.e * k
     colouring: dict[int, int] = {}
     cur_lists = lists
-    struct = RoundStructure.build(graph, cur_lists, sigma)
+    maps = None if sigma.is_trivial else _StoredMaps.place(sigma, graph.vertex_table)  # the same for every build
+    struct = RoundStructure.build(graph, cur_lists, sigma, _maps=maps)
     L = struct.min_list_weight()[0]
     N, _, max_card = struct.max_neighbourhood()
     if eps is None:
@@ -853,7 +875,7 @@ def drive(
             result.L, result.N = l_target, 0.0
             result.stop_reason = "all-coloured"
             return result
-        struct = RoundStructure.build(graph, cur_lists, sigma)
+        struct = RoundStructure.build(graph, cur_lists, sigma, _maps=maps)
         N_emp, _, max_card = struct.max_neighbourhood()
         L, N = l_target, N_emp
         result.L, result.N = L, N

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import hashlib
 import json
 import math
@@ -301,9 +302,9 @@ def test_colour_nibble_builds_structure_once_for_eps_and_drive(tmp_path, monkeyp
     builds = []
     original = RoundStructure.build.__func__
 
-    def counted(cls, graph, lists, sigma):
+    def counted(cls, graph, lists, sigma, **placed):
         builds.append(len(lists.edge_ids()))
-        return original(cls, graph, lists, sigma)
+        return original(cls, graph, lists, sigma, **placed)
 
     monkeypatch.setattr(RoundStructure, "build", classmethod(counted))
     monkeypatch.setattr(cli, "neighbourhood_audit", _refuse)
@@ -613,6 +614,52 @@ def test_running_out_of_memory_exits_4(tmp_path, edges, colours, argv):
     assert proc.returncode == 4, proc.stderr
     assert proc.stderr.startswith("resource limit: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert not (tmp_path / "run.colouring.json").exists()
+
+
+# Every output that a command writes, in a directory that does not exist.
+MISSING_DIRECTORY = {
+    "colour": ["colour", "{inst}", "--out-prefix", "{tmp}/nosuch/run"],
+    "gen": ["gen", "--kind", "regular", "--n", "20", "--d", "4", "--out", "{tmp}/nosuch/inst.json"],
+    "schedule": ["schedule", "--eps", "0.25", "--k", "2", "--delta", "1e13", "--out", "{tmp}/nosuch/s.csv"],
+    "diag --out": ["diag", "{inst}", "--trials", "2", "--out", "{tmp}/nosuch/d.json"],
+    "diag --csv": ["diag", "{inst}", "--trials", "2", "--csv", "{tmp}/nosuch/raw.csv"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MISSING_DIRECTORY))
+def test_an_output_in_a_missing_directory_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command):
+    inst = _p3_instance(tmp_path)
+    for work in ("load_instance", "generate", "simulate_schedule"):
+        monkeypatch.setattr(cli, work, _refuse)
+    capsys.readouterr()
+    assert run([a.format(inst=inst, tmp=tmp_path) for a in MISSING_DIRECTORY[command]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "no directory" in err and err.count("\n") == 1, err
+    assert not (tmp_path / "nosuch").exists()
+
+
+@pytest.mark.parametrize("error, code, line", [
+    (errno.ENOSPC, 4, "resource limit: "),
+    (errno.EDQUOT, 4, "resource limit: "),
+    (errno.EACCES, 2, "input error: "),
+    (errno.EISDIR, 2, "input error: "),
+])
+def test_a_write_that_fails_exits_by_its_error(tmp_path, capsys, monkeypatch, error, code, line):
+    def fail(*_args, **_kwargs):
+        raise OSError(error, os.strerror(error))
+
+    monkeypatch.setattr(cli, "dump_colouring", fail)
+    inst = _p3_instance(tmp_path)
+    capsys.readouterr()
+    assert run(["colour", inst, "--mode", "finish-only", "--eps", 0.25, "--out-prefix", tmp_path / "run"]) == code
+    err = capsys.readouterr().err
+    assert err == f"{line}[Errno {error}] {os.strerror(error)}\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="writes to a full device")
+def test_a_full_device_exits_4(capsys):
+    assert run(["schedule", "--eps", 0.25, "--k", 2, "--delta", 1e13, "--out", "/dev/full"]) == 4
+    assert capsys.readouterr().err.startswith("resource limit: [Errno 28]")
 
 
 # A valid instance of huge uniformity: without edges nothing may be shaped by k.

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import io
 import json
 import math
 import os
@@ -20,6 +21,7 @@ from nibble_colour.core import (
     LinearHypergraph,
     PartialColouring,
     WeightedListAssignment,
+    segment_ranges,
 )
 from nibble_colour.finisher import ResampleLog
 from nibble_colour.instance_io import (
@@ -272,21 +274,23 @@ def test_load_and_dump_run_no_collector_pass(tmp_path):
 
 @pytest.fixture
 def collector_at_read(monkeypatch) -> list[bool]:
-    """`gc.isenabled()` at each `Path.read_text` call of the test."""
+    """`gc.isenabled()` at each `Path.open` call of the test: the streamed
+    read, and the whole read (`Path.read_text`) of a text it declines."""
     seen: list[bool] = []
-    read_text = Path.read_text
+    open_ = Path.open
 
     def spy(self, *args, **kwargs):
         seen.append(gc.isenabled())
-        return read_text(self, *args, **kwargs)
+        return open_(self, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "read_text", spy)
+    monkeypatch.setattr(Path, "open", spy)
     return seen
 
 
 def test_load_pauses_the_collector_and_restores_it(tmp_path, collector_at_read):
     path = tmp_path / "inst.json"
     dump_instance(_sample_instance(), path)
+    collector_at_read.clear()
     load_instance(path)
     assert collector_at_read == [False]
     assert gc.isenabled()
@@ -298,15 +302,17 @@ def test_collector_is_restored_after_a_failed_load(tmp_path, collector_at_read, 
     path = tmp_path / "inst.json"
     if text is not None:
         path.write_text(text)
+    collector_at_read.clear()
     with pytest.raises(InstanceError):
         load_instance(path)
-    assert collector_at_read == [False]
+    assert collector_at_read == [False, False]  # the streamed read, then the whole read
     assert gc.isenabled()
 
 
 def test_a_collector_the_caller_turned_off_stays_off(tmp_path, collector_at_read):
     path = tmp_path / "inst.json"
     dump_instance(_sample_instance(), path)
+    collector_at_read.clear()
     gc.disable()
     try:
         with instance_io._collector_paused():
@@ -319,7 +325,7 @@ def test_a_collector_the_caller_turned_off_stays_off(tmp_path, collector_at_read
         assert not gc.isenabled()
     finally:
         gc.enable()
-    assert collector_at_read == [False, False]
+    assert collector_at_read == [False, False, False]
 
 
 # -- the converters against the per-entry reader ----------------------------
@@ -549,24 +555,57 @@ _P3_TEXT = json.dumps({"k": 2, "vertex_count": 3, "edges": [[0, 1], [1, 2]], "li
                        "sigma": [{"e": 0, "f": 1, "map": [[1, 2]]}]})
 
 
-@given(_format1_texts(), st.sampled_from([1, 2, 3, instance_io._BLOCK_ROWS]))
-@example((_P3_TEXT + "\n", True), 1)
-@example(('{"k": 5, ' + _P3_TEXT[1:], True), 1)  # a repeated top-level key
-@example((_P3_TEXT[:-1] + ', "lists": {"0": [3]}}', False), 1)  # a repeated `lists` key
-@example((_P3_TEXT.replace('"lists": {', '"lists": {"0": [3], '), False), 1)  # a repeated edge id in `lists`
-@example((_P3_TEXT.replace('"lists": {', '"lists": {"5": [3], '), True), 1)  # an unknown edge
-@example((_P3_TEXT.replace('"lists": {', '"lists": {"01": [3], '), True), 1)  # an edge id that is not plain
-@example((_P3_TEXT + " x", False), 1)
-@example(("\ufeff" + _P3_TEXT, False), 1)
-@example(("[" + _P3_TEXT + "]", False), 1)
+def _led(pad: int, note: str) -> str:
+    """`_P3_TEXT` led by a "pad" member of `pad` characters, which moves
+    where the windows of the streamed read end, and a "note" member whose
+    value is the JSON text `note`."""
+    return '{"pad": "' + "x" * pad + '", "note": ' + note + ", " + _P3_TEXT[1:]
+
+
+# (pad, note, cut): with a window of one character, `_led(pad, note)` is
+# read in windows one of which ends inside the note's number, after `cut`
+# (test_cut_examples_end_a_window_inside_a_number checks that they do).
+_CUT_NUMBERS = [
+    (19, "12345678.5", "12345678."),
+    (19, "12345678e5", "12345678e"),
+    (7, "12345678e-5", "12345678e-"),
+    (1, "[10000000, -2]", "[10000000, -"),
+]
+
+
+def _walks(path: Path) -> bool:
+    """Whether the load walks the file at `path` itself."""
+    with path.open(encoding="utf-8") as file:
+        return instance_io._streamed_columns(file) is not None
+
+
+@given(_format1_texts(), st.sampled_from([1, 2, 3, instance_io._BLOCK_ROWS]),
+       st.integers(1, 7) | st.just(instance_io._WINDOW))
+@example((_P3_TEXT + "\n", True), 1, 1)
+@example(('{"k": 5, ' + _P3_TEXT[1:], True), 1, 1)  # a repeated top-level key
+@example((_P3_TEXT[:-1] + ', "lists": {"0": [3]}}', False), 1, 1)  # a repeated `lists` key
+@example((_P3_TEXT.replace('"lists": {', '"lists": {"0": [3], '), False), 1, 1)  # a repeated edge id in `lists`
+@example((_P3_TEXT.replace('"lists": {', '"lists": {"5": [3], '), True), 1, 1)  # an unknown edge
+@example((_P3_TEXT.replace('"lists": {', '"lists": {"01": [3], '), True), 1, 1)  # an edge id that is not plain
+@example((_P3_TEXT + " x", False), 1, 1)
+@example(("\ufeff" + _P3_TEXT, False), 1, 1)
+@example(("[" + _P3_TEXT + "]", False), 1, 1)
+# A window that ends in a number at `8.`, `8e` or `-` (of an exponent, and
+# of a number in an array).
+@example((_led(*_CUT_NUMBERS[0][:2]), True), 1, 1)
+@example((_led(*_CUT_NUMBERS[1][:2]), True), 1, 1)
+@example((_led(*_CUT_NUMBERS[2][:2]), True), 1, 1)
+@example((_led(*_CUT_NUMBERS[3][:2]), True), 1, 1)
+# A four-byte character across the end of the text stream's first 8 KiB read.
+@example(('{"pad": "' + "x" * (io.DEFAULT_BUFFER_SIZE - 11) + '\U0001f600", ' + _P3_TEXT[1:], True), 1, instance_io._WINDOW)
 @settings(max_examples=500, deadline=None)
-def test_load_equals_json_loads_then_instance_from_dict(tmp_path_factory, drawn, block_rows):
+def test_load_equals_json_loads_then_instance_from_dict(tmp_path_factory, drawn, block_rows, window):
     text, walks = drawn
     path = tmp_path_factory.mktemp("load") / "inst.json"
     path.write_text(text, encoding="utf-8")
-    with mock.patch.object(instance_io, "_BLOCK_ROWS", block_rows):
+    with mock.patch.object(instance_io, "_BLOCK_ROWS", block_rows), mock.patch.object(instance_io, "_WINDOW", window):
         _assert_same_load(path)
-        walked = instance_io._streamed_columns(text) is not None
+        walked = _walks(path)
     if walks:
         try:
             instance_from_dict(json.loads(text, parse_float=instance_io._JsonFloat))
@@ -594,7 +633,7 @@ def _path_instance_dict(rows: int) -> dict:
 def test_load_of_rows_on_both_sides_of_the_block_size(tmp_path, rows):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(_path_instance_dict(rows), indent=2))
-    assert instance_io._streamed_columns(path.read_text()) is not None
+    assert _walks(path)
     _assert_same_load(path)
 
 
@@ -604,30 +643,120 @@ def test_entry_forms_that_differ_between_blocks_load_as_instance_from_dict(tmp_p
         data["lists"][str(e)] = [1, 2]
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(data))
-    assert instance_io._streamed_columns(path.read_text()) is not None
+    assert _walks(path)
     _assert_same_load(path)
 
 
+class _Pieces(io.StringIO):
+    """A text stream whose reads return at most the next of `pieces`,
+    so that the windows of the streamed read end where they end."""
+
+    def __init__(self, *pieces: str):
+        super().__init__("".join(pieces))
+        self.sizes = [len(piece) for piece in pieces]
+
+    def read(self, size=-1):
+        return super().read(min(size, self.sizes.pop(0)) if self.sizes else size)
+
+
+# Each first read of the note's value sees `first` alone: a key's read
+# ends at least _LOOKAHEAD characters before the window's end.
+@pytest.mark.parametrize(("first", "rest"), [
+    ("12345678.", "5"), ("12345678e", "2"), ("12345678e-", "1"), ("-Infi", "nity"), ("1234", "5"),
+    ("[10, -", "2]"), ("[10.", "5]"), ("[tru", "e]"), ('"abcd', 'e"'),
+])
+def test_a_value_cut_by_the_window_reads_as_the_whole_text(first, rest):
+    whole = '{"note": ' + first + rest + ' , "k" :2}'
+    cut = len('{"note": ') + len(first)
+    cursor = instance_io._Cursor(_Pieces(whole[:cut], whole[cut:]))
+    seen = []
+    scan = cursor._scan
+    cursor._scan = lambda text, at: seen.append(text[at:]) or scan(text, at)
+    assert cursor.opens("{")
+    assert next(cursor.members("}")) == "note"
+    assert cursor.value() == json.loads(whole)["note"]
+    assert seen[0] == first
+
+
+@pytest.mark.parametrize(("pad", "note", "cut"), _CUT_NUMBERS)
+def test_cut_examples_end_a_window_inside_a_number(monkeypatch, pad, note, cut):
+    seen = []
+
+    class Spied(instance_io._Cursor):
+        def __init__(self, file):
+            super().__init__(file)
+            scan = self._scan
+            self._scan = lambda text, at: seen.append(text[at:]) or scan(text, at)
+
+    monkeypatch.setattr(instance_io, "_Cursor", Spied)
+    monkeypatch.setattr(instance_io, "_WINDOW", 1)
+    assert instance_io._streamed_columns(io.StringIO(_led(pad, note))) is not None
+    assert cut in seen
+
+
+@pytest.mark.parametrize("cut", range(1, 30))
+def test_whitespace_and_keys_cut_by_the_window_read_as_the_whole_text(cut):
+    whole = '  {  "lists" \n:  {"0" : [1]  ,"1":[]} , "k"  :  2.5e1  }\t '
+    cursor = instance_io._Cursor(_Pieces(whole[:cut], *whole[cut:]))
+    assert cursor.opens("{")
+    read = {}
+    for key in cursor.members("}"):
+        read[key] = dict((k, cursor.value()) for k in cursor.members("}")) if cursor.opens("{") else cursor.value()
+    assert cursor.at_end()
+    assert read == json.loads(whole)
+
+
 # Child process that prints how far one load raises the peak resident set
-# (kilobytes, as Linux reports `ru_maxrss`).
+# (kilobytes).  It reads VmHWM, the process's own peak: `ru_maxrss` in a
+# child also counts the resident set of the parent it was started from.
 _LOAD_PEAK_CHILD = """
-import resource, sys
+import sys
 from nibble_colour.instance_io import load_instance
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+def peak_kb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+before = peak_kb()
 load_instance(sys.argv[1])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+print(peak_kb() - before)
 """
+
+
+def _load_peak_kb(path: Path) -> int:
+    if not Path("/proc/self/status").is_file():
+        pytest.skip("reads the peak resident set from /proc")
+    env = {**os.environ, "PYTHONPATH": str(Path(instance_io.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _LOAD_PEAK_CHILD, str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
 
 
 def test_load_peak_memory_is_the_text_and_a_block(tmp_path):
     # About 8 MB of text with 192,000 list entries.  Decoded whole, the
     # entry objects raise the peak by about 60 MB; a block at a time, by
-    # about 20 MB: the text read and decoded, and the tables.
+    # about 20 MB: a window of the text, the blocks and the tables.
     out = tmp_path / "inst.json"
     assert main(["gen", "--kind", "regular", "--n", "4000", "--d", "8", "--eps", "0.5", "--seed", "1",
                  "--out", str(out)]) == 0
-    env = {**os.environ, "PYTHONPATH": str(Path(instance_io.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", _LOAD_PEAK_CHILD, str(out)],
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 35 * 1024
+    assert _load_peak_kb(out) < 35 * 1024
+
+
+def test_load_peak_memory_of_stored_maps_stays_below_the_file_size(tmp_path):
+    # Every third pair of meeting edges stores a map of all of e's
+    # colours: about 20 MB of text in about ten thousand `sigma` items.
+    # Read whole, the bytes and the text alone raise the peak by twice
+    # the file; a window at a time, the load stays well below one file.
+    out = tmp_path / "inst.json"
+    assert main(["gen", "--kind", "linear", "--k", "3", "--n", "120", "--m", "900", "--eps", "0.75", "--seed", "1",
+                 "--out", str(out)]) == 0
+    inst = load_instance(out)
+    e, f = (side[::3] for side in inst.graph.incident_pairs)
+    lists = inst.lists
+    counts = np.diff(lists.edge_ptr)[e]
+    c = lists.colour_of[segment_ranges(lists.edge_ptr[e], counts)]
+    image = (5 * c + np.repeat(f, counts)) % (inst.universe[1] + 1)
+    sigma = EdgeCorrespondence.from_items(e, f, counts, c, image)
+    dump_instance(Instance(graph=inst.graph, lists=lists, sigma=sigma, universe=inst.universe), out)
+    size = out.stat().st_size
+    assert size > 10 * 2**20
+    assert _load_peak_kb(out) * 1024 < size

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -12,6 +13,7 @@ from nibble_colour.core import (
     LinearHypergraph,
     WeightedListAssignment,
     colour_neighbours,
+    segment_ranges,
     validate_colouring,
     validate_instance,
 )
@@ -892,3 +894,67 @@ def test_drive_16_regular_rounds_reduce_uncoloured():
     allowed = restrict_lists(g, lists, EdgeCorrespondence(), result.colouring)
     for e in result.remaining_edges:
         assert set(result.lists.colours(e)) <= set(allowed.colours(e))
+
+
+# ---------------------------------------------------------------------------
+# The stored maps: joined a block at a time, placed once per drive
+# ---------------------------------------------------------------------------
+
+
+def _shifted_maps(graph, lists) -> EdgeCorrespondence:
+    """Every other pair (e, f) of meeting edges stores the map that sends
+    each colour c of L(e) to c + 1 + f % 3, images off the lists
+    included."""
+    e, f = (side[::2] for side in graph.incident_pairs)
+    counts = np.diff(lists.edge_ptr)[e]
+    c = lists.colour_of[segment_ranges(lists.edge_ptr[e], counts)]
+    return EdgeCorrespondence.from_items(e, f, counts, c, c + 1 + np.repeat(f % 3, counts))
+
+
+def _same_rows_in_any_join_block(graph, lists, sigma) -> RoundStructure:
+    structs = []
+    for block in (1, 1 << 62):  # an entry at a time, and every entry at once
+        with mock.patch.object(nibble, "_JOIN_BLOCK", block):
+            structs.append(RoundStructure.build(graph, lists, sigma))
+    placed = nibble._StoredMaps.place(sigma, graph.vertex_table) if not sigma.is_trivial else None
+    structs.append(RoundStructure.build(graph, lists, sigma, _maps=placed))
+    for struct in structs[1:]:
+        assert np.array_equal(struct.ptr, structs[0].ptr) and np.array_equal(struct.nbr_idx, structs[0].nbr_idx)
+    return structs[0]
+
+
+@given(_drawn_instances())
+@settings(max_examples=100, deadline=None)
+def test_join_blocks_and_placed_maps_give_the_same_rows(drawn):
+    graph, lists, sigma, _, active = drawn
+    _same_rows_in_any_join_block(graph, lists if active is None else lists.restrict_to_edges(active), sigma)
+
+
+def test_join_blocks_give_the_same_rows_on_a_regular_graph():
+    from nibble_colour.harness import GeneratorSpec, build_local_lists, generate
+
+    g = generate(GeneratorSpec(kind="regular-graph", n=20, d=16, seed=1))
+    lists = build_local_lists(g, 1.5, 40, seed=1)
+    struct = _same_rows_in_any_join_block(g, lists, _shifted_maps(g, lists))
+    assert struct.nbr_idx.size > 0
+
+
+def test_drive_places_the_stored_maps_once(monkeypatch):
+    from nibble_colour.harness import GeneratorSpec, build_local_lists, generate
+
+    g = generate(GeneratorSpec(kind="regular-graph", n=20, d=16, seed=1))
+    lists = build_local_lists(g, 1.5, 40, seed=1)
+    sigma = _shifted_maps(g, lists)
+    calls = []
+    for name, owner in (("place", nibble._StoredMaps), ("build", RoundStructure)):
+        original = getattr(owner, name).__func__
+
+        def counted(cls, *args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, classmethod(counted))
+    result = drive(g, lists, sigma, eps=0.25, seed=5)
+    assert len(result.trace) >= 1
+    assert calls.count("place") == 1 and calls.count("build") == len(result.trace) + 1
+    assert validate_colouring(g, lists, sigma, result.colouring) == []
