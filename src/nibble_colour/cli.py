@@ -307,8 +307,10 @@ def cmd_verify(args) -> int:
     inst = _load_valid_instance(args.instance)
     colouring, _ = load_colouring(args.colouring)
     violations = validate_colouring(inst.graph, inst.lists, inst.sigma, colouring)
-    for v in violations:
+    for v in violations[:10]:
         _err(str(v))
+    if violations:
+        _err(f"{len(violations)} violations in total")
     if any(v.kind == "unknown-edge" for v in violations):
         return EXIT_INPUT
     return EXIT_VERIFY if violations else EXIT_OK

@@ -24,7 +24,7 @@ from .core import (
     segment_blocks,
     segment_ranges,
 )
-from .nibble import NibbleParams, RoundStructure, _runs, apply_procedure, draw_round, equalizing_probability
+from .nibble import NibbleParams, RoundStructure, _slot_groups, apply_procedure, draw_round, equalizing_probability
 
 
 # Keys per `rng.uniforms` call of the generators (8 MB per uint64 array).
@@ -265,29 +265,40 @@ def brute_force_colour(
                 out.append(c)
         return out
 
-    class _Cap(Exception):
-        pass
+    # The search keeps one frame per coloured edge, [edge, its candidates,
+    # the next to try], on an explicit stack, so its depth is not Python's
+    # recursion limit; it visits nodes in the order of the recursive search
+    # "colour the most constrained edge with each candidate in turn".
+    stack: list[list] = []
 
-    def search() -> bool:
+    def enter() -> bool:
+        """Open a search node: True when every edge is coloured, else push
+        the frame of its most constrained edge."""
         nonlocal nodes
         nodes += 1
         if nodes > node_cap:
-            raise _Cap
+            return False
         remaining = [e for e in edge_ids if e not in colours]
         if not remaining:
             return True
         cand = {e: candidates(e) for e in remaining}
         e = min(remaining, key=lambda e: (len(cand[e]), e))
-        for c in cand[e]:
-            colours[e] = c
-            if search():
-                return True
-            del colours[e]
+        stack.append([e, cand[e], 0])
         return False
 
-    try:
-        found = search()
-    except _Cap:
+    found = enter()
+    while not found and stack and nodes <= node_cap:
+        frame = stack[-1]
+        e, cand, i = frame
+        if i:  # the previous candidate of e failed
+            del colours[e]
+        if i == len(cand):
+            stack.pop()
+            continue
+        frame[2] = i + 1
+        colours[e] = cand[i]
+        found = enter()
+    if nodes > node_cap:
         return BruteResult(status="cap-exceeded", colouring=None, nodes=nodes)
     if found:
         return BruteResult(status="found", colouring=dict(colours), nodes=nodes)
@@ -494,9 +505,8 @@ def neighbourhood_audit(
     # each group's sum is added left to right in pair order, its cumulative
     # sum's last entry, and the first maximum is in (vertex, colour) order.
     vertex, colour = struct.vertex_of.ravel(), np.repeat(struct.colour_of, struct.k)
-    order = np.lexsort((colour, vertex))
+    order, bounds = _slot_groups(vertex, colour)
     vertex, colour, weight = vertex[order], colour[order], np.repeat(struct.mu, struct.k)[order]
-    bounds = _runs(vertex, colour)
     sums = np.empty(bounds.size - 1)
     for rows, members in segment_blocks(bounds):
         sums[rows] = np.cumsum(weight[members], axis=1)[:, -1]

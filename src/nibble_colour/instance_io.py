@@ -362,19 +362,27 @@ def dump_instance(inst: Instance, path: str | Path) -> None:
 def _lists_text(lists: WeightedListAssignment) -> str:
     """The `lists` object: one entry per pair, `weight` left out for 1.0,
     and the edges in the string order of their keys ("10" before "9"), as
-    `sort_keys` orders them."""
+    `sort_keys` orders them.  One template per row shape, the entries that
+    carry a weight, filled by one `%` with the colours and weights."""
     entry = _block(['"colour": %s'], _PAD * 3, "{}")
     weighted = _block(['"colour": %s', '"weight": %s'], _PAD * 3, "{}")
-    entries = [
-        entry % c if w == 1.0 else weighted % (c, _float_text(w))
-        for c, w in zip(lists.colour_of.tolist(), lists.mu.tolist())
-    ]
-    keys, bounds = lists.edges.tolist(), lists.edge_ptr.tolist()
-    in_key_order = sorted(range(len(keys)), key=lambda i: str(keys[i]))
-    return _block(
-        [f'"{keys[i]}": ' + _block(entries[bounds[i] : bounds[i + 1]], _PAD * 2) for i in in_key_order],
-        _PAD, "{}",
-    )
+    keys = lists.edges.tolist()
+    in_key_order = np.array(sorted(range(len(keys)), key=lambda i: str(keys[i])), dtype=np.int64)
+    counts = np.diff(lists.edge_ptr)[in_key_order]
+    pairs = segment_ranges(lists.edge_ptr[in_key_order], counts)
+    heavy = lists.mu[pairs] != 1.0
+    shapes: dict[bytes, str] = {}
+    rows, flags, bounds = [], heavy.tobytes(), np.cumsum(counts).tolist()
+    for i, a, b in zip(in_key_order.tolist(), [0] + bounds, bounds):
+        shape = flags[a:b]
+        if shape not in shapes:
+            shapes[shape] = _block([weighted if f else entry for f in shape], _PAD * 2)
+        rows.append(f'"{keys[i]}": ' + shapes[shape])
+    values = np.empty(pairs.size + int(heavy.sum()), dtype=object)
+    at = np.arange(pairs.size) + np.cumsum(heavy) - heavy  # where each pair's colour goes
+    values[at] = lists.colour_of[pairs].tolist()
+    values[at[heavy] + 1] = [_float_text(w) for w in lists.mu[pairs][heavy].tolist()]
+    return _block(rows, _PAD, "{}") % tuple(values.tolist())
 
 
 def _sigma_text(sigma: EdgeCorrespondence) -> str:

@@ -228,22 +228,30 @@ class RoundStructure:
 
     `mu`, `edge_of`, `colour_of`, `edges` and `edge_ptr` are the arrays of
     the lists' pair table itself, not copies: pairs (e, c) in ascending
-    order, those of edge `edges[i]` at `edge_ptr[i]:edge_ptr[i+1]`.  The
-    colour neighbourhoods form one CSR (compressed sparse row) layout: row
-    r = p*k + j holds N(e, v_j, c) of pair p = (e, c), where v_j is the
-    j-th vertex of e in ascending order, as the ascending pair indices
-    `nbr_idx[ptr[r]:ptr[r+1]]`.  By linearity these neighbourhoods are
-    disjoint across vertex slots, and by bijectivity across colours of
-    one edge; the rows of pair p are contiguous, so p's whole
-    neighbourhood is `nbr_idx[ptr[p*k]:ptr[(p+1)*k]]`.
+    order, those of edge `edges[i]` at `edge_ptr[i]:edge_ptr[i+1]`.  Row
+    r = p*k + j stands for the colour neighbourhood N(e, v_j, c) of pair
+    p = (e, c), where v_j is the j-th vertex of e in ascending order, and
+    its members are ascending pair indices.  By linearity these
+    neighbourhoods are disjoint across vertex slots, and by bijectivity
+    across colours of one edge.  `rows` holds them in one of two layouts,
+    chosen once by `build`:
+
+    - `_Groups` for the identity correspondence, list colouring: the rows
+      of one (vertex, colour) group are each other's members, so the
+      layout keeps only the rows' (vertex, colour) order and where each
+      group starts;
+    - `_Csr` when `sigma` stores maps: the members written out, row r as
+      `nbr_idx[ptr[r]:ptr[r+1]]`.
+
+    Both answer the same questions (`sums`, `products`, `first_row`,
+    `longest`, `hit`), so every operation below has one entry point.
     """
 
     mu: np.ndarray
     edge_of: np.ndarray
     colour_of: np.ndarray
     vertex_of: np.ndarray  # (P, k) vertex ids
-    ptr: np.ndarray  # (P*k + 1,) row offsets into nbr_idx
-    nbr_idx: np.ndarray  # int32 pair indices
+    rows: "_Groups | _Csr"  # the colour neighbourhoods, row r = p*k + j
     edges: np.ndarray  # ascending edge ids, empty lists included
     edge_ptr: np.ndarray  # (len(edges) + 1,) pair offsets per edge
     k: int
@@ -265,14 +273,17 @@ class RoundStructure:
         k = graph.k
         edge_vertices = graph.vertex_table
         vertex_of = edge_vertices[lists.edge_of]
-        ptr, nbr_idx = _neighbourhood_rows(sigma, lists, edge_vertices, vertex_of, _maps)
+        order, bounds = _slot_groups(vertex_of.ravel(), np.repeat(lists.colour_of, k))
+        if sigma.is_trivial or not lists.mu.size:
+            rows = _Groups(order, bounds, k)
+        else:
+            rows = _Csr(*_neighbourhood_rows(sigma, lists, edge_vertices, order, bounds, k, _maps), k)
         return cls(
             mu=lists.mu,
             edge_of=lists.edge_of,
             colour_of=lists.colour_of,
             vertex_of=vertex_of,
-            ptr=ptr,
-            nbr_idx=nbr_idx,
+            rows=rows,
             edges=lists.edges,
             edge_ptr=lists.edge_ptr,
             k=k,
@@ -285,7 +296,7 @@ class RoundStructure:
     @cached_property
     def row_weights(self) -> np.ndarray:
         """|N(e, v_j, c)|_mu per row r = p*k + j."""
-        return segment_sums(self.mu, self.ptr, self.nbr_idx)
+        return self.rows.sums(self.mu)
 
     def max_neighbourhood(self) -> tuple[float, tuple[int, int, int] | None, int]:
         """(max weighted size, witnessing (e, v, c), max cardinality).
@@ -296,7 +307,7 @@ class RoundStructure:
         if weights.size == 0:
             return 0.0, None, 0
         best = float(weights.max())
-        card = int(np.diff(self.ptr).max())
+        card = self.rows.longest()
         if best <= 0.0:
             return best, None, card
         rows = np.flatnonzero(weights == best)
@@ -320,64 +331,169 @@ class RoundStructure:
     def equalizing(self, params: NibbleParams) -> tuple[np.ndarray, int]:
         """Eq values per (pair, vertex slot), clamped to <= 1; returns the
         number of clamped entries (hypothesis |N(e,v,c)|_mu <= N failed)."""
-        denom = np.ones(self.ptr.size - 1, dtype=np.float64)
+        factors = self.mu / params.activation_scale  # 1 - mu/(L ln N) per pair, in place
+        np.subtract(1.0, factors, out=factors)
+        bad = factors <= 0.0
+        r = self.rows.first_row(bad) if bad.any() else -1
+        if r >= 0:
+            p = r // self.k
+            raise DegenerateWeightError(
+                f"equalizing factor <= 0 for pair {(int(self.edge_of[p]), int(self.colour_of[p]))} "
+                f"at slot {r % self.k}"
+            )
+        eq = params.K / self.rows.products(factors)
+        over = eq > 1.0
+        eq[over] = 1.0
+        return eq.reshape(self.vertex_of.shape), int(over.sum())
+
+
+def _slot_groups(vertex: np.ndarray, colour: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, bounds): the positions i stably sorted by (vertex[i],
+    colour[i]), as one stable argsort of their order-preserving int64 pair
+    keys, and the groups of equal (vertex, colour) in that order, group g
+    being `order[bounds[g]:bounds[g+1]]`."""
+    keys = PairIndex(vertex, colour).keys
+    order = np.argsort(keys, kind="stable")
+    return order, _runs(keys[order])
+
+
+@dataclass(frozen=True)
+class _Groups:
+    """The rows of the identity correspondence as (vertex, colour)
+    groups.  `order` holds the rows r = p*k + j stably sorted by
+    (vertex_of[p, j], colour_of[p]); group g, `order[bounds[g]:bounds[g+1]]`,
+    holds the rows of one vertex and one colour, ascending.  Each row's
+    members are the pairs of the other rows of its group, ascending
+    (`_candidates`), so a group of s rows stands for s(s - 1) members
+    that are never written out."""
+
+    order: np.ndarray
+    bounds: np.ndarray
+    k: int
+
+    def longest(self) -> int:
+        """The largest member count, on a structure with rows."""
+        return int(np.diff(self.bounds).max()) - 1
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """Per row, the sum of `values` (one per pair) over its members.
+        A block of rows gathers its members' values as a (rows, s - 1)
+        array and sums its last axis: each row's own sum, as
+        `segment_sums` gives it."""
+        out = np.zeros(self.order.size)
+        for at, others in _candidates(self.bounds, values[self.order // self.k]):
+            out[self.order[at]] = others.sum(axis=-1)
+        return out
+
+    def products(self, values: np.ndarray) -> np.ndarray:
+        """Per row, the product of `values` over its members in ascending
+        order, 1.0 for none: the left-to-right product of
+        `np.multiply.reduceat`.  A block multiplies one member column
+        into all its rows at a time, where a reduction along the short
+        last axis would run one inner loop per row."""
+        out = np.ones(self.order.size)
+        for at, others in _candidates(self.bounds, values[self.order // self.k]):
+            product = others[:, 0].copy()
+            for column in others.T[1:]:
+                product *= column
+            out[self.order[at]] = product
+        return out
+
+    def first_row(self, flags: np.ndarray) -> int:
+        """The first row with a member whose pair `flags` marks, or -1."""
+        flagged = flags[self.order // self.k]
+        count = np.add.reduceat(flagged, self.bounds[:-1], dtype=np.int64)
+        rows = self.order[np.repeat(count, np.diff(self.bounds)) > flagged]
+        return int(rows.min()) if rows.size else -1
+
+    def hit(self, flat: np.ndarray) -> np.ndarray:
+        """Per trial and pair, whether a member of any of the pair's rows
+        is marked in `flat`, a (trials, P) array: a row is hit when its
+        group has two marked rows, or one that is not its own."""
+        out = np.zeros(flat.shape, dtype=bool)
+        if not self.order.size:
+            return out
+        pair, sizes = self.order // self.k, np.diff(self.bounds)
+        # Trials go in chunks of at most CONFLICT_CHUNK bytes: per trial and
+        # row, a chunk holds at most 7 at once, the marked and hit flags, the
+        # group counts (int32, at most one group per row) and the counts
+        # clamped to 2 and repeated per row (int8).
+        step = max(1, CONFLICT_CHUNK // (7 * self.order.size))
+        for t in range(0, flat.shape[0], step):
+            marked = flat[t : t + step][:, pair]
+            count = np.add.reduceat(marked, self.bounds[:-1], axis=1, dtype=np.int32)
+            hit = np.repeat(np.minimum(count, 2, out=count).astype(np.int8), sizes, axis=1) > marked
+            marked[:, self.order] = hit  # the hit flags back in row order
+            out[t : t + step] = marked.reshape(marked.shape[0], -1, self.k).any(axis=-1)
+        return out
+
+
+@dataclass(frozen=True)
+class _Csr:
+    """The rows of a correspondence with stored maps, written out in CSR
+    (compressed sparse row) shape: row r's members are the int32
+    `nbr_idx[ptr[r]:ptr[r+1]]`, and, the rows of pair p being contiguous,
+    its whole neighbourhood is `nbr_idx[ptr[p*k]:ptr[(p+1)*k]]`."""
+
+    ptr: np.ndarray  # (P*k + 1,) row offsets into nbr_idx
+    nbr_idx: np.ndarray
+    k: int
+
+    def longest(self) -> int:
+        return int(np.diff(self.ptr).max())
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        return segment_sums(values, self.ptr, self.nbr_idx)
+
+    def products(self, values: np.ndarray) -> np.ndarray:
+        out = np.ones(self.ptr.size - 1)
         # Empty rows are left out: reduceat would give them the element at
         # their offset instead of the empty product 1.
         rows = np.flatnonzero(np.diff(self.ptr))
         for a in range(0, rows.size, EQUALIZING_BLOCK):
             block = rows[a : a + EQUALIZING_BLOCK]
             lo, hi = self.ptr[block[0]], self.ptr[block[-1] + 1]
-            factors = self.mu[self.nbr_idx[lo:hi]]  # 1 - mu/(L ln N), in place
-            factors /= params.activation_scale
-            np.subtract(1.0, factors, out=factors)
-            bad = np.flatnonzero(factors <= 0.0)
-            if bad.size:
-                r = int(np.searchsorted(self.ptr, lo + bad[0], side="right")) - 1
-                p = r // self.k
-                raise DegenerateWeightError(
-                    f"equalizing factor <= 0 for pair {(int(self.edge_of[p]), int(self.colour_of[p]))} "
-                    f"at slot {r % self.k}"
-                )
-            denom[block] = np.multiply.reduceat(factors, self.ptr[block] - lo)
-        eq = params.K / denom
-        over = eq > 1.0
-        eq[over] = 1.0
-        return eq.reshape(self.vertex_of.shape), int(over.sum())
+            out[block] = np.multiply.reduceat(values[self.nbr_idx[lo:hi]], self.ptr[block] - lo)
+        return out
+
+    def first_row(self, flags: np.ndarray) -> int:
+        at = np.flatnonzero(flags[self.nbr_idx])
+        return int(np.searchsorted(self.ptr, at[0], side="right")) - 1 if at.size else -1
+
+    def hit(self, flat: np.ndarray) -> np.ndarray:
+        out = np.zeros(flat.shape, dtype=bool)
+        bounds = self.ptr[:: self.k]  # pair p's members: nbr_idx[bounds[p]:bounds[p+1]]
+        hit = np.flatnonzero(np.diff(bounds))
+        if hit.size:
+            # Trials go in chunks so the gathered flags never take trials x nnz.
+            step = max(1, CONFLICT_CHUNK // self.nbr_idx.size)
+            for t in range(0, flat.shape[0], step):
+                gathered = flat[t : t + step][:, self.nbr_idx]
+                out[t : t + step, hit] = np.logical_or.reduceat(gathered, bounds[hit], axis=1)
+        return out
 
 
 def _neighbourhood_rows(
     sigma: EdgeCorrespondence,
     lists: WeightedListAssignment,
     edge_vertices: np.ndarray,
-    vertex_of: np.ndarray,
+    order: np.ndarray,
+    bounds: np.ndarray,
+    k: int,
     maps: "_StoredMaps | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(ptr, nbr_idx) of the CSR rows N(e, v_j, c), with `maps` the
-    stored maps placed on `edge_vertices`, or None to place them here.
+    """(ptr, nbr_idx) of the CSR rows N(e, v_j, c) of a correspondence
+    with stored maps, from the (vertex, colour) groups of the rows
+    (`_slot_groups`), with `maps` the stored maps placed on
+    `edge_vertices`, or None to place them here.
 
     Where edges e and f at v store no map either way, (e, c) has (f, c)
-    as a neighbour at v.  So the rows r = p*k + j, stably sorted by
-    (vertex_of[p, j], colour_of[p]), fall into groups whose rows, in
-    ascending order, are each other's candidates (`_candidates`).  Without
-    stored maps these are the members.  With them, the candidates across
-    an edge pair that stores a map either way are dropped, and the members
-    that the maps give (`_StoredMaps.members`) merge in by one sort."""
-    colour_of = lists.colour_of
-    P, k = vertex_of.shape
-    colour, vertex = np.repeat(colour_of, k), vertex_of.ravel()
-    order = np.lexsort((colour, vertex))
-    bounds = _runs(vertex[order], colour[order])
-    sizes = np.diff(bounds)
-
-    if sigma.is_trivial or not P:
-        ptr = np.zeros(P * k + 1, dtype=np.int64)
-        ptr[1:][order] = np.repeat(sizes - 1, sizes)  # each row's count
-        np.cumsum(ptr, out=ptr)
-        nbr_idx = np.empty(int(ptr[-1]), dtype=np.int32)
-        for rows, others in _candidates(order, bounds):
-            nbr_idx[ptr[rows][..., None] + np.arange(others.shape[-1])] = others // k
-        return ptr, nbr_idx
-
+    as a neighbour at v, so the rows of one group, in ascending order, are
+    each other's candidates (`_candidates`).  The candidates across an
+    edge pair that stores a map either way are dropped, and the members
+    that the maps give (`_StoredMaps.members`) merge in by one sort.  The
+    identity correspondence keeps the groups themselves (`_Groups`)."""
+    P = lists.mu.size
     m = len(edge_vertices)
     if maps is None:
         maps = _StoredMaps.place(sigma, edge_vertices)
@@ -386,12 +502,14 @@ def _neighbourhood_rows(
     # fragment the heap, which showed as peak RSS on nibble-sigma-k3.
     listed = np.zeros(m, dtype=bool)
     listed[lists.edge_of] = True
-    rows, members = maps.members(PairIndex(lists.edge_of, colour_of), k, listed)
+    rows, members = maps.members(PairIndex(lists.edge_of, lists.colour_of), k, listed)
+    sizes = np.diff(bounds)
     key = np.empty(rows.size + int((sizes * (sizes - 1)).sum()), dtype=np.int64)
     n = rows.size
     key[:n] = rows * P + members
     slot = (lists.edge_of[:, None] * k + np.arange(k)).ravel()  # the edge slot of every row
-    for rows, others in _candidates(order, bounds):
+    for at, others in _candidates(bounds, order):
+        rows = order[at]
         kept = ~maps.mapped[maps.cell[slot[rows]][..., None] + maps.pos[slot[others]]]
         part = np.broadcast_to(rows[..., None] * P, others.shape)[kept] + others[kept] // k
         key[n : n + part.size] = part
@@ -403,31 +521,38 @@ def _neighbourhood_rows(
     return ptr, key.astype(np.int32)
 
 
-def _runs(*keys: np.ndarray) -> np.ndarray:
-    """The bounds of the runs of equal tuples (keys[0][i], keys[1][i], ...)
-    in arrays sorted together: run g is `bounds[g]:bounds[g+1]`."""
-    n = keys[0].size
-    start = np.zeros(n, dtype=bool)
-    start[:1] = True
-    for key in keys:
-        start[1:] |= key[1:] != key[:-1]
-    return np.append(np.flatnonzero(start), n)
+def _runs(key: np.ndarray) -> np.ndarray:
+    """The bounds of the runs of equal values in the sorted array `key`:
+    run g is `bounds[g]:bounds[g+1]`."""
+    start = np.ones(key.size, dtype=bool)
+    start[1:] = key[1:] != key[:-1]
+    return np.append(np.flatnonzero(start), key.size)
 
 
-def _candidates(order: np.ndarray, bounds: np.ndarray):
-    """Yield (rows, others) for the runs `order[bounds[g]:bounds[g+1]]` of
-    s >= 2 rows: the rows of runs of one length s as a (runs, s) array,
-    and for each row the other rows of its run, ascending, as a (runs, s,
-    s - 1) array; at most NEIGHBOUR_BLOCK of these per block."""
+def _candidates(bounds: np.ndarray, x: np.ndarray):
+    """Yield (at, others) for the groups `bounds[g]:bounds[g+1]` of s >= 2
+    positions, in group order, with `x` one value per position: `at` the
+    positions of some rows of groups of one size s, and `others` the
+    (rows, s - 1) array of `x` at the other positions of each row's
+    group, ascending.  A block holds at most NEIGHBOUR_BLOCK others: whole
+    groups, or the rows of one group when it holds more.  `others` is a
+    new C-ordered array (`np.take`, not `x[block][:, other]`, which puts
+    the group axis innermost), so a reduction along its last axis is each
+    row's own, as `segment_sums` gives it."""
     for _, at in segment_blocks(bounds):
         s = at.shape[1]
         if s < 2:
             continue
         other = np.arange(s - 1) + (np.arange(s - 1) >= np.arange(s)[:, None])  # every position but the row's own
-        step = max(1, NEIGHBOUR_BLOCK // (s * (s - 1)))
-        for a in range(0, at.shape[0], step):
-            rows = order[at[a : a + step]]
-            yield rows, rows[:, other]
+        rows = max(1, NEIGHBOUR_BLOCK // (s - 1))  # rows per block
+        if rows >= s:
+            for a in range(0, at.shape[0], rows // s):
+                block = at[a : a + rows // s]
+                yield block.ravel(), np.take(x[block], other, axis=1).reshape(-1, s - 1)
+        else:
+            for group in at:
+                for a in range(0, s, rows):
+                    yield group[a : a + rows], x[group][other[a : a + rows]]
 
 
 @dataclass(frozen=True)
@@ -634,18 +759,8 @@ def apply_procedure(
     pairs whose colour stays assigned to the edge, removed_ii marks pairs
     removed by conflict resolution.
     """
-    P = struct.pair_count
-    flat = activated.reshape(math.prod(activated.shape[:-1]), P)
-    removed2 = np.zeros(flat.shape, dtype=bool)
-    bounds = struct.ptr[:: struct.k]  # pair p's neighbours: nbr_idx[bounds[p]:bounds[p+1]]
-    hit = np.flatnonzero(np.diff(bounds))
-    if hit.size:
-        # Trials go in chunks so the gathered flags never take trials x nnz.
-        step = max(1, CONFLICT_CHUNK // struct.nbr_idx.size)
-        for t in range(0, flat.shape[0], step):
-            gathered = flat[t : t + step][:, struct.nbr_idx]
-            removed2[t : t + step, hit] = np.logical_or.reduceat(gathered, bounds[hit], axis=1)
-    removed2 = removed2.reshape(activated.shape)
+    flat = activated.reshape(math.prod(activated.shape[:-1]), struct.pair_count)
+    removed2 = struct.rows.hit(flat).reshape(activated.shape)
     removed3 = ~flips_ok.all(axis=-1)
     survive = ~removed2 & ~removed3
     retained = activated & survive

@@ -71,3 +71,24 @@ def entry_instance(data: Mapping) -> Instance:
         sigma=EdgeCorrespondence.from_items(*columns),
         universe=(lo, hi),
     )
+
+
+def neighbour_rows(struct) -> tuple[np.ndarray, np.ndarray]:
+    """(ptr, nbr_idx) of a round structure's colour neighbourhoods in CSR
+    shape: row r = p*k + j as the ascending int32 pair indices
+    `nbr_idx[ptr[r]:ptr[r+1]]`.  The CSR layout is read as it stands.  The
+    group layout is written out one row at a time: a row's members are
+    the pairs of the other rows of its group."""
+    rows = struct.rows
+    if hasattr(rows, "nbr_idx"):
+        return rows.ptr, rows.nbr_idx
+    k, order, bounds = struct.k, rows.order.tolist(), rows.bounds.tolist()
+    members: list[list[int]] = [[] for _ in range(struct.pair_count * k)]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        group = order[a:b]
+        for r in group:
+            members[r] = sorted(q // k for q in group if q != r)
+    ptr = np.zeros(len(members) + 1, dtype=np.int64)
+    for r, row in enumerate(members):
+        ptr[r + 1] = ptr[r] + len(row)
+    return ptr, np.array([q for row in members for q in row], dtype=np.int32)

@@ -594,7 +594,8 @@ def test_cost_does_not_grow_with_unused_vertices(tmp_path, argv):
 @pytest.mark.parametrize("edges, colours, argv", [
     (1500, 20, ["colour", "{inst}", "--out-prefix", "{tmp}/run"]),
     (2000, 2, ["colour", "{inst}", "--mode", "finish-only", "--out-prefix", "{tmp}/run"]),
-    (3000, 2, ["diag", "{inst}", "--trials", "3", "--L", "40", "--N", "20"]),
+    # The round structure of this star fits the cap; the draws of 20,000 trials do not.
+    (3000, 2, ["diag", "{inst}", "--trials", "20000", "--L", "40", "--N", "20"]),
     (3000, 2, ["verify", "{inst}", "{tmp}/col.json"]),
     (6000, 2, ["brute", "{inst}"]),
     (6000, 2, ["polytope", "{inst}", "{tmp}/vec.json"]),
@@ -749,6 +750,33 @@ def test_verify_detects_block_and_unknown_edge(tmp_path):
     assert run(["verify", inst, col]) == 2
     col.write_text("oops")
     assert run(["verify", inst, col]) == 2
+
+
+def test_verify_prints_ten_violations_and_their_count(tmp_path, capsys):
+    """A 200-edge star coloured 0, 1, 0, 1, ...: 9,900 blocked pairs."""
+    edges = 200
+    inst = tmp_path / "star.json"
+    inst.write_text(json.dumps({"k": 2, "vertex_count": edges + 1, "edges": [[0, v] for v in range(1, edges + 1)],
+                                "colour_universe": [0, 1], "lists": {str(e): [0, 1] for e in range(edges)}}))
+    col = tmp_path / "col.json"
+    col.write_text(json.dumps({"complete": True, "colours": {str(e): e % 2 for e in range(edges)}}))
+    capsys.readouterr()
+    assert run(["verify", inst, col]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 11 and lines[-1] == "9900 violations in total"
+
+
+def test_brute_colours_a_long_matching(tmp_path, capsys):
+    """1,500 disjoint edges, each listing colour 0 alone: the search goes
+    1,500 edges deep, past Python's recursion limit."""
+    edges = 1500
+    inst = tmp_path / "matching.json"
+    inst.write_text(json.dumps({"k": 2, "vertex_count": 2 * edges, "edges": [[2 * e, 2 * e + 1] for e in range(edges)],
+                                "colour_universe": [0, 0], "lists": {str(e): [0] for e in range(edges)}}))
+    capsys.readouterr()
+    assert run(["brute", inst]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "found" and payload["nodes"] == edges + 1
 
 
 def test_brute_command(tmp_path, capsys):

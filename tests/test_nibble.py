@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from unittest import mock
@@ -34,6 +35,7 @@ from nibble_colour.nibble import (
     truncate_edge,
 )
 from conftest import fano_hypergraph, pair_table, path_graph, random_micro_instance, random_sigma, star_graph
+from oracles import neighbour_rows
 
 mp.mp.dps = 50
 
@@ -194,7 +196,8 @@ def test_equalizing_struct_matches_op():
 
 
 def _row(struct, p, j):
-    return struct.nbr_idx[struct.ptr[p * struct.k + j] : struct.ptr[p * struct.k + j + 1]]
+    ptr, nbr_idx = neighbour_rows(struct)
+    return nbr_idx[ptr[p * struct.k + j] : ptr[p * struct.k + j + 1]]
 
 
 def _both_ways(sigma, flip=False):
@@ -217,14 +220,15 @@ def _assert_rows_match_definition(graph, lists, sigma, active=None):
     way alone."""
     defined = lists if active is None else lists.restrict_to_edges(active)
     struct = RoundStructure.build(graph, defined, sigma)
+    ptr, nbr_idx = neighbour_rows(struct)
     for other in (_both_ways(sigma), _both_ways(sigma, flip=True)):
-        rows = RoundStructure.build(graph, defined, other)
-        assert np.array_equal(rows.ptr, struct.ptr) and np.array_equal(rows.nbr_idx, struct.nbr_idx)
+        rows_ptr, rows_nbr_idx = neighbour_rows(RoundStructure.build(graph, defined, other))
+        assert np.array_equal(rows_ptr, ptr) and np.array_equal(rows_nbr_idx, nbr_idx)
     pairs = list(zip(struct.edge_of.tolist(), struct.colour_of.tolist()))
     assert pairs == [(e, c) for e in defined.edge_ids() for c in defined.colours(e)]
     index = {pc: i for i, pc in enumerate(pairs)}
-    assert struct.ptr.size == struct.pair_count * struct.k + 1
-    assert struct.nbr_idx.dtype == np.int32
+    assert ptr.size == struct.pair_count * struct.k + 1
+    assert nbr_idx.dtype == np.int32
     for p, (e, c) in enumerate(pairs):
         for j, v in enumerate(graph.edges[e]):
             assert struct.vertex_of[p, j] == v
@@ -261,12 +265,13 @@ def test_structure_rows_match_colour_neighbours():
         _assert_rows_match_definition(graph, lists, sigma)
     graph, lists, sigma = _partial_map_fano()
     struct = _assert_rows_match_definition(graph, lists, sigma)
-    assert struct.nbr_idx.size > 0
+    ptr, nbr_idx = neighbour_rows(struct)
+    assert nbr_idx.size > 0
     _assert_rows_match_definition(graph, lists, sigma, active={0, 2, 3, 5})
     # Colours spread over int64: pair codes as offsets and as ranks.
     for scale, offset in ((10**17, -(3 * 10**17)), (2**59, -(2**62))):
-        wide = _assert_rows_match_definition(*_partial_map_fano(scale, offset))
-        assert np.array_equal(wide.ptr, struct.ptr) and np.array_equal(wide.nbr_idx, struct.nbr_idx)
+        wide_ptr, wide_nbr_idx = neighbour_rows(_assert_rows_match_definition(*_partial_map_fano(scale, offset)))
+        assert np.array_equal(wide_ptr, ptr) and np.array_equal(wide_nbr_idx, nbr_idx)
 
 
 # A drawn colour c in 0..5 is written as c * scale + offset: small colours
@@ -330,11 +335,81 @@ def test_structure_rows_match_colour_neighbours_on_drawn_instances(drawn):
     _assert_rows_match_definition(graph, lists, sigma, active)
 
 
+@st.composite
+def _identity_instances(draw):
+    """An instance of `_drawn_instances` under the identity correspondence,
+    or a star of 2-60 edges with lists drawn from colours 0-3; every
+    weight multiplied by 1, 8 or 25, so that equalizing values clamp and
+    factors fall to 0 or below at L ln N of about 20."""
+    if draw(st.booleans()):
+        graph, lists, _, _, active = draw(_drawn_instances())
+        lists = lists if active is None else lists.restrict_to_edges(active)
+    else:
+        graph = star_graph(draw(st.integers(2, 60)))
+        colours = {e: sorted(draw(st.sets(st.integers(0, 3)))) for e in range(graph.edge_count)}
+        lists = WeightedListAssignment.build(colours, {(e, c): draw(st.floats(0.05, 1.0)) for e in colours for c in colours[e]})
+    scale = draw(st.lists(st.sampled_from([1.0, 1.0, 8.0, 25.0]), min_size=lists.mu.size, max_size=lists.mu.size))
+    return graph, WeightedListAssignment.from_pairs(lists.edges, lists.edge_of, lists.colour_of, lists.mu * np.array(scale))
+
+
+def _definition_csr(graph, lists, struct) -> RoundStructure:
+    """`struct` with its rows replaced by a CSR written from
+    `core.colour_neighbours` under the identity correspondence."""
+    index = {pc: i for i, pc in enumerate(zip(struct.edge_of.tolist(), struct.colour_of.tolist()))}
+    ptr, members = [0], []
+    for e, c in index:
+        for v in graph.edges[e]:
+            members += sorted(index[q] for q in colour_neighbours(graph, lists, EdgeCorrespondence(), e, v, c))
+            ptr.append(len(members))
+    rows = nibble._Csr(np.array(ptr, dtype=np.int64), np.array(members, dtype=np.int32), struct.k)
+    return dataclasses.replace(struct, rows=rows)
+
+
+def _equalizing_or_error(struct, params):
+    try:
+        return struct.equalizing(params)
+    except DegenerateWeightError as exc:
+        return str(exc)
+
+
+@given(_identity_instances(), st.sampled_from([(10.0, 7.5), (40.0, 20.0)]), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_group_layout_equals_a_definition_csr_to_the_bit(drawn, LN, seed):
+    graph, lists = drawn
+    csr = _definition_csr(graph, lists, RoundStructure.build(graph, lists, EdgeCorrespondence()))
+    params = NibbleParams(eps=0.25, k=2, L=LN[0], N=LN[1])
+    want_eq = _equalizing_or_error(csr, params)
+    gen = np.random.default_rng(seed)
+    activated = gen.random((2, 3, csr.pair_count)) < 0.3
+    flips = gen.random((2, 3, csr.pair_count, csr.k)) < 0.9
+    want_procedure = apply_procedure(csr, activated, flips)
+    # Blocks of 1 and 6 members split groups of 2 or more and of 4 or more
+    # rows across blocks, as the default block does past about 128 rows.
+    for block in (nibble.NEIGHBOUR_BLOCK, 6, 1):
+        with mock.patch.object(nibble, "NEIGHBOUR_BLOCK", block):
+            groups = RoundStructure.build(graph, lists, EdgeCorrespondence())
+            assert isinstance(groups.rows, nibble._Groups)
+            assert groups.row_weights.tobytes() == csr.row_weights.tobytes()
+            assert groups.max_neighbourhood() == csr.max_neighbourhood()
+            got = _equalizing_or_error(groups, params)
+        if isinstance(want_eq, str):  # the pair and slot of the first degenerate factor
+            assert got == want_eq
+        else:
+            assert got[0].tobytes() == want_eq[0].tobytes() and got[1] == want_eq[1]
+    # Leading trial axes, as expectation_diagnostic passes them, in one
+    # chunk and a trial per chunk.
+    for chunk in (nibble.CONFLICT_CHUNK, 1):
+        with mock.patch.object(nibble, "CONFLICT_CHUNK", chunk):
+            for got, want in zip(apply_procedure(groups, activated, flips), want_procedure):
+                assert got.shape == activated.shape and np.array_equal(got, want)
+
+
 def test_structure_empty_rows_and_no_pairs():
     g = path_graph(3)
     lists = WeightedListAssignment.unit({0: [1, 2], 1: [3], 2: [1]})  # nothing shared at a vertex
     struct = _assert_rows_match_definition(g, lists, EdgeCorrespondence())
-    assert struct.nbr_idx.size == 0 and not struct.ptr.any()
+    ptr, nbr_idx = neighbour_rows(struct)
+    assert nbr_idx.size == 0 and not ptr.any()
     assert struct.max_neighbourhood() == (0.0, None, 0)
     params = NibbleParams(eps=0.25, k=2, L=10.0, N=7.5)
     eq, clamped = struct.equalizing(params)
@@ -344,7 +419,8 @@ def test_structure_empty_rows_and_no_pairs():
 
     for lists, lightest in ((WeightedListAssignment.unit({}), None), (WeightedListAssignment.unit({0: [], 1: []}), 0)):
         struct = RoundStructure.build(g, lists, EdgeCorrespondence())
-        assert struct.pair_count == 0 and struct.ptr.tolist() == [0] and struct.nbr_idx.size == 0
+        ptr, nbr_idx = neighbour_rows(struct)
+        assert struct.pair_count == 0 and ptr.tolist() == [0] and nbr_idx.size == 0
         assert struct.min_list_weight() == (0.0, lightest) and struct.min_list_size() == 0
         assert struct.max_neighbourhood() == (0.0, None, 0)
         eq, clamped = struct.equalizing(params)
@@ -392,10 +468,11 @@ def test_row_weights_equal_per_row_sums():
     colours = {e: list(range(max(0, e - 1), 79)) for e in range(leaves)}  # colour c on c + 2 leaves
     weights = {(e, c): 0.05 + 0.95 * ((e * 7919 + c * 104729) % 1000) / 997 for e in colours for c in colours[e]}
     struct = RoundStructure.build(g, WeightedListAssignment.build(colours, weights), EdgeCorrespondence())
-    lengths = np.diff(struct.ptr)
+    ptr, nbr_idx = neighbour_rows(struct)
+    lengths = np.diff(ptr)
     assert set(range(1, 80)) <= set(lengths.tolist())
     for r in range(lengths.size):
-        members = struct.nbr_idx[struct.ptr[r] : struct.ptr[r + 1]]
+        members = nbr_idx[ptr[r] : ptr[r + 1]]
         expected = struct.mu[members].sum() if members.size else 0.0
         assert struct.row_weights[r] == expected
     assert struct.max_neighbourhood()[0] == struct.row_weights.max()
@@ -438,7 +515,7 @@ def test_apply_procedure_trials_axis_matches_single_trials(monkeypatch):
     activated = gen.random((trials, struct.pair_count)) < 0.15
     flips = gen.random((trials, struct.pair_count, struct.k)) < 0.9
     # chunks of two trials, the last one short
-    monkeypatch.setattr(nibble, "CONFLICT_CHUNK", 2 * struct.nbr_idx.size)
+    monkeypatch.setattr(nibble, "CONFLICT_CHUNK", 2 * neighbour_rows(struct)[1].size)
     batched = apply_procedure(struct, activated, flips)
     for t in range(trials):
         single = apply_procedure(struct, activated[t], flips[t])
@@ -916,10 +993,15 @@ def _same_rows_in_any_join_block(graph, lists, sigma) -> RoundStructure:
     for block in (1, 1 << 62):  # an entry at a time, and every entry at once
         with mock.patch.object(nibble, "_JOIN_BLOCK", block):
             structs.append(RoundStructure.build(graph, lists, sigma))
+    for block in (1, 6):  # neighbour blocks that split a group's rows
+        with mock.patch.object(nibble, "NEIGHBOUR_BLOCK", block):
+            structs.append(RoundStructure.build(graph, lists, sigma))
     placed = nibble._StoredMaps.place(sigma, graph.vertex_table) if not sigma.is_trivial else None
     structs.append(RoundStructure.build(graph, lists, sigma, _maps=placed))
+    ptr, nbr_idx = neighbour_rows(structs[0])
     for struct in structs[1:]:
-        assert np.array_equal(struct.ptr, structs[0].ptr) and np.array_equal(struct.nbr_idx, structs[0].nbr_idx)
+        struct_ptr, struct_nbr_idx = neighbour_rows(struct)
+        assert np.array_equal(struct_ptr, ptr) and np.array_equal(struct_nbr_idx, nbr_idx)
     return structs[0]
 
 
@@ -936,7 +1018,7 @@ def test_join_blocks_give_the_same_rows_on_a_regular_graph():
     g = generate(GeneratorSpec(kind="regular-graph", n=20, d=16, seed=1))
     lists = build_local_lists(g, 1.5, 40, seed=1)
     struct = _same_rows_in_any_join_block(g, lists, _shifted_maps(g, lists))
-    assert struct.nbr_idx.size > 0
+    assert neighbour_rows(struct)[1].size > 0
 
 
 def test_drive_places_the_stored_maps_once(monkeypatch):
