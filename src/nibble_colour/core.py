@@ -491,8 +491,14 @@ class WeightedListAssignment:
     Other structures share these arrays, so nothing writes to them.
 
     The weighted size |A|_mu of a set A of (edge, colour) pairs is the sum
-    of the member weights, accumulated in ascending (edge, colour) order
-    for reproducibility.
+    of the member weights.  Each reader fixes its own float: `weighted_size`
+    adds left to right in ascending (edge, colour) order, `list_weight`
+    with Python's `sum`, and the round structure's list and neighbourhood
+    weights with numpy's sum of each row (`nibble.segment_sums`), which
+    adds a row of under eight members left to right and a longer one as
+    eight interleaved partial sums joined pairwise (numpy's pairwise
+    summation), so it can differ from the left-to-right sum in the last
+    bits.
     """
 
     edges: np.ndarray

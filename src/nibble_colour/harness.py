@@ -21,10 +21,9 @@ from .core import (
     PreconditionError,
     WeightedListAssignment,
     colour_neighbours,
-    segment_blocks,
     segment_ranges,
 )
-from .nibble import NibbleParams, RoundStructure, _slot_groups, apply_procedure, draw_round, equalizing_probability
+from .nibble import CONFLICT_CHUNK, NibbleParams, RoundStructure, apply_procedure, draw_round, equalizing_probability
 
 
 # Keys per `rng.uniforms` call of the generators (8 MB per uint64 array).
@@ -431,10 +430,17 @@ def expectation_diagnostic(
     if trials < 1:
         raise PreconditionError(f"trials must be >= 1, got {trials}")
     struct = RoundStructure.build(graph, lists, sigma)
-    k = struct.k
-    # Trial t draws as round t, attempt 0 of `run_round` would.
-    activated, flips_ok, _ = draw_round(struct, params, seed, np.arange(trials, dtype=np.int64), 0)
-    survive, _, _ = apply_procedure(struct, activated, flips_ok)
+    k, pairs = struct.k, struct.pair_count
+    # Trial t draws as round t, attempt 0 of `run_round` would.  The trials
+    # go in chunks of at most CONFLICT_CHUNK bytes, so only the survival
+    # flags span every trial: a trial hashes 1 + k keys per pair, at up to
+    # 24 bytes a key at once (measured: 57 bytes per trial and pair at
+    # k = 2, 81 at k = 3, conflict removal included).
+    step = max(1, CONFLICT_CHUNK // (24 * (1 + k) * max(pairs, 1)))
+    survive = np.empty((trials, pairs), dtype=bool)
+    for t in range(0, trials, step):
+        rounds = np.arange(t, min(t + step, trials), dtype=np.int64)
+        survive[t : t + step] = apply_procedure(struct, *draw_round(struct, params, seed, rounds, 0)[:2])[0]
 
     exact = None
     if bernoulli_trial_count(lists, k) <= exact_limit:
@@ -445,16 +451,16 @@ def expectation_diagnostic(
     if collect_samples:
         report.samples = {}
     Kk = params.K**k
-    bounds = struct.edge_ptr.tolist()
-    for i, e in enumerate(struct.edges.tolist()):
+    mu, bounds = lists.mu, lists.edge_ptr.tolist()
+    for i, e in enumerate(lists.edges.tolist()):
         a, b = bounds[i], bounds[i + 1]
-        samples = survive[:, a:b].astype(np.float64) @ struct.mu[a:b]
+        samples = survive[:, a:b].astype(np.float64) @ mu[a:b]
         if collect_samples:
             report.samples[e] = samples
         mean = float(samples.mean())
         var = float(samples.var(ddof=1)) if trials > 1 else 0.0
         se = math.sqrt(var / trials) if trials > 0 else 0.0
-        theo = float(struct.mu[a:b].sum()) * Kk
+        theo = float(mu[a:b].sum()) * Kk
         if se > 0:
             z = (mean - theo) / se
         else:
@@ -474,7 +480,7 @@ def expectation_diagnostic(
 
 
 # ---------------------------------------------------------------------------
-# Audits and matchings.
+# Audits.
 # ---------------------------------------------------------------------------
 
 
@@ -496,25 +502,12 @@ def neighbourhood_audit(
     """Exact extrema of the quantities the colouring theorems condition on:
     the largest weighted colour neighbourhood (with its witness, the first
     maximum in (edge, vertex, colour) order), the smallest weighted list,
-    and the per-vertex per-colour weight sums.  The first two are read from
-    the round structure, so they are the values the nibble uses."""
+    and the per-vertex per-colour weight sums, all three read from the
+    round structure, so the first two are the values the nibble uses."""
     struct = RoundStructure.build(graph, lists, sigma)
     max_n, max_w, _ = struct.max_neighbourhood()
     min_w, min_e = struct.min_list_weight()
-    # The weights of the slots (p, j), stably sorted by (vertex, colour):
-    # each group's sum is added left to right in pair order, its cumulative
-    # sum's last entry, and the first maximum is in (vertex, colour) order.
-    vertex, colour = struct.vertex_of.ravel(), np.repeat(struct.colour_of, struct.k)
-    order, bounds = _slot_groups(vertex, colour)
-    vertex, colour, weight = vertex[order], colour[order], np.repeat(struct.mu, struct.k)[order]
-    sums = np.empty(bounds.size - 1)
-    for rows, members in segment_blocks(bounds):
-        sums[rows] = np.cumsum(weight[members], axis=1)[:, -1]
-    if sums.size:
-        i = int(np.argmax(sums))
-        max_key, max_sum = (int(vertex[bounds[i]]), int(colour[bounds[i]])), float(sums[i])
-    else:
-        max_key, max_sum = None, 0.0
+    max_sum, max_key = struct.max_colour_sum()
     return AuditReport(
         max_neighbourhood=max_n,
         max_neighbourhood_witness=max_w,
@@ -523,21 +516,3 @@ def neighbourhood_audit(
         max_colour_sum=max_sum,
         max_colour_sum_witness=max_key,
     )
-
-
-def enumerate_matchings(graph: LinearHypergraph) -> Iterator[tuple[int, ...]]:
-    """All matchings of a graph (k = 2), the empty matching included."""
-    if graph.k != 2:
-        raise PreconditionError("matchings defined for graphs (k=2)")
-    m = graph.edge_count
-
-    def rec(i: int, used: set[int], chosen: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if i == m:
-            yield chosen
-            return
-        yield from rec(i + 1, used, chosen)
-        u, v = graph.edges[i]
-        if u not in used and v not in used:
-            yield from rec(i + 1, used | {u, v}, chosen + (i,))
-
-    yield from rec(0, set(), ())

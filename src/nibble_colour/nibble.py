@@ -226,34 +226,27 @@ def segment_sums(values: np.ndarray, ptr: np.ndarray, index: np.ndarray | None =
 class RoundStructure:
     """Immutable per-round view of an instance.
 
-    `mu`, `edge_of`, `colour_of`, `edges` and `edge_ptr` are the arrays of
-    the lists' pair table itself, not copies: pairs (e, c) in ascending
-    order, those of edge `edges[i]` at `edge_ptr[i]:edge_ptr[i+1]`.  Row
-    r = p*k + j stands for the colour neighbourhood N(e, v_j, c) of pair
-    p = (e, c), where v_j is the j-th vertex of e in ascending order, and
-    its members are ascending pair indices.  By linearity these
-    neighbourhoods are disjoint across vertex slots, and by bijectivity
-    across colours of one edge.  `rows` holds them in one of two layouts,
-    chosen once by `build`:
+    `lists` is the lists' pair table itself, not a copy: pairs (e, c) in
+    ascending order, those of edge `lists.edges[i]` at
+    `lists.edge_ptr[i]:lists.edge_ptr[i+1]`.  Row r = p*k + j stands for
+    the colour neighbourhood N(e, v_j, c) of pair p = (e, c), where v_j is
+    the j-th vertex of e in ascending order, and its members are ascending
+    pair indices.  By linearity these neighbourhoods are disjoint across
+    vertex slots, and by bijectivity across colours of one edge.
 
-    - `_Groups` for the identity correspondence, list colouring: the rows
-      of one (vertex, colour) group are each other's members, so the
-      layout keeps only the rows' (vertex, colour) order and where each
-      group starts;
-    - `_Csr` when `sigma` stores maps: the members written out, row r as
-      `nbr_idx[ptr[r]:ptr[r+1]]`.
-
-    Both answer the same questions (`sums`, `products`, `first_row`,
-    `longest`, `hit`), so every operation below has one entry point.
+    `groups` (`_Groups`) sorts the rows by (vertex, colour), once.  Under
+    the identity correspondence, list colouring, the rows of one group are
+    each other's members, so `rows` is `groups` itself; when `sigma`
+    stores maps, `rows` is a `_Csr` built from the groups, the members
+    written out, row r as `nbr_idx[ptr[r]:ptr[r+1]]`.  Both layouts answer
+    the same questions (`sums`, `products`, `longest`, `hit`), so every
+    operation below has one entry point.
     """
 
-    mu: np.ndarray
-    edge_of: np.ndarray
-    colour_of: np.ndarray
+    lists: WeightedListAssignment
     vertex_of: np.ndarray  # (P, k) vertex ids
+    groups: "_Groups"  # the rows grouped by (vertex, colour)
     rows: "_Groups | _Csr"  # the colour neighbourhoods, row r = p*k + j
-    edges: np.ndarray  # ascending edge ids, empty lists included
-    edge_ptr: np.ndarray  # (len(edges) + 1,) pair offsets per edge
     k: int
 
     @classmethod
@@ -269,34 +262,29 @@ class RoundStructure:
         passes, as every caller's does: the build relies on every vertex
         lying in range and every stored map joining two distinct edges.
         `_maps` is `_StoredMaps.place(sigma, graph.vertex_table)` when the
-        caller has it, as `drive` does for all its builds."""
+        caller has it, as `drive` does for all its builds.
+
+        The groups are one stable argsort of the rows' order-preserving
+        int64 (vertex, colour) keys."""
         k = graph.k
-        edge_vertices = graph.vertex_table
-        vertex_of = edge_vertices[lists.edge_of]
-        order, bounds = _slot_groups(vertex_of.ravel(), np.repeat(lists.colour_of, k))
+        vertex_of = graph.vertex_table[lists.edge_of]
+        keys = PairIndex(vertex_of.ravel(), np.repeat(lists.colour_of, k)).keys
+        order = np.argsort(keys, kind="stable")
+        groups = _Groups(order, _runs(keys[order]), k)
         if sigma.is_trivial or not lists.mu.size:
-            rows = _Groups(order, bounds, k)
+            rows = groups
         else:
-            rows = _Csr(*_neighbourhood_rows(sigma, lists, edge_vertices, order, bounds, k, _maps), k)
-        return cls(
-            mu=lists.mu,
-            edge_of=lists.edge_of,
-            colour_of=lists.colour_of,
-            vertex_of=vertex_of,
-            rows=rows,
-            edges=lists.edges,
-            edge_ptr=lists.edge_ptr,
-            k=k,
-        )
+            rows = _Csr(*_neighbourhood_rows(sigma, lists, graph.vertex_table, groups, _maps), k)
+        return cls(lists=lists, vertex_of=vertex_of, groups=groups, rows=rows, k=k)
 
     @property
     def pair_count(self) -> int:
-        return self.mu.size
+        return self.lists.mu.size
 
     @cached_property
     def row_weights(self) -> np.ndarray:
         """|N(e, v_j, c)|_mu per row r = p*k + j."""
-        return self.rows.sums(self.mu)
+        return self.rows.sums(self.lists.mu)
 
     def max_neighbourhood(self) -> tuple[float, tuple[int, int, int] | None, int]:
         """(max weighted size, witnessing (e, v, c), max cardinality).
@@ -312,58 +300,71 @@ class RoundStructure:
             return best, None, card
         rows = np.flatnonzero(weights == best)
         p, j = rows // self.k, rows % self.k
-        first = int(np.lexsort((p, j, self.edge_of[p]))[0])
+        edge_of = self.lists.edge_of
+        first = int(np.lexsort((p, j, edge_of[p]))[0])
         p, j = int(p[first]), int(j[first])
-        return best, (int(self.edge_of[p]), int(self.vertex_of[p, j]), int(self.colour_of[p])), card
+        return best, (int(edge_of[p]), int(self.vertex_of[p, j]), int(self.lists.colour_of[p])), card
+
+    def max_colour_sum(self) -> tuple[float, tuple[int, int] | None]:
+        """(largest weight sum of the pairs at one vertex with one colour,
+        its (vertex, colour)); (0.0, None) without pairs.  Each group's
+        sum is added left to right in pair order, as the last entry of its
+        cumulative sum, and the witness is the first maximum in (vertex,
+        colour) order."""
+        order, bounds = self.groups.order, self.groups.bounds
+        if bounds.size < 2:
+            return 0.0, None
+        weight = self.lists.mu[order // self.k]
+        sums = np.empty(bounds.size - 1)
+        for at, members in segment_blocks(bounds):
+            sums[at] = np.cumsum(weight[members], axis=1)[:, -1]
+        g = int(np.argmax(sums))
+        p, j = divmod(int(order[bounds[g]]), self.k)
+        return float(sums[g]), (int(self.vertex_of[p, j]), int(self.lists.colour_of[p]))
 
     def min_list_weight(self) -> tuple[float, int | None]:
         """(smallest |L(e)|_mu, the first edge with it); (0.0, None)
         without edges."""
-        if self.edges.size == 0:
+        edges = self.lists.edges
+        if edges.size == 0:
             return 0.0, None
-        weights = segment_sums(self.mu, self.edge_ptr)
+        weights = segment_sums(self.lists.mu, self.lists.edge_ptr)
         i = int(np.argmin(weights))
-        return float(weights[i]), int(self.edges[i])
+        return float(weights[i]), int(edges[i])
 
     def min_list_size(self) -> int:
-        return int(np.diff(self.edge_ptr).min()) if self.edges.size else 0
+        return int(np.diff(self.lists.edge_ptr).min()) if self.lists.edges.size else 0
 
     def equalizing(self, params: NibbleParams) -> tuple[np.ndarray, int]:
         """Eq values per (pair, vertex slot), clamped to <= 1; returns the
-        number of clamped entries (hypothesis |N(e,v,c)|_mu <= N failed)."""
-        factors = self.mu / params.activation_scale  # 1 - mu/(L ln N) per pair, in place
+        number of clamped entries (hypothesis |N(e,v,c)|_mu <= N failed).
+        A factor that is not positive raises DegenerateWeightError at the
+        first row with such a member: the first with a nonzero sum of the
+        0/1 flags, which counts exactly."""
+        factors = self.lists.mu / params.activation_scale  # 1 - mu/(L ln N) per pair, in place
         np.subtract(1.0, factors, out=factors)
         bad = factors <= 0.0
-        r = self.rows.first_row(bad) if bad.any() else -1
-        if r >= 0:
-            p = r // self.k
-            raise DegenerateWeightError(
-                f"equalizing factor <= 0 for pair {(int(self.edge_of[p]), int(self.colour_of[p]))} "
-                f"at slot {r % self.k}"
-            )
+        if bad.any():
+            degenerate = np.flatnonzero(self.rows.sums(bad.astype(np.float64)))
+            if degenerate.size:
+                p, j = divmod(int(degenerate[0]), self.k)
+                raise DegenerateWeightError(
+                    f"equalizing factor <= 0 for pair {(int(self.lists.edge_of[p]), int(self.lists.colour_of[p]))} "
+                    f"at slot {j}"
+                )
         eq = params.K / self.rows.products(factors)
         over = eq > 1.0
         eq[over] = 1.0
         return eq.reshape(self.vertex_of.shape), int(over.sum())
 
 
-def _slot_groups(vertex: np.ndarray, colour: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(order, bounds): the positions i stably sorted by (vertex[i],
-    colour[i]), as one stable argsort of their order-preserving int64 pair
-    keys, and the groups of equal (vertex, colour) in that order, group g
-    being `order[bounds[g]:bounds[g+1]]`."""
-    keys = PairIndex(vertex, colour).keys
-    order = np.argsort(keys, kind="stable")
-    return order, _runs(keys[order])
-
-
 @dataclass(frozen=True)
 class _Groups:
-    """The rows of the identity correspondence as (vertex, colour)
-    groups.  `order` holds the rows r = p*k + j stably sorted by
-    (vertex_of[p, j], colour_of[p]); group g, `order[bounds[g]:bounds[g+1]]`,
-    holds the rows of one vertex and one colour, ascending.  Each row's
-    members are the pairs of the other rows of its group, ascending
+    """The rows grouped by (vertex, colour).  `order` holds the rows
+    r = p*k + j stably sorted by (vertex_of[p, j], colour_of[p]); group g,
+    `order[bounds[g]:bounds[g+1]]`, holds the rows of one vertex and one
+    colour, ascending.  As the rows of the identity correspondence, each
+    row's members are the pairs of the other rows of its group, ascending
     (`_candidates`), so a group of s rows stands for s(s - 1) members
     that are never written out."""
 
@@ -398,13 +399,6 @@ class _Groups:
                 product *= column
             out[self.order[at]] = product
         return out
-
-    def first_row(self, flags: np.ndarray) -> int:
-        """The first row with a member whose pair `flags` marks, or -1."""
-        flagged = flags[self.order // self.k]
-        count = np.add.reduceat(flagged, self.bounds[:-1], dtype=np.int64)
-        rows = self.order[np.repeat(count, np.diff(self.bounds)) > flagged]
-        return int(rows.min()) if rows.size else -1
 
     def hit(self, flat: np.ndarray) -> np.ndarray:
         """Per trial and pair, whether a member of any of the pair's rows
@@ -456,10 +450,6 @@ class _Csr:
             out[block] = np.multiply.reduceat(values[self.nbr_idx[lo:hi]], self.ptr[block] - lo)
         return out
 
-    def first_row(self, flags: np.ndarray) -> int:
-        at = np.flatnonzero(flags[self.nbr_idx])
-        return int(np.searchsorted(self.ptr, at[0], side="right")) - 1 if at.size else -1
-
     def hit(self, flat: np.ndarray) -> np.ndarray:
         out = np.zeros(flat.shape, dtype=bool)
         bounds = self.ptr[:: self.k]  # pair p's members: nbr_idx[bounds[p]:bounds[p+1]]
@@ -477,22 +467,21 @@ def _neighbourhood_rows(
     sigma: EdgeCorrespondence,
     lists: WeightedListAssignment,
     edge_vertices: np.ndarray,
-    order: np.ndarray,
-    bounds: np.ndarray,
-    k: int,
+    groups: _Groups,
     maps: "_StoredMaps | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(ptr, nbr_idx) of the CSR rows N(e, v_j, c) of a correspondence
-    with stored maps, from the (vertex, colour) groups of the rows
-    (`_slot_groups`), with `maps` the stored maps placed on
-    `edge_vertices`, or None to place them here.
+    with stored maps, from the (vertex, colour) groups of the rows, with
+    `maps` the stored maps placed on `edge_vertices`, or None to place
+    them here.
 
     Where edges e and f at v store no map either way, (e, c) has (f, c)
     as a neighbour at v, so the rows of one group, in ascending order, are
     each other's candidates (`_candidates`).  The candidates across an
     edge pair that stores a map either way are dropped, and the members
     that the maps give (`_StoredMaps.members`) merge in by one sort.  The
-    identity correspondence keeps the groups themselves (`_Groups`)."""
+    identity correspondence keeps the groups themselves."""
+    order, bounds, k = groups.order, groups.bounds, groups.k
     P = lists.mu.size
     m = len(edge_vertices)
     if maps is None:
@@ -779,12 +768,11 @@ def draw_round(
     clamped counts the equalizing values clamped to 1.  An array of round
     indices adds its axes in front, one independent trial per entry."""
     r = np.reshape(round_index, np.shape(round_index) + (1,))
-    u_act = rng.uniforms(seed, rng.KIND_ACTIVATION, r, attempt, struct.edge_of, struct.colour_of)
-    activated = u_act < struct.mu / params.activation_scale
+    edge_of, colour_of = struct.lists.edge_of, struct.lists.colour_of
+    u_act = rng.uniforms(seed, rng.KIND_ACTIVATION, r, attempt, edge_of, colour_of)
+    activated = u_act < struct.lists.mu / params.activation_scale
     eq, clamped = struct.equalizing(params)
-    u_flip = rng.uniforms(
-        seed, rng.KIND_FLIP, r[..., None], attempt, struct.edge_of[:, None], struct.colour_of[:, None], struct.vertex_of
-    )
+    u_flip = rng.uniforms(seed, rng.KIND_FLIP, r[..., None], attempt, edge_of[:, None], colour_of[:, None], struct.vertex_of)
     return activated, u_flip < eq, clamped
 
 
@@ -805,16 +793,17 @@ def run_round(
     activated, flips_ok, clamped = draw_round(struct, params, seed, round_index, attempt)
     survive, retained, removed_ii = apply_procedure(struct, activated, flips_ok)
 
+    lists = struct.lists
     # Pairs are sorted, so the first retained pair of an edge has its lowest colour.
     hit = np.flatnonzero(retained)
-    hit_edges, first_hit = np.unique(struct.edge_of[hit], return_index=True)
-    coloured = dict(zip(hit_edges.tolist(), struct.colour_of[hit[first_hit]].tolist()))
+    hit_edges, first_hit = np.unique(lists.edge_of[hit], return_index=True)
+    coloured = dict(zip(hit_edges.tolist(), lists.colour_of[hit[first_hit]].tolist()))
 
     # Truncated lists: the surviving pairs of uncoloured edges, rescaled.
-    rows = np.ones(struct.edges.size, dtype=bool)
-    rows[np.searchsorted(struct.edges, hit_edges)] = False
-    alive = survive & np.repeat(rows, np.diff(struct.edge_ptr))
-    keep, mu, deficient, empty = truncate_lists(struct.edge_ptr, struct.mu, alive, l_target)
+    rows = np.ones(lists.edges.size, dtype=bool)
+    rows[np.searchsorted(lists.edges, hit_edges)] = False
+    alive = survive & np.repeat(rows, np.diff(lists.edge_ptr))
+    keep, mu, deficient, empty = truncate_lists(lists.edge_ptr, lists.mu, alive, l_target)
 
     stats = RoundStats(
         pairs=struct.pair_count,
@@ -825,9 +814,9 @@ def run_round(
     )
     return RoundOutcome(
         coloured=coloured,
-        truncated=WeightedListAssignment.from_pairs(struct.edges[rows], struct.edge_of[keep], struct.colour_of[keep], mu[keep]),
-        deficient=tuple(struct.edges[deficient].tolist()),
-        empty=tuple(struct.edges[rows & empty].tolist()),
+        truncated=WeightedListAssignment.from_pairs(lists.edges[rows], lists.edge_of[keep], lists.colour_of[keep], mu[keep]),
+        deficient=tuple(lists.edges[deficient].tolist()),
+        empty=tuple(lists.edges[rows & empty].tolist()),
         stats=stats,
     )
 

@@ -7,11 +7,11 @@ checks.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
-from nibble_colour.core import EdgeCorrespondence, InstanceError, LinearHypergraph, WeightedListAssignment
+from nibble_colour.core import EdgeCorrespondence, InstanceError, LinearHypergraph, PreconditionError, WeightedListAssignment
 from nibble_colour.instance_io import Instance
 
 INT64 = range(-(1 << 63), 1 << 63)
@@ -92,3 +92,21 @@ def neighbour_rows(struct) -> tuple[np.ndarray, np.ndarray]:
     for r, row in enumerate(members):
         ptr[r + 1] = ptr[r] + len(row)
     return ptr, np.array([q for row in members for q in row], dtype=np.int32)
+
+
+def enumerate_matchings(graph: LinearHypergraph) -> Iterator[tuple[int, ...]]:
+    """All matchings of a graph (k = 2), the empty matching included."""
+    if graph.k != 2:
+        raise PreconditionError("matchings defined for graphs (k=2)")
+    m = graph.edge_count
+
+    def rec(i: int, used: set[int], chosen: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if i == m:
+            yield chosen
+            return
+        yield from rec(i + 1, used, chosen)
+        u, v = graph.edges[i]
+        if u not in used and v not in used:
+            yield from rec(i + 1, used | {u, v}, chosen + (i,))
+
+    yield from rec(0, set(), ())

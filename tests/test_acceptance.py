@@ -26,7 +26,6 @@ from nibble_colour.harness import (
     GeneratorSpec,
     bernoulli_trial_count,
     brute_force_colour,
-    enumerate_matchings,
     exact_expectations,
     expectation_diagnostic,
     generate,
@@ -35,6 +34,7 @@ from nibble_colour.instance_io import Instance, dump_instance
 from nibble_colour.nibble import NibbleParams, next_params, truncate_edge
 from nibble_colour.polytope import MembershipVerdict, Witness, edmonds_membership
 from conftest import random_micro_instance, random_sigma, triangle_graph
+from oracles import enumerate_matchings
 
 REL_SLACK = 1e-12
 

@@ -585,8 +585,8 @@ def test_cost_does_not_grow_with_unused_vertices(tmp_path, argv):
 # - nibble+finish: every pair has 1,499 neighbours, and the round
 #   structure's (30,000, 1,499) arrays do not fit.
 # - finish-only, diag and verify: the command's own work runs out, in the
-#   finisher's resample loop, the neighbourhood rows of diag's audit, and
-#   the violations of a colouring that gives every edge colour 0.  The loop
+#   finisher's resample loop, diag's survival flags per trial, and the
+#   violations of a colouring that gives every edge colour 0.  The loop
 #   fills the cap a little at a time, so printing the line needs the memory
 #   that the command's frames held.
 # - brute and polytope: validating the instance runs out, since their own
@@ -594,8 +594,9 @@ def test_cost_does_not_grow_with_unused_vertices(tmp_path, argv):
 @pytest.mark.parametrize("edges, colours, argv", [
     (1500, 20, ["colour", "{inst}", "--out-prefix", "{tmp}/run"]),
     (2000, 2, ["colour", "{inst}", "--mode", "finish-only", "--out-prefix", "{tmp}/run"]),
-    # The round structure of this star fits the cap; the draws of 20,000 trials do not.
-    (3000, 2, ["diag", "{inst}", "--trials", "20000", "--L", "40", "--N", "20"]),
+    # The round structure of this star fits the cap, and the trials are drawn a
+    # chunk at a time; the survival flags of 100,000 trials (572 MiB) do not fit.
+    (3000, 2, ["diag", "{inst}", "--trials", "100000", "--L", "40", "--N", "20"]),
     (3000, 2, ["verify", "{inst}", "{tmp}/col.json"]),
     (6000, 2, ["brute", "{inst}"]),
     (6000, 2, ["polytope", "{inst}", "{tmp}/vec.json"]),

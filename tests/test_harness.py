@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from nibble_colour.harness import (
     generate,
     neighbourhood_audit,
 )
-from nibble_colour.nibble import NibbleParams
+from nibble_colour.nibble import CONFLICT_CHUNK, NibbleParams
 from conftest import pair_table, path_graph, random_micro_instance, star_graph, triangle_graph
 
 
@@ -360,6 +361,28 @@ def test_diagnostic_reproducible():
     assert a.to_dict() == b.to_dict()
 
 
+def test_diagnostic_draws_its_trials_a_bounded_chunk_at_a_time(monkeypatch):
+    # 2,880 pairs: 1,000 trials drawn at once peak near 57 bytes per trial
+    # and pair (157 MiB); a chunk at a time, at the survival flags, a byte
+    # per trial and pair, and one chunk of at most CONFLICT_CHUNK bytes.
+    g = generate(GeneratorSpec(kind="regular-graph", n=60, d=8, seed=1))
+    lists = build_local_lists(g, 0.5, 32, seed=1)
+    params = NibbleParams(eps=0.25, k=2, L=40.0, N=20.0)
+    tracemalloc.start()
+    try:
+        expectation_diagnostic(g, lists, EdgeCorrespondence(), params, trials=1000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1000 * lists.mu.size + 2 * CONFLICT_CHUNK
+    # A trial per chunk draws what one chunk does: trial t is round t, attempt 0.
+    whole = expectation_diagnostic(g, lists, EdgeCorrespondence(), params, trials=30, seed=3, collect_samples=True)
+    monkeypatch.setattr(harness, "CONFLICT_CHUNK", 1)
+    single = expectation_diagnostic(g, lists, EdgeCorrespondence(), params, trials=30, seed=3, collect_samples=True)
+    assert single.to_dict() == whole.to_dict()
+    assert all(single.samples[e].tobytes() == whole.samples[e].tobytes() for e in whole.samples)
+
+
 def test_diagnostic_requires_positive_trials():
     g = LinearHypergraph.build(2, [(0, 1)], k=2)
     lists = WeightedListAssignment.unit({0: [3]})
@@ -417,7 +440,7 @@ def _colour_sums_by_dict(struct):
     """The audit's largest (vertex, colour) weight sum and its witness, as
     one Python dict adds the weights, pair by pair in pair order."""
     sums: dict[tuple[int, int], float] = {}
-    for vertices, c, w in zip(struct.vertex_of.tolist(), struct.colour_of.tolist(), struct.mu.tolist()):
+    for vertices, c, w in zip(struct.vertex_of.tolist(), struct.lists.colour_of.tolist(), struct.lists.mu.tolist()):
         for v in vertices:
             sums[v, c] = sums.get((v, c), 0.0) + w
     if not sums:
@@ -446,8 +469,10 @@ def test_audit_colour_sums_equal_a_dict_to_the_bit(graph, rows, mapped):
     )
     sigma = EdgeCorrespondence(maps={(0, 1): {c: (c + 1) % 5 for c in range(5)}} if mapped and graph.k > 1 else {})
     audit = neighbourhood_audit(graph, lists, sigma)
-    best, witness = _colour_sums_by_dict(RoundStructure.build(graph, lists, sigma))
+    struct = RoundStructure.build(graph, lists, sigma)
+    best, witness = _colour_sums_by_dict(struct)
     assert audit.max_colour_sum.hex() == best.hex() and audit.max_colour_sum_witness == witness
+    assert struct.max_colour_sum() == (best, witness)  # positive sums: equal floats are equal bits
 
 
 def test_audit_disjoint_lists():

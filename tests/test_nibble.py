@@ -122,7 +122,7 @@ def test_equalizing_at_weight_exactly_N_is_at_most_one():
     params = NibbleParams(eps=0.25, k=2, L=10.0, N=7.5)
     eq = equalizing_probability(g, lists, EdgeCorrespondence(), params, 0, 0, 0)
     struct = RoundStructure.build(g, lists, EdgeCorrespondence())
-    p = int(np.flatnonzero((struct.edge_of == 0) & (struct.colour_of == 0))[0])
+    p = int(np.flatnonzero((struct.lists.edge_of == 0) & (struct.lists.colour_of == 0))[0])
     slot = list(struct.vertex_of[p]).index(0)
     assert struct.row_weights[p * struct.k + slot] == pytest.approx(7.5)
     assert 0.0 < eq <= 1.0
@@ -184,7 +184,7 @@ def test_equalizing_struct_matches_op():
         params = NibbleParams(eps=0.25, k=graph.k, L=40.0, N=20.0)
         struct = RoundStructure.build(graph, lists, sigma)
         eq, _ = struct.equalizing(params)
-        for p, (e, c) in enumerate(zip(struct.edge_of.tolist(), struct.colour_of.tolist())):
+        for p, (e, c) in enumerate(zip(struct.lists.edge_of.tolist(), struct.lists.colour_of.tolist())):
             for j, v in enumerate(struct.vertex_of[p]):
                 expected = equalizing_probability(graph, lists, sigma, params, e, int(v), c)
                 assert eq[p, j] == pytest.approx(expected, rel=1e-15)
@@ -224,7 +224,7 @@ def _assert_rows_match_definition(graph, lists, sigma, active=None):
     for other in (_both_ways(sigma), _both_ways(sigma, flip=True)):
         rows_ptr, rows_nbr_idx = neighbour_rows(RoundStructure.build(graph, defined, other))
         assert np.array_equal(rows_ptr, ptr) and np.array_equal(rows_nbr_idx, nbr_idx)
-    pairs = list(zip(struct.edge_of.tolist(), struct.colour_of.tolist()))
+    pairs = list(zip(struct.lists.edge_of.tolist(), struct.lists.colour_of.tolist()))
     assert pairs == [(e, c) for e in defined.edge_ids() for c in defined.colours(e)]
     index = {pc: i for i, pc in enumerate(pairs)}
     assert ptr.size == struct.pair_count * struct.k + 1
@@ -355,7 +355,7 @@ def _identity_instances(draw):
 def _definition_csr(graph, lists, struct) -> RoundStructure:
     """`struct` with its rows replaced by a CSR written from
     `core.colour_neighbours` under the identity correspondence."""
-    index = {pc: i for i, pc in enumerate(zip(struct.edge_of.tolist(), struct.colour_of.tolist()))}
+    index = {pc: i for i, pc in enumerate(zip(struct.lists.edge_of.tolist(), struct.lists.colour_of.tolist()))}
     ptr, members = [0], []
     for e, c in index:
         for v in graph.edges[e]:
@@ -473,20 +473,29 @@ def test_row_weights_equal_per_row_sums():
     assert set(range(1, 80)) <= set(lengths.tolist())
     for r in range(lengths.size):
         members = nbr_idx[ptr[r] : ptr[r + 1]]
-        expected = struct.mu[members].sum() if members.size else 0.0
+        expected = struct.lists.mu[members].sum() if members.size else 0.0
         assert struct.row_weights[r] == expected
     assert struct.max_neighbourhood()[0] == struct.row_weights.max()
     assert struct.max_neighbourhood()[2] == 79
 
 
-@pytest.mark.parametrize("block", [nibble.EQUALIZING_BLOCK, 1])
-def test_equalizing_degenerate_names_first_pair_and_slot(monkeypatch, block):
+@pytest.mark.parametrize("block, colour, sigma, layout", [
+    pytest.param(block, *case, id=name + str(block))
+    for name, case in (
+        ("", (0, EdgeCorrespondence(), nibble._Groups)),
+        # The stored map sends colour 1 of edge 1 to colour 0 of edge 2.
+        ("stored map-", (1, EdgeCorrespondence(maps={(1, 2): {1: 0}}), nibble._Csr)),
+    )
+    for block in (nibble.EQUALIZING_BLOCK, 1)
+])
+def test_equalizing_degenerate_names_first_pair_and_slot(monkeypatch, block, colour, sigma, layout):
     monkeypatch.setattr(nibble, "EQUALIZING_BLOCK", block)
     g = path_graph(3)
-    lists = WeightedListAssignment.build({0: [0], 1: [0], 2: [0]}, {(0, 0): 1.0, (1, 0): 1.0, (2, 0): 50.0})
-    struct = RoundStructure.build(g, lists, EdgeCorrespondence())
+    lists = WeightedListAssignment.build({0: [0], 1: [colour], 2: [0]}, {(0, 0): 1.0, (1, colour): 1.0, (2, 0): 50.0})
+    struct = RoundStructure.build(g, lists, sigma)
+    assert isinstance(struct.rows, layout)
     params = NibbleParams(eps=0.25, k=2, L=10.0, N=7.5)  # L ln N ~ 20 < 50
-    with pytest.raises(DegenerateWeightError, match=r"for pair \(1, 0\) at slot 1$"):
+    with pytest.raises(DegenerateWeightError, match=rf"for pair \(1, {colour}\) at slot 1$"):
         struct.equalizing(params)
 
 
@@ -501,7 +510,7 @@ def test_equalizing_counts_clamped_entries(monkeypatch, block):
     params = NibbleParams(eps=0.25, k=2, L=10.0, N=7.5)
     struct = RoundStructure.build(g, lists, EdgeCorrespondence())
     eq, clamped = struct.equalizing(params)
-    raw = np.array([[params.K / np.prod(1.0 - struct.mu[_row(struct, p, j)] / params.activation_scale)
+    raw = np.array([[params.K / np.prod(1.0 - struct.lists.mu[_row(struct, p, j)] / params.activation_scale)
                      for j in range(2)] for p in range(struct.pair_count)])
     assert clamped == int((raw > 1.0).sum()) == leaves
     assert (eq == np.minimum(raw, 1.0)).all()
@@ -704,12 +713,12 @@ def test_truncate_lists_is_truncate_edge_to_the_bit(table):
 def _loop_truncation(struct, survive, coloured, l_target):
     """The per-edge loop over `truncate_edge` that truncated a round's
     lists before `truncate_lists`: (truncated, deficient, empty)."""
-    rows = np.ones(struct.edges.size, dtype=bool)
+    rows = np.ones(struct.lists.edges.size, dtype=bool)
     keep = survive.copy()
-    mu = struct.mu.copy()
+    mu = struct.lists.mu.copy()
     deficient, empty = [], []
-    bounds = struct.edge_ptr.tolist()
-    for i, e in enumerate(struct.edges.tolist()):
+    bounds = struct.lists.edge_ptr.tolist()
+    for i, e in enumerate(struct.lists.edges.tolist()):
         if e in coloured:
             rows[i] = False
             keep[bounds[i] : bounds[i + 1]] = False
@@ -718,7 +727,7 @@ def _loop_truncation(struct, survive, coloured, l_target):
         if not alive.size:
             empty.append(e)
             continue
-        kept_colours = struct.colour_of[alive].tolist()
+        kept_colours = struct.lists.colour_of[alive].tolist()
         try:
             _, scaled = truncate_edge(tuple(kept_colours), dict(zip(kept_colours, mu[alive].tolist())), l_target, edge=e)
         except CannotTruncateError:
@@ -726,7 +735,7 @@ def _loop_truncation(struct, survive, coloured, l_target):
             continue
         keep[alive] = [c in scaled for c in kept_colours]
         mu[alive] = [scaled.get(c, 0.0) for c in kept_colours]
-    truncated = WeightedListAssignment.from_pairs(struct.edges[rows], struct.edge_of[keep], struct.colour_of[keep], mu[keep])
+    truncated = WeightedListAssignment.from_pairs(struct.lists.edges[rows], struct.lists.edge_of[keep], struct.lists.colour_of[keep], mu[keep])
     return truncated, tuple(deficient), tuple(empty)
 
 

@@ -11,7 +11,7 @@ from nibble_colour.core import (
     PreconditionError,
     WeightedListAssignment,
 )
-from nibble_colour.harness import GeneratorSpec, enumerate_matchings, generate
+from nibble_colour.harness import GeneratorSpec, generate
 from nibble_colour.polytope import (
     DEFAULT_TOLERANCE,
     MembershipVerdict,
@@ -22,6 +22,7 @@ from nibble_colour.polytope import (
     polytope_lists_to_weights,
 )
 from conftest import triangle_graph
+from oracles import enumerate_matchings
 
 
 def _popcount(masks: np.ndarray) -> np.ndarray:
