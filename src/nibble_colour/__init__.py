@@ -43,6 +43,7 @@ from .nibble import (
     run_round,
     simulate_schedule,
 )
+from .pipeline import ColourResult, colour_instance
 from .polytope import (
     MembershipVerdict,
     UnsupportedInstanceError,

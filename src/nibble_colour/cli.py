@@ -35,7 +35,6 @@ from typing import Callable
 
 from . import __version__
 from .core import EdgeCorrespondence, InstanceError, validate_colouring, validate_instance
-from .finisher import finish, to_link_instance
 from .harness import (
     GenerationError,
     GeneratorSpec,
@@ -62,9 +61,9 @@ from .nibble import (
     ParameterDomainError,
     NibbleParams,
     ScheduleCollapseError,
-    drive,
     simulate_schedule,
 )
+from .pipeline import BRUTE_OUTCOMES, colour_instance
 from .polytope import edmonds_membership
 
 EXIT_OK = 0
@@ -213,79 +212,39 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _brute_exit(status: str) -> int:
-    """The exit code of a brute-force search that ended in `status`."""
-    return {"found": EXIT_OK, "proven-unsatisfiable": EXIT_VERIFY}.get(status, EXIT_CAP)
+# The exit code of each outcome of a colouring or a brute-force search.
+EXIT_OF_OUTCOME = {"coloured": EXIT_OK, "proven-unsatisfiable": EXIT_VERIFY, "invalid": EXIT_VERIFY, "cap-exhausted": EXIT_CAP}
 
 
 def cmd_colour(args) -> int:
     started = time.monotonic()
     _output_dirs(f"{args.out_prefix}.colouring.json")
     inst = _load_valid_instance(args.instance)
+    result = colour_instance(inst, args.mode, eps=args.eps, seed=args.seed, retry_cap=args.retry_cap,
+                             iteration_cap=args.iteration_cap, node_cap=args.node_cap)
+    for line in filter(None, [result.reason, *result.violations[:10]]):
+        _err(str(line))
 
     prefix = Path(args.out_prefix)
-    trace_rows = []
-    finish_log = None
-    colours: dict[int, int] = {}
-    status = EXIT_OK
-
-    empty = inst.lists.edges[inst.lists.edge_ptr[1:] == inst.lists.edge_ptr[:-1]]
-    if empty.size:
-        _err(f"edge {empty[0]} has an empty list: proven unsatisfiable")
-        status = EXIT_VERIFY
-    elif args.mode == "brute":
-        result = brute_force_colour(inst.graph, inst.lists, inst.sigma, node_cap=args.node_cap)
-        colours = result.colouring or {}
-        status = _brute_exit(result.status)
-        if status != EXIT_OK:
-            _err("brute force: proven unsatisfiable" if status == EXIT_VERIFY
-                 else f"brute force: node cap {args.node_cap} exceeded")
-    else:
-        lists_left = inst.lists
-        if args.mode == "nibble+finish":
-            result = drive(inst.graph, inst.lists, inst.sigma, eps=args.eps, seed=args.seed, retry_cap=args.retry_cap)
-            colours.update(result.colouring)
-            trace_rows, lists_left = result.trace, result.lists
-        if lists_left.edges.size:
-            cap = args.iteration_cap if args.iteration_cap is not None else 100 * lists_left.edges.size
-            link = to_link_instance(inst.graph, lists_left, inst.sigma)
-            finish_colours, finish_log = finish(link, seed=args.seed, iteration_cap=cap)
-            if finish_log.outcome != "success":
-                _err(f"finisher exhausted its iteration cap ({cap})")
-                status = EXIT_CAP
-            else:
-                colours.update(finish_colours)
-
-    complete = len(colours) == inst.graph.edge_count
-    violations = validate_colouring(inst.graph, inst.lists, inst.sigma, colours)
-    if violations:  # solver contract: should not happen
-        for v in violations[:10]:
-            _err(str(v))
-        status = EXIT_VERIFY
-
     outputs = [f"{prefix}.colouring.json", f"{prefix}.trace.csv"]
-    dump_colouring(colours, complete and not violations, outputs[0])
+    dump_colouring(result.colours, result.complete, outputs[0])
+    trace_rows = result.drive.trace if result.drive else []
     Path(outputs[1]).write_text(_csv(
         ["round", "L", "N", "ratio", "edges_coloured", "edges_remaining",
          "retries", "min_list_size", "max_neighbourhood_size"],
         ([r.round, repr(r.L), repr(r.N), repr(r.ratio), r.edges_coloured, r.edges_remaining,
           r.retries, r.min_list_size, r.max_neighbourhood_size] for r in trace_rows),
     ))
-    if finish_log is not None:
+    if result.resample_log is not None:
         outputs.append(f"{prefix}.finish.json")
-        dump_finish_log(finish_log, outputs[2])
+        dump_finish_log(result.resample_log, outputs[2])
     _write_manifest(
         prefix, "colour",
-        {
-            "mode": args.mode, "retry_cap": args.retry_cap, "iteration_cap": args.iteration_cap,
-            "eps": args.eps, "node_cap": args.node_cap, "threads": args.threads,
-            "instance": str(args.instance),
-        },
+        {"mode": args.mode, "retry_cap": args.retry_cap, "iteration_cap": args.iteration_cap, "eps": args.eps,
+         "node_cap": args.node_cap, "threads": args.threads, "instance": str(args.instance)},
         args.seed, [str(args.instance)], outputs, started,
     )
-    if status != EXIT_OK:
-        return status
-    return EXIT_OK if complete else EXIT_CAP
+    return EXIT_OF_OUTCOME[result.outcome]
 
 
 def cmd_brute(args) -> int:
@@ -295,7 +254,7 @@ def cmd_brute(args) -> int:
     if result.colouring is not None:
         payload["colours"] = {str(e): c for e, c in sorted(result.colouring.items())}
     print(json.dumps(payload, indent=2, sort_keys=True))
-    return _brute_exit(result.status)
+    return EXIT_OF_OUTCOME[BRUTE_OUTCOMES[result.status]]
 
 
 # ---------------------------------------------------------------------------

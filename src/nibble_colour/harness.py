@@ -438,9 +438,10 @@ def expectation_diagnostic(
     # k = 2, 81 at k = 3, conflict removal included).
     step = max(1, CONFLICT_CHUNK // (24 * (1 + k) * max(pairs, 1)))
     survive = np.empty((trials, pairs), dtype=bool)
+    eq = struct.equalizing(params)[0]
     for t in range(0, trials, step):
         rounds = np.arange(t, min(t + step, trials), dtype=np.int64)
-        survive[t : t + step] = apply_procedure(struct, *draw_round(struct, params, seed, rounds, 0)[:2])[0]
+        survive[t : t + step] = apply_procedure(struct, *draw_round(struct, params, eq, seed, rounds, 0))[0]
 
     exact = None
     if bernoulli_trial_count(lists, k) <= exact_limit:

@@ -759,21 +759,21 @@ def apply_procedure(
 def draw_round(
     struct: RoundStructure,
     params: NibbleParams,
+    eq: np.ndarray,
     seed: int,
     round_index: int | np.ndarray,
     attempt: int,
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Steps (I) and (III) drawn from the streams keyed by (kind, round,
-    attempt, edge, colour[, vertex]): (activated, flips_ok, clamped), where
-    clamped counts the equalizing values clamped to 1.  An array of round
-    indices adds its axes in front, one independent trial per entry."""
+    attempt, edge, colour[, vertex]): (activated, flips_ok), a flip passing
+    below its value in `eq = struct.equalizing(params)[0]`.  An array of
+    round indices adds its axes in front, one independent trial per entry."""
     r = np.reshape(round_index, np.shape(round_index) + (1,))
     edge_of, colour_of = struct.lists.edge_of, struct.lists.colour_of
     u_act = rng.uniforms(seed, rng.KIND_ACTIVATION, r, attempt, edge_of, colour_of)
     activated = u_act < struct.lists.mu / params.activation_scale
-    eq, clamped = struct.equalizing(params)
     u_flip = rng.uniforms(seed, rng.KIND_FLIP, r[..., None], attempt, edge_of[:, None], colour_of[:, None], struct.vertex_of)
-    return activated, u_flip < eq, clamped
+    return activated, u_flip < eq
 
 
 def run_round(
@@ -790,7 +790,8 @@ def run_round(
     """
     if l_target <= 0.0:
         raise PreconditionError(f"truncation target must be positive, got {l_target}")
-    activated, flips_ok, clamped = draw_round(struct, params, seed, round_index, attempt)
+    eq, clamped = struct.equalizing(params)
+    activated, flips_ok = draw_round(struct, params, eq, seed, round_index, attempt)
     survive, retained, removed_ii = apply_procedure(struct, activated, flips_ok)
 
     lists = struct.lists

@@ -14,13 +14,15 @@ from nibble_colour import cli
 from nibble_colour.cli import main
 from nibble_colour.instance_io import (
     Instance,
+    dump_colouring,
     dump_instance,
     instance_to_dict,
     load_colouring,
     load_instance,
 )
 from nibble_colour.core import EdgeCorrespondence, LinearHypergraph, WeightedListAssignment
-from nibble_colour.nibble import ParameterDomainError, RoundStructure, simulate_schedule
+from nibble_colour.nibble import ParameterDomainError, RoundStructure, drive, simulate_schedule
+from nibble_colour.pipeline import colour_instance
 
 
 def run(argv):
@@ -315,6 +317,27 @@ def test_colour_nibble_builds_structure_once_for_eps_and_drive(tmp_path, monkeyp
     assert builds == [320, 242]
 
 
+@pytest.mark.parametrize("mode, flags, kwargs", [
+    ("nibble+finish", [], {}),
+    ("finish-only", [], {}),
+    ("brute", ["--node-cap", 40], {"node_cap": 40}),  # a search that colours all 320 edges takes seconds
+])
+def test_colour_instance_writes_what_colour_writes(tmp_path, mode, flags, kwargs):
+    path = _n40_instance(tmp_path)
+    prefix = tmp_path / "run"
+    code = run(["colour", path, "--mode", mode, "--seed", 3, *flags, "--out-prefix", prefix])
+    inst = load_instance(path)
+    result = colour_instance(inst, mode, seed=3, **kwargs)
+    dump_colouring(result.colours, result.complete, tmp_path / "library.json")
+    assert (tmp_path / "library.json").read_bytes() == Path(f"{prefix}.colouring.json").read_bytes()
+    assert cli.EXIT_OF_OUTCOME[result.outcome] == code
+    if mode == "nibble+finish":
+        direct = drive(inst.graph, inst.lists, inst.sigma, seed=3)
+        assert (result.drive.stop_reason, result.drive.eps) == (direct.stop_reason, direct.eps)
+    else:
+        assert result.drive is None
+
+
 def test_verify_and_diag_validate_the_instance(tmp_path, capsys):
     data = {"k": 2, "vertex_count": 3, "edges": [[0, 1], [1, 5]],
             "colour_universe": [0, 9], "lists": {"0": [1, 2], "1": [1, 2]}}
@@ -353,6 +376,48 @@ def test_colour_empty_list_exit_1_names_the_edge(tmp_path, capsys, mode):
     inst = _p3_instance(tmp_path, lists={0: [1, 2], 1: []})
     assert run(["colour", inst, "--mode", mode, "--out-prefix", tmp_path / "run"]) == 1
     assert "edge 1 has an empty list" in capsys.readouterr().err
+
+
+# The commands that end in a colouring outcome, and the instances of the
+# outcome table: P3 with lists {1, 2}, P3 with an empty list, P3 with both
+# lists {1}, and the triangle with lists {1, 2}.
+OUTCOME_COMMANDS = {
+    "colour brute": ["colour", "{inst}", "--mode", "brute", "--out-prefix", "{tmp}/run"],
+    "brute": ["brute", "{inst}"],
+    "finish-only": ["colour", "{inst}", "--mode", "finish-only", "--out-prefix", "{tmp}/run"],
+    "nibble+finish": ["colour", "{inst}", "--mode", "nibble+finish", "--out-prefix", "{tmp}/run"],
+}
+OUTCOME_INSTANCES = {
+    "p3": ([(0, 1), (1, 2)], {0: [1, 2], 1: [1, 2]}),
+    "empty": ([(0, 1), (1, 2)], {0: [1, 2], 1: []}),
+    "one colour": ([(0, 1), (1, 2)], {0: [1], 1: [1]}),
+    "k3": ([(0, 1), (0, 2), (1, 2)], {e: [1, 2] for e in range(3)}),
+}
+FOUND = '{\n  "colours": {\n    "0": 1,\n    "1": 2\n  },\n  "nodes": 3,\n  "status": "found"\n}\n'
+EMPTY_LIST = "edge 1 has an empty list: proven unsatisfiable\n"
+
+
+@pytest.mark.parametrize("command, instance, flags, code, out, err", [
+    *[(command, "p3", [], 0, "", "") for command in ("colour brute", "finish-only", "nibble+finish")],
+    ("brute", "p3", [], 0, FOUND, ""),
+    *[(command, "empty", [], 1, "", EMPTY_LIST) for command in ("colour brute", "finish-only", "nibble+finish")],
+    ("brute", "empty", [], 1, '{\n  "nodes": 1,\n  "status": "proven-unsatisfiable"\n}\n', ""),
+    ("colour brute", "k3", [], 1, "", "brute force: proven unsatisfiable\n"),
+    ("brute", "k3", [], 1, '{\n  "nodes": 5,\n  "status": "proven-unsatisfiable"\n}\n', ""),
+    ("colour brute", "p3", ["--node-cap", "0"], 3, "", "brute force: node cap 0 exceeded\n"),
+    ("brute", "p3", ["--node-cap", "0"], 3, '{\n  "nodes": 1,\n  "status": "cap-exceeded"\n}\n', ""),
+    *[(command, "one colour", ["--iteration-cap", "0"], 3, "", "finisher exhausted its iteration cap (0)\n")
+      for command in ("finish-only", "nibble+finish")],
+    *[(command, "k3", [], 3, "", "finisher exhausted its iteration cap (300)\n") for command in ("finish-only", "nibble+finish")],
+])
+def test_each_outcome_has_one_exit_code_stdout_and_stderr(tmp_path, capsys, command, instance, flags, code, out, err):
+    edges, lists = OUTCOME_INSTANCES[instance]
+    inst = tmp_path / "inst.json"
+    dump_instance(Instance(graph=LinearHypergraph.build(3, edges, k=2), lists=WeightedListAssignment.unit(lists),
+                           sigma=EdgeCorrespondence(), universe=(0, 9)), inst)
+    capsys.readouterr()
+    assert run([a.format(inst=inst, tmp=tmp_path) for a in OUTCOME_COMMANDS[command]] + flags) == code
+    assert capsys.readouterr() == (out, err)
 
 
 # Shapes that instance_from_dict must turn into an InstanceError, each

@@ -25,7 +25,7 @@ from nibble_colour.harness import (
     generate,
     neighbourhood_audit,
 )
-from nibble_colour.nibble import CONFLICT_CHUNK, NibbleParams
+from nibble_colour.nibble import CONFLICT_CHUNK, NibbleParams, RoundStructure
 from conftest import pair_table, path_graph, random_micro_instance, star_graph, triangle_graph
 
 
@@ -381,6 +381,22 @@ def test_diagnostic_draws_its_trials_a_bounded_chunk_at_a_time(monkeypatch):
     single = expectation_diagnostic(g, lists, EdgeCorrespondence(), params, trials=30, seed=3, collect_samples=True)
     assert single.to_dict() == whole.to_dict()
     assert all(single.samples[e].tobytes() == whole.samples[e].tobytes() for e in whole.samples)
+
+
+def test_diagnostic_computes_the_equalizing_values_once(monkeypatch):
+    g = generate(GeneratorSpec(kind="regular-graph", n=12, d=4, seed=1))
+    lists = build_local_lists(g, 0.5, 16, seed=1)
+    calls = []
+    equalizing = RoundStructure.equalizing
+
+    def counted(struct, params):
+        calls.append(struct.pair_count)
+        return equalizing(struct, params)
+
+    monkeypatch.setattr(RoundStructure, "equalizing", counted)
+    monkeypatch.setattr(harness, "CONFLICT_CHUNK", 1)  # a chunk per trial
+    expectation_diagnostic(g, lists, EdgeCorrespondence(), _params(), trials=5, seed=3)
+    assert calls == [lists.mu.size]
 
 
 def test_diagnostic_requires_positive_trials():

@@ -762,7 +762,7 @@ def test_drive_rounds_truncate_as_the_per_edge_loop(monkeypatch):
         drive(g, lists, EdgeCorrespondence(), eps=0.25, seed=seed)
         assert rounds
         for struct, params, l_target, seed_, round_index, attempt, outcome in rounds:
-            activated, flips_ok, _ = nibble.draw_round(struct, params, seed_, round_index, attempt)
+            activated, flips_ok = nibble.draw_round(struct, params, struct.equalizing(params)[0], seed_, round_index, attempt)
             survive, _, _ = apply_procedure(struct, activated, flips_ok)
             truncated, deficient_edges, empty = _loop_truncation(struct, survive, outcome.coloured, l_target)
             assert pair_table(outcome.truncated) == pair_table(truncated)

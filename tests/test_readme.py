@@ -36,7 +36,7 @@ def _resolves(module, name: str) -> bool:
 
 
 def test_the_layout_lists_every_module():
-    assert sorted(_layout()) == ["cli", "core", "finisher", "harness", "instance_io", "nibble", "polytope", "rng"]
+    assert sorted(_layout()) == ["cli", "core", "finisher", "harness", "instance_io", "nibble", "pipeline", "polytope", "rng"]
 
 
 @pytest.mark.parametrize("module_name", sorted(_layout()))
