@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .core import EdgeCorrespondence, InstanceError, validate_colouring, validate_instance
+from .core import EdgeCorrespondence, InstanceError, first_violations, validate_instance
 from .harness import (
     GenerationError,
     GeneratorSpec,
@@ -63,7 +63,7 @@ from .nibble import (
     ScheduleCollapseError,
     simulate_schedule,
 )
-from .pipeline import BRUTE_OUTCOMES, colour_instance
+from .pipeline import BRUTE_OUTCOMES, COLOUR_MODES, colour_instance
 from .polytope import edmonds_membership
 
 EXIT_OK = 0
@@ -265,14 +265,14 @@ def cmd_brute(args) -> int:
 def cmd_verify(args) -> int:
     inst = _load_valid_instance(args.instance)
     colouring, _ = load_colouring(args.colouring)
-    violations = validate_colouring(inst.graph, inst.lists, inst.sigma, colouring)
-    for v in violations[:10]:
+    violations, total = first_violations(inst.graph, inst.lists, inst.sigma, colouring, 10)
+    for v in violations:
         _err(str(v))
-    if violations:
-        _err(f"{len(violations)} violations in total")
-    if any(v.kind == "unknown-edge" for v in violations):
-        return EXIT_INPUT
-    return EXIT_VERIFY if violations else EXIT_OK
+    if total:
+        _err(f"{total} violations in total")
+    if any(not 0 <= e < inst.graph.edge_count for e in colouring.colours):
+        return EXIT_INPUT  # an unknown edge
+    return EXIT_VERIFY if total else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("colour", help="colour an instance")
     p.add_argument("instance")
-    p.add_argument("--mode", choices=["nibble+finish", "finish-only", "brute"], default="nibble+finish")
+    p.add_argument("--mode", choices=COLOUR_MODES, default="nibble+finish")
     p.add_argument("--seed", type=_SEED, default=0, help=seed_help)
     p.add_argument("--retry-cap", type=(flag := _at_least("retry-cap", 0)), default=10,
                    help=f"retries of a failed nibble round, {flag.rule} (default %(default)s)")

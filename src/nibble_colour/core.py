@@ -219,21 +219,33 @@ class PairIndex:
 
     TABLE_SLOTS = 4
 
-    def __init__(self, a: np.ndarray, b: np.ndarray):
+    def __init__(self, a: np.ndarray, b: np.ndarray, _repeats: np.ndarray | None = None):
         a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         self._table = None
-        if not a.size:
+        if not b.size:
             self._axes, self.keys = None, np.zeros(0, dtype=np.int64)
             return
         lo_a, lo_b = int(a.min()), int(b.min())
         span_a, span_b = int(a.max()) - lo_a + 1, int(b.max()) - lo_b + 1
         if span_a * span_b < 1 << 63:  # offsets
             self._axes, self._width = ((lo_a, span_a), (lo_b, span_b)), span_b
-            self.keys = (a - lo_a) * span_b + (b - lo_b)
+            code_a = a - lo_a
         else:
             self._axes = values_a, values_b = sorted_distinct(a), sorted_distinct(b)
             self._width = values_b.size
-            self.keys = np.searchsorted(values_a, a) * self._width + np.searchsorted(values_b, b)
+            code_a, b, lo_b = np.searchsorted(values_a, a), np.searchsorted(values_b, b), 0
+        # In place: the sum wraps in int64 only where the final key, which fits, does not.
+        self.keys = code_a if _repeats is None else np.repeat(code_a, _repeats)
+        self.keys *= self._width
+        self.keys += b
+        self.keys -= lo_b
+
+    @classmethod
+    def of_segments(cls, ptr: np.ndarray, b: np.ndarray) -> "PairIndex":
+        """`PairIndex(np.repeat(np.arange(ptr.size - 1), np.diff(ptr)), b)`,
+        built with no array of the repeated row numbers."""
+        count = np.diff(ptr)
+        return cls(np.flatnonzero(count), b, count[count > 0])
 
     @staticmethod
     def _codes(axis, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -364,11 +376,6 @@ class EdgeCorrespondence:
             max(int(self.entry_c.max()), int(self.entry_image.max())),
         )
 
-    @cached_property
-    def entry_row(self) -> np.ndarray:
-        """The pair index of every entry."""
-        return np.repeat(np.arange(self.pair_e.size), np.diff(self.entry_ptr))
-
     # -- array readers -------------------------------------------------
 
     @cached_property
@@ -379,7 +386,7 @@ class EdgeCorrespondence:
     @cached_property
     def _entries_index(self) -> PairIndex:
         """The entries as (pair index, c), which `blocking` finds."""
-        return PairIndex(self.entry_row, self.entry_c)
+        return PairIndex.of_segments(self.entry_ptr, self.entry_c)
 
     def rows(self, e: np.ndarray, f: np.ndarray) -> np.ndarray:
         """The index of the pair (e[i], f[i]) among the stored pairs, or -1
@@ -660,6 +667,8 @@ def colour_neighbours(
 
 
 _INT64 = range(-(1 << 63), 1 << 63)
+# Map entries whose injectivity is checked at once: a few MB of temporaries.
+_CHECK_BLOCK = 1 << 17
 
 
 def _int64_colours(colour_of: Sequence | Mapping[int, object], ids: Sequence[int], size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -713,6 +722,13 @@ def validate_colouring(
 
     Blocking is checked over `graph.incident_pairs`, so each incident
     pair is checked once and reported in ascending (e, f) order."""
+    return first_violations(graph, lists, sigma, colouring)[0]
+
+
+def first_violations(graph: LinearHypergraph, lists: WeightedListAssignment, sigma: EdgeCorrespondence,
+                     colouring: PartialColouring | Mapping[int, int], first: int | None = None) -> tuple[list[Violation], int]:
+    """(the first `first` violations of `validate_colouring`, all for None;
+    how many there are): those past `first` are counted, not built."""
     colours = colouring.colours if isinstance(colouring, PartialColouring) else colouring
     m = graph.edge_count
     ids = sorted(colours)  # each id once: the order of the (edge, colour) items
@@ -725,24 +741,24 @@ def validate_colouring(
     p = p[exact[edge_of[p]] & (value[edge_of[p]] == lists.colour_of[p])]
     listed = np.zeros(m, dtype=bool)
     listed[edge_of[p]] = True
-    violations: list[Violation] = []
-    if len(known) < len(ids) or not listed[known].all():  # else no list violation
-        for e in ids:
-            c = colours[e]
-            if not 0 <= e < m:
-                violations.append(Violation("unknown-edge", (e,), f"edge {e} not in instance"))
-            elif not (listed[e] if exact[e] else lists.has(e, c)):
-                violations.append(Violation("list", (e, c), f"edge {e} coloured {c} which is not in its list"))
+    all_listed = len(known) == len(ids) and listed[known].all()  # then no list violation
+    bad = [] if all_listed else [e for e in ids if not (0 <= e < m and (listed[e] if exact[e] else lists.has(e, colours[e])))]
+    violations = [
+        Violation("unknown-edge", (e,), f"edge {e} not in instance") if not 0 <= e < m
+        else Violation("list", (e, colours[e]), f"edge {e} coloured {colours[e]} which is not in its list")
+        for e in bad[:first]
+    ]
     coloured = np.zeros(m, dtype=bool)
     coloured[known] = True
     pe, pf = graph.incident_pairs
     both = coloured[pe] & coloured[pf]
     pe, pf = pe[both], pf[both]
     at = _blocking_at(sigma, pe, pf, colours, value, exact)
-    for e, f in zip(pe[at].tolist(), pf[at].tolist()):
+    shown = at[: None if first is None else max(first - len(violations), 0)]
+    for e, f in zip(pe[shown].tolist(), pf[shown].tolist()):
         c, cf = colours[e], colours[f]
         violations.append(Violation("blocking", (e, f, c, cf), f"({e},{c}) blocks ({f},{cf})"))
-    return violations
+    return violations, len(bad) + at.size
 
 
 def restrict_lists(
@@ -839,20 +855,22 @@ def _sigma_violations(
     that are not mutual inverses, and entries outside the universe in
     ascending c."""
     e, f, ptr = sigma.pair_e, sigma.pair_f, sigma.entry_ptr
-    row, c, image = sigma.entry_row, sigma.entry_c, sigma.entry_image
+    c, image = sigma.entry_c, sigma.entry_image
     pairs = e.size
     self_pair = e == f
 
     incident = PairIndex(*graph.incident_pairs).find(np.minimum(e, f), np.maximum(e, f)) >= 0
 
-    # Two entries of one map with one image share a (pair, image) key.
-    keys = PairIndex(row, image).keys
-    keys.sort()
-    repeated = keys[1:][keys[1:] == keys[:-1]]
-    del keys
+    # Two entries of one map with one image share a (pair, image) key, sorted
+    # within their map, so a repeat's position names its pair.  The maps whose
+    # first entry falls in one stretch of _CHECK_BLOCK entries go at once.
     injective = np.ones(pairs, dtype=bool)
-    if repeated.size:  # the entries of those keys, keyed again in entry order
-        injective[row[np.isin(PairIndex(row, image).keys, repeated)]] = False
+    cuts = np.append(np.searchsorted(ptr[:-1], np.arange(0, max(c.size, 1), _CHECK_BLOCK)), pairs)
+    for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        keys = PairIndex.of_segments(ptr[a : b + 1], image[ptr[a] : ptr[b]]).keys
+        keys.sort()
+        repeat = ptr[a] + 1 + np.flatnonzero(keys[1:] == keys[:-1])
+        injective[np.searchsorted(ptr, repeat, side="right") - 1] = False
 
     # Maps stored both ways: the entries of one, swapped, must equal the other's.
     reverse = sigma.rows(f, e)
@@ -874,11 +892,10 @@ def _sigma_violations(
     if universe is not None and not universe[0] <= sigma.colour_span[0] <= sigma.colour_span[1] <= universe[1]:
         lo, hi = universe
         outside = (c < lo) | (c > hi) | (image < lo) | (image > hi)
-        outside &= ~self_pair[row]
 
     violations: list[Violation] = []
-    flagged = np.zeros(pairs, dtype=bool)
-    flagged[row[outside]] = True
+    flagged = np.zeros(pairs, dtype=bool)  # a self pair's entries are never read
+    flagged[np.searchsorted(ptr, np.flatnonzero(outside), side="right") - 1] = True
     for i in np.flatnonzero(self_pair | ~incident | ~injective | ~inverse | flagged).tolist():
         a, b = int(e[i]), int(f[i])
         if self_pair[i]:

@@ -483,19 +483,19 @@ def _neighbourhood_rows(
     identity correspondence keeps the groups themselves."""
     order, bounds, k = groups.order, groups.bounds, groups.k
     P = lists.mu.size
-    m = len(edge_vertices)
     if maps is None:
         maps = _StoredMaps.place(sigma, edge_vertices)
     # Keys row * P + member of the maps' members and of the kept candidates,
     # written into one array: pieces kept apart until a concatenation
     # fragment the heap, which showed as peak RSS on nibble-sigma-k3.
-    listed = np.zeros(m, dtype=bool)
+    listed = np.zeros(len(edge_vertices), dtype=bool)
     listed[lists.edge_of] = True
-    rows, members = maps.members(PairIndex(lists.edge_of, lists.colour_of), k, listed)
+    parts = maps.members(PairIndex(lists.edge_of, lists.colour_of), k, P, listed)
     sizes = np.diff(bounds)
-    key = np.empty(rows.size + int((sizes * (sizes - 1)).sum()), dtype=np.int64)
-    n = rows.size
-    key[:n] = rows * P + members
+    n = sum(part.size for part in parts)
+    key = np.empty(n + int((sizes * (sizes - 1)).sum()), dtype=np.int64)
+    np.concatenate(parts, out=key[:n])
+    del parts
     slot = (lists.edge_of[:, None] * k + np.arange(k)).ravel()  # the edge slot of every row
     for at, others in _candidates(bounds, order):
         rows = order[at]
@@ -584,14 +584,14 @@ class _StoredMaps:
         mapped[cell[se] + pos[sf]] = mapped[cell[sf] + pos[se]] = True
         return cls(sigma=sigma, row=row, je=je, jf=jf, alone=sigma.rows(f[row], e[row]) < 0, pos=pos, cell=cell, mapped=mapped)
 
-    def members(self, pairs: PairIndex, k: int, listed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, members) of the neighbours that the placed maps give: for
-        an entry (c, c') of the map of (e, f) at vertex v with (e, c) and
-        (f, c') both pairs p and q, q in row p*k + (slot of v in e), and,
-        for a map that stands alone, p in row q*k + (slot of v in f).
-        `pairs` indexes the (edge, colour) pairs, and `listed[edge]` says
-        whether the edge has a pair: only the maps between two such edges
-        are joined, as no other entry gives one."""
+    def members(self, pairs: PairIndex, k: int, P: int, listed: np.ndarray) -> list[np.ndarray]:
+        """The keys row * P + member of the neighbours that the placed maps
+        give, an array per join block: for an entry (c, c') of the map of
+        (e, f) at vertex v with (e, c) and (f, c') both pairs p and q, q in
+        row p*k + (slot of v in e), and, for a map that stands alone, p in
+        row q*k + (slot of v in f).  `pairs` indexes the P pairs, and
+        `listed[edge]` says whether the edge has a pair: only the maps
+        between two such edges are joined, as no other entry gives one."""
         sigma = self.sigma
         live = np.flatnonzero(listed[sigma.pair_e[self.row]] & listed[sigma.pair_f[self.row]])
         length = np.diff(sigma.entry_ptr)[self.row[live]]
@@ -612,9 +612,8 @@ class _StoredMaps:
             hit = p >= 0
             p, q, placed = p[hit], q[at[hit]], placed[hit]
             back = self.alone[placed]
-            parts += [(p * k + self.je[placed], q), (q[back] * k + self.jf[placed[back]], p[back])]
-        rows, members = zip(*parts)
-        return np.concatenate(rows), np.concatenate(members)
+            parts += [(p * k + self.je[placed]) * P + q, (q[back] * k + self.jf[placed[back]]) * P + p[back]]
+        return parts
 
 
 def equalizing_probability(

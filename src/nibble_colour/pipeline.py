@@ -5,12 +5,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Violation, validate_colouring
+from .core import PreconditionError, Violation, validate_colouring
 from .finisher import ResampleLog, finish, to_link_instance
 from .harness import BruteResult, brute_force_colour
 from .instance_io import Instance
 from .nibble import DriveResult, drive
 
+COLOUR_MODES = ("nibble+finish", "finish-only", "brute")
 # The outcome of a brute-force search that ended in each status.
 BRUTE_OUTCOMES = {"found": "coloured", "proven-unsatisfiable": "proven-unsatisfiable", "cap-exceeded": "cap-exhausted"}
 
@@ -33,7 +34,10 @@ def colour_instance(inst: Instance, mode: str = "nibble+finish", *, eps: float |
     it unsatisfiable, else "brute" searches within `node_cap` nodes, and
     "nibble+finish" runs `drive` and then `finish` on the link graph of the
     edges left (default cap 100 resamples per edge), as "finish-only" runs
-    `finish` alone.  NibbleFailureError and ScheduleCollapseError propagate."""
+    `finish` alone; any other mode raises PreconditionError.  NibbleFailureError
+    and ScheduleCollapseError propagate."""
+    if mode not in COLOUR_MODES:
+        raise PreconditionError(f"unknown colour mode {mode!r}, expected one of {', '.join(COLOUR_MODES)}")
     colours: dict[int, int] = {}
     driven = log = search = None
     outcome, reason = "coloured", ""

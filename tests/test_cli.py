@@ -20,9 +20,16 @@ from nibble_colour.instance_io import (
     load_colouring,
     load_instance,
 )
-from nibble_colour.core import EdgeCorrespondence, LinearHypergraph, WeightedListAssignment
+from nibble_colour.core import (
+    EdgeCorrespondence,
+    LinearHypergraph,
+    PreconditionError,
+    WeightedListAssignment,
+    first_violations,
+    validate_colouring,
+)
 from nibble_colour.nibble import ParameterDomainError, RoundStructure, drive, simulate_schedule
-from nibble_colour.pipeline import colour_instance
+from nibble_colour.pipeline import COLOUR_MODES, colour_instance
 
 
 def run(argv):
@@ -338,6 +345,16 @@ def test_colour_instance_writes_what_colour_writes(tmp_path, mode, flags, kwargs
         assert result.drive is None
 
 
+def test_colour_instance_refuses_an_unknown_mode_and_the_parser_offers_the_known_ones(tmp_path):
+    inst = load_instance(_p3_instance(tmp_path))
+    for mode in ("nibble", "Brute", ""):
+        with pytest.raises(PreconditionError, match=f"unknown colour mode {mode!r}"):
+            colour_instance(inst, mode)
+    parser = cli.build_parser()
+    colour = next(a for a in parser._subparsers._group_actions if a.dest == "command").choices["colour"]
+    assert tuple(next(a for a in colour._actions if a.dest == "mode").choices) == COLOUR_MODES
+
+
 def test_verify_and_diag_validate_the_instance(tmp_path, capsys):
     data = {"k": 2, "vertex_count": 3, "edges": [[0, 1], [1, 5]],
             "colour_universe": [0, 9], "lists": {"0": [1, 2], "1": [1, 2]}}
@@ -647,30 +664,32 @@ def test_cost_does_not_grow_with_unused_vertices(tmp_path, argv):
 
 # One child per command under a 512 MB address-space cap, on a star: every
 # edge at vertex 0, each listing colours 0 to `colours` - 1.
-# - nibble+finish: every pair has 1,499 neighbours, and the round
-#   structure's (30,000, 1,499) arrays do not fit.
-# - finish-only, diag and verify: the command's own work runs out, in the
-#   finisher's resample loop, diag's survival flags per trial, and the
-#   violations of a colouring that gives every edge colour 0.  The loop
+# - nibble+finish: one stored map (edges 0 and 1 shift their colours by
+#   one) makes the round structure write its members out, and their keys,
+#   2,000 x 1,999 x 20 int64 (610 MiB), do not fit: one allocation fails.
+# - finish-only and diag: the command's own work runs out, in the
+#   finisher's resample loop and diag's survival flags per trial.  The loop
 #   fills the cap a little at a time, so printing the line needs the memory
 #   that the command's frames held.
-# - brute and polytope: validating the instance runs out, since their own
-#   search and Gomory-Hu tree take seconds to fill the cap.
-@pytest.mark.parametrize("edges, colours, argv", [
-    (1500, 20, ["colour", "{inst}", "--out-prefix", "{tmp}/run"]),
-    (2000, 2, ["colour", "{inst}", "--mode", "finish-only", "--out-prefix", "{tmp}/run"]),
+# - verify, brute and polytope: validating the instance runs out, since
+#   their own work (verify builds only the ten violations it prints, the
+#   search, the Gomory-Hu tree) fits the cap or takes seconds to fill it.
+@pytest.mark.parametrize("edges, colours, shift, argv", [
+    (2000, 20, True, ["colour", "{inst}", "--out-prefix", "{tmp}/run"]),
+    (2000, 2, False, ["colour", "{inst}", "--mode", "finish-only", "--out-prefix", "{tmp}/run"]),
     # The round structure of this star fits the cap, and the trials are drawn a
     # chunk at a time; the survival flags of 100,000 trials (572 MiB) do not fit.
-    (3000, 2, ["diag", "{inst}", "--trials", "100000", "--L", "40", "--N", "20"]),
-    (3000, 2, ["verify", "{inst}", "{tmp}/col.json"]),
-    (6000, 2, ["brute", "{inst}"]),
-    (6000, 2, ["polytope", "{inst}", "{tmp}/vec.json"]),
+    (3000, 2, False, ["diag", "{inst}", "--trials", "100000", "--L", "40", "--N", "20"]),
+    (6000, 2, False, ["verify", "{inst}", "{tmp}/col.json"]),
+    (6000, 2, False, ["brute", "{inst}"]),
+    (6000, 2, False, ["polytope", "{inst}", "{tmp}/vec.json"]),
 ], ids=["nibble+finish", "finish-only", "diag", "verify", "brute", "polytope"])
-def test_running_out_of_memory_exits_4(tmp_path, edges, colours, argv):
+def test_running_out_of_memory_exits_4(tmp_path, edges, colours, shift, argv):
     inst = tmp_path / "star.json"
+    sigma = [{"e": 0, "f": 1, "map": [[c, (c + 1) % colours] for c in range(colours)]}] if shift else []
     inst.write_text(json.dumps({"k": 2, "vertex_count": edges + 1, "edges": [[0, v] for v in range(1, edges + 1)],
                                 "colour_universe": [0, colours - 1],
-                                "lists": {str(e): list(range(colours)) for e in range(edges)}}))
+                                "lists": {str(e): list(range(colours)) for e in range(edges)}, "sigma": sigma}))
     (tmp_path / "col.json").write_text(json.dumps({"complete": True, "colours": {str(e): 0 for e in range(edges)}}))
     (tmp_path / "vec.json").write_text(json.dumps({str(e): 1 / edges for e in range(edges)}))
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
@@ -830,6 +849,53 @@ def test_verify_prints_ten_violations_and_their_count(tmp_path, capsys):
     assert run(["verify", inst, col]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 11 and lines[-1] == "9900 violations in total"
+
+
+def _star_files(tmp_path, edges: int, colours: dict) -> tuple[Path, Path]:
+    inst, col = tmp_path / "star.json", tmp_path / "col.json"
+    inst.write_text(json.dumps({"k": 2, "vertex_count": edges + 1, "edges": [[0, v] for v in range(1, edges + 1)],
+                                "colour_universe": [0, 1], "lists": {str(e): [0, 1] for e in range(edges)}}))
+    col.write_text(json.dumps({"complete": True, "colours": {str(e): c for e, c in colours.items()}}))
+    return inst, col
+
+
+def test_verify_builds_only_the_violations_it_prints(tmp_path, capsys, monkeypatch):
+    """The CI's 2,000-edge star coloured 0, 1, 0, 1, ...: 999,000 blocked
+    pairs, counted from the arrays; the output is the one the command gave
+    when it built every violation."""
+    import nibble_colour.core as core
+
+    built = []
+
+    class Counted(core.Violation):
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(core, "Violation", Counted)
+    inst, col = _star_files(tmp_path, 2000, {e: e % 2 for e in range(2000)})
+    capsys.readouterr()
+    assert run(["verify", inst, col]) == 1
+    out, err = capsys.readouterr()
+    expected = [f"[blocking] (0,0) blocks ({2 * i},0)" for i in range(1, 11)] + ["999000 violations in total"]
+    assert out == "" and err == "".join(f"{line}\n" for line in expected)
+    assert len(built) == 10
+
+
+def test_verify_counts_list_unknown_and_blocking_violations_past_the_first_ten(tmp_path, capsys):
+    """Twelve edges coloured off their lists and an unknown edge after
+    them: the first ten printed are those of `validate_colouring`, the count
+    is its length, and the unknown edge past the first ten still exits 2."""
+    colours = {e: 5 if e < 12 else e % 2 for e in range(40)} | {900: 0}
+    inst, col = _star_files(tmp_path, 40, colours)
+    loaded = load_instance(inst)
+    full = validate_colouring(loaded.graph, loaded.lists, loaded.sigma, colours)
+    assert [v.kind for v in full[10:13]] == ["list", "list", "unknown-edge"]
+    capsys.readouterr()
+    assert run(["verify", inst, col]) == 2
+    assert capsys.readouterr().err.splitlines() == [*map(str, full[:10]), f"{len(full)} violations in total"]
+    assert first_violations(loaded.graph, loaded.lists, loaded.sigma, colours, 0) == ([], len(full))
+    assert first_violations(loaded.graph, loaded.lists, loaded.sigma, colours) == (full, len(full))
 
 
 def test_brute_colours_a_long_matching(tmp_path, capsys):

@@ -188,6 +188,44 @@ def test_pair_index_codes_offsets_or_ranks_and_the_table_rule():
     assert empty.find([], []).tolist() == []
 
 
+# A low end anywhere in int64, and offsets from it within a span of at most 2^31.
+_LOW_END = st.integers(-(2**63), 2**63 - 1) | _INT64_ENDS | st.integers(2**63 - 2**31, 2**63 - 1)
+
+
+@given(_LOW_END, _LOW_END, st.lists(st.tuples(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1)), min_size=1, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_pair_index_keys_in_place_are_the_offsets_where_the_sum_wraps(lo_a, lo_b, offsets):
+    """The keys are built in place, a's offset times b's span, plus b, less
+    b's minimum: the sum wraps in int64 where b lies near 2^63, and the
+    key is still (a - lo_a) * span_b + (b - lo_b)."""
+    pairs = sorted({(min(lo_a + x, 2**63 - 1), min(lo_b + y, 2**63 - 1)) for x, y in offsets})
+    a, b = _columns(pairs)
+    low_a, low_b = min(a.tolist()), min(b.tolist())
+    span_b = max(b.tolist()) - low_b + 1
+    index = PairIndex(a, b)
+    assert index.keys.tolist() == [(x - low_a) * span_b + (y - low_b) for x, y in pairs]
+    assert index.find(a, b).tolist() == list(range(len(pairs)))
+
+
+def test_pair_index_keys_wrap_and_come_back_at_the_int64_end():
+    top = 2**63 - 1
+    index = PairIndex([0, 1, 1], [top - 1, top - 1, top])  # 2 + (2^63 - 2) passes 2^63
+    assert index.keys.tolist() == [0, 2, 3]
+    index = PairIndex([-(2**63), -(2**63) + 1], [-(2**63), -(2**63) + 1])  # less b's minimum wraps back
+    assert index.keys.tolist() == [0, 3]
+
+
+@given(st.lists(st.sets(_AXES.flatmap(lambda axis: axis), max_size=4).map(sorted), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_pair_index_of_segments_is_the_index_of_the_repeated_rows(segments):
+    ptr = np.cumsum([0] + [len(segment) for segment in segments])
+    b = np.array([x for segment in segments for x in segment], dtype=np.int64)
+    rows = np.repeat(np.arange(len(segments)), np.diff(ptr))
+    made, expected = PairIndex.of_segments(ptr, b), PairIndex(rows, b)
+    assert made.keys.tolist() == expected.keys.tolist()
+    assert made.find(rows, b).tolist() == expected.find(rows, b).tolist() == list(range(b.size))
+
+
 # ---------------------------------------------------------------------------
 # the correspondence table
 # ---------------------------------------------------------------------------
@@ -332,6 +370,36 @@ def test_correspondence_table_matches_a_dict_reference(items, mirrors, form, mal
             data["sigma"][which % len(items)]["map"][pos % len(entries)] = bad
             with pytest.raises(InstanceError):
                 instance_from_dict(data)
+
+
+@given(
+    _SIGMA_ITEMS,
+    st.lists(st.tuples(st.integers(0, 7), st.booleans()), max_size=3),
+    st.none() | st.just((0, 5)),
+    st.integers(1, 7),
+)
+@settings(max_examples=300, deadline=None)
+def test_sigma_checks_in_blocks_of_maps_equal_the_whole_table(items, mirrors, universe, block):
+    """Injectivity is checked a block of about `block` entries at a time;
+    the maps cover repeated images, empty maps, maps stored both ways,
+    self pairs, non-incident pairs and entries outside the universe."""
+    from unittest import mock
+
+    from nibble_colour import core
+
+    for which, shifted in mirrors if items else ():
+        e, f, entries = items[which % len(items)]
+        back = [(image, c) for c, image in dict(entries).items()]
+        if shifted and back:
+            back[0] = (back[0][0], back[0][1] ^ 1)
+        items.append((f, e, back))
+    maps = {(e, f): dict(entries) for e, f, entries in items}
+    sigma = EdgeCorrespondence(maps)
+    whole = core._sigma_violations(_SIGMA_GRAPH, sigma, universe)
+    with mock.patch.object(core, "_CHECK_BLOCK", block):
+        assert core._sigma_violations(_SIGMA_GRAPH, sigma, universe) == whole
+    expected = _reference_violations(_SIGMA_GRAPH, maps, universe or (-(2**63), 2**63 - 1))
+    assert [(v.kind, v.subject) for v in whole] == expected
 
 
 def test_correspondence_table_is_read_only():
