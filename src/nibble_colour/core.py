@@ -365,17 +365,6 @@ class EdgeCorrespondence:
     def is_trivial(self) -> bool:
         return not self.pair_e.size
 
-    @cached_property
-    def colour_span(self) -> tuple[int, int]:
-        """(smallest, largest) colour of any entry, either side; (0, 0)
-        without entries."""
-        if not self.entry_c.size:
-            return 0, 0
-        return (
-            min(int(self.entry_c.min()), int(self.entry_image.min())),
-            max(int(self.entry_c.max()), int(self.entry_image.max())),
-        )
-
     # -- array readers -------------------------------------------------
 
     @cached_property
@@ -862,8 +851,15 @@ def _sigma_violations(
     incident = PairIndex(*graph.incident_pairs).find(np.minimum(e, f), np.maximum(e, f)) >= 0
 
     # Two entries of one map with one image share a (pair, image) key, sorted
-    # within their map, so a repeat's position names its pair.  The maps whose
-    # first entry falls in one stretch of _CHECK_BLOCK entries go at once.
+    # within their map, so a repeat's position names its pair.  A map whose
+    # reverse is stored is its inverse when the two have one length and the
+    # reverse sends each image back to its colour: the map's colours are
+    # distinct, so its swapped entries are then exactly the reverse's.  The
+    # maps whose first entry falls in one stretch of _CHECK_BLOCK entries go
+    # at once.
+    length = np.diff(ptr)
+    reverse = np.where(self_pair, -1, sigma.rows(f, e))
+    inverse = (reverse < 0) | (length == length[reverse])
     injective = np.ones(pairs, dtype=bool)
     cuts = np.append(np.searchsorted(ptr[:-1], np.arange(0, max(c.size, 1), _CHECK_BLOCK)), pairs)
     for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
@@ -871,25 +867,14 @@ def _sigma_violations(
         keys.sort()
         repeat = ptr[a] + 1 + np.flatnonzero(keys[1:] == keys[:-1])
         injective[np.searchsorted(ptr, repeat, side="right") - 1] = False
-
-    # Maps stored both ways: the entries of one, swapped, must equal the other's.
-    reverse = sigma.rows(f, e)
-    both = np.flatnonzero((reverse >= 0) & ~self_pair)
-    inverse = np.ones(pairs, dtype=bool)
-    if both.size:
-        length = np.diff(ptr)
-        same = both[length[both] == length[reverse[both]]]
-        inverse[both] = False
-        inverse[same] = True
-        own = segment_ranges(ptr[same], length[same])
-        other = segment_ranges(ptr[reverse[same]], length[same])
-        group = np.repeat(np.arange(same.size), length[same])
-        other = other[np.lexsort((c[other], image[other], group))]
-        differs = (c[own] != image[other]) | (image[own] != c[other])
-        inverse[same[group[differs]]] = False
+        both = a + np.flatnonzero(reverse[a:b] >= 0)
+        if both.size:  # only then is the entry index built
+            row = np.repeat(both, length[both])
+            at = segment_ranges(ptr[both], length[both])
+            inverse[row[~sigma.blocking(f[row], image[at], e[row], c[at])]] = False
 
     outside = np.zeros(c.size, dtype=bool)
-    if universe is not None and not universe[0] <= sigma.colour_span[0] <= sigma.colour_span[1] <= universe[1]:
+    if universe is not None:
         lo, hi = universe
         outside = (c < lo) | (c > hi) | (image < lo) | (image > hi)
 

@@ -936,25 +936,21 @@ def drive(
             return result
 
         entering_min_size = struct.min_list_size()
-        outcome = None
-        attempts = 0
         for attempt in range(retry_cap + 1):
-            attempts = attempt
-            candidate = run_round(struct, params, l_target, seed, round_index=i, attempt=attempt)
-            uncoloured = cur_lists.edges.size - len(candidate.coloured)
-            frac_deficient = len(candidate.deficient) / uncoloured if uncoloured else 0.0
-            if not candidate.empty and frac_deficient <= DEFICIENCY_TOLERANCE:
-                outcome = candidate
+            outcome = run_round(struct, params, l_target, seed, round_index=i, attempt=attempt)
+            uncoloured = cur_lists.edges.size - len(outcome.coloured)
+            frac_deficient = len(outcome.deficient) / uncoloured if uncoloured else 0.0
+            if not outcome.empty and frac_deficient <= DEFICIENCY_TOLERANCE:
                 break
-        if outcome is None:
+        else:
             raise NibbleFailureError(
                 f"round {i} violated its bounds for {retry_cap + 1} attempts",
                 round_index=i,
                 diagnostics={
                     "round": i,
                     "attempts": retry_cap + 1,
-                    "empty_lists": list(candidate.empty),
-                    "deficient_edges": list(candidate.deficient)[:20],
+                    "empty_lists": list(outcome.empty),
+                    "deficient_edges": list(outcome.deficient)[:20],
                     "l_target": l_target,
                 },
             )
@@ -969,7 +965,7 @@ def drive(
                 ratio=ratio,
                 edges_coloured=len(outcome.coloured),
                 edges_remaining=cur_lists.edges.size,
-                retries=attempts,
+                retries=attempt,
                 min_list_size=entering_min_size,
                 max_neighbourhood_size=max_card,
             )

@@ -283,6 +283,16 @@ def _reference_violations(graph, maps, universe):
     return out
 
 
+def test_maps_stored_both_ways_of_one_length_are_no_inverses_when_one_is_not_injective():
+    """{1: 5, 2: 5} and {5: 1, 6: 2} have one length and send 1 and 5 to
+    each other, but 2 -> 5 is not read back, nor 6 -> 2."""
+    maps = {(0, 1): {1: 5, 2: 5}, (1, 0): {5: 1, 6: 2}}
+    sigma = EdgeCorrespondence(maps)
+    found = [(v.kind, v.subject) for v in validate_instance(_SIGMA_GRAPH, sigma, WeightedListAssignment.unit({}))]
+    assert found == [("sigma-injective", (0, 1)), ("sigma-inverse", (0, 1)), ("sigma-inverse", (1, 0))]
+    assert found == _reference_violations(_SIGMA_GRAPH, maps, (-(2**63), 2**63 - 1))
+
+
 @given(
     _SIGMA_ITEMS,
     st.lists(st.tuples(st.integers(0, 7), st.booleans()), max_size=3),
@@ -380,9 +390,10 @@ def test_correspondence_table_matches_a_dict_reference(items, mirrors, form, mal
 )
 @settings(max_examples=300, deadline=None)
 def test_sigma_checks_in_blocks_of_maps_equal_the_whole_table(items, mirrors, universe, block):
-    """Injectivity is checked a block of about `block` entries at a time;
-    the maps cover repeated images, empty maps, maps stored both ways,
-    self pairs, non-incident pairs and entries outside the universe."""
+    """Injectivity and mutual inverses are checked a block of about
+    `block` entries at a time; the maps cover repeated images, empty
+    maps, maps stored both ways, self pairs, non-incident pairs and
+    entries outside the universe."""
     from unittest import mock
 
     from nibble_colour import core

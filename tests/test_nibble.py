@@ -1058,7 +1058,8 @@ def test_stored_map_stages_peak_within_a_bound_above_the_tables():
     pairs all store a map (480,000 entries): the injectivity check goes a
     block of maps at a time, the build writes the join's keys straight
     into its key array, and the entries' index builds its keys from
-    `entry_ptr` in place.  With whole-table temporaries the peaks were 3.0
+    `entry_ptr` in place; validation builds that index only for maps
+    stored both ways.  With whole-table temporaries the peaks were 3.0
     times the entries' int64 bytes, 5.3 times the members' and 2.0 times
     the entries'."""
     import tracemalloc
@@ -1083,7 +1084,14 @@ def test_stored_map_stages_peak_within_a_bound_above_the_tables():
 
     violations, validate_peak = peak(lambda: validate_instance(g, sigma, lists, (0, 39)))
     assert violations == [] and validate_peak < entries
+    assert "_entries_index" not in vars(sigma)  # no map is stored both ways
     struct, build_peak = peak(lambda: RoundStructure.build(g, lists, sigma))
     members = 8 * struct.rows.nbr_idx.size
     assert members == 2 * entries and build_peak < 4 * members
     assert peak(lambda: sigma._entries_index)[1] < 1.25 * entries
+
+    # Each map also stored as its inverse (960,000 entries): with the inverse
+    # check over the whole table the peak was 6.2 times the entries' bytes.
+    both = EdgeCorrespondence.from_items(np.r_[e, f], np.r_[f, e], np.r_[counts, counts], np.r_[c, c], np.r_[c, c])
+    violations, both_peak = peak(lambda: validate_instance(g, both, lists, (0, 39)))
+    assert violations == [] and both_peak < 4 * 8 * both.entry_c.size
