@@ -9,7 +9,6 @@ from .core import (
     InstanceError,
     LinearHypergraph,
     MissingWeightError,
-    PartialColouring,
     PreconditionError,
     Violation,
     WeightedListAssignment,

@@ -270,7 +270,7 @@ def cmd_verify(args) -> int:
         _err(str(v))
     if total:
         _err(f"{total} violations in total")
-    if any(not 0 <= e < inst.graph.edge_count for e in colouring.colours):
+    if any(not 0 <= e < inst.graph.edge_count for e in colouring):
         return EXIT_INPUT  # an unknown edge
     return EXIT_VERIFY if total else EXIT_OK
 
@@ -373,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # Each help states the domain of its `_flag` type as that type's own rule.
     threads = _at_least("threads", 1)
-    threads_help = f"worker bound, {threads.rule} (default ${THREADS_ENV} or 1); outputs do not depend on it"
+    threads_help = (f"validated, {threads.rule} (default ${THREADS_ENV} or 1), and recorded in the manifest; "
+                    "no code reads it otherwise")
     parser.add_argument("--threads", type=threads, default=None, help=threads_help)
     sub = parser.add_subparsers(dest="command", required=True)
     seed_help = f"{_SEED.rule} (default %(default)s)"

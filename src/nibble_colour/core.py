@@ -595,26 +595,6 @@ class WeightedListAssignment:
         return self.from_pairs(self.edges[rows], self.edge_of[pairs], self.colour_of[pairs], self.mu[pairs])
 
 
-@dataclass(frozen=True)
-class PartialColouring:
-    """Partial map from edge ids to colours.
-
-    Validity (each colour from its list, no blocking pair) is a contract
-    checked by :func:`validate_colouring`, not enforced on construction.
-    """
-
-    colours: Mapping[int, int] = field(default_factory=dict)
-
-    def get(self, e: int) -> int | None:
-        return self.colours.get(e)
-
-    def items(self) -> list[tuple[int, int]]:
-        return sorted(self.colours.items())
-
-    def __len__(self) -> int:
-        return len(self.colours)
-
-
 def weighted_size(pairs: Iterable[tuple[int, int]], lists: WeightedListAssignment) -> float:
     """Sum of mu over the given (edge, colour) pairs.
 
@@ -704,7 +684,7 @@ def validate_colouring(
     graph: LinearHypergraph,
     lists: WeightedListAssignment,
     sigma: EdgeCorrespondence,
-    colouring: PartialColouring | Mapping[int, int],
+    colouring: Mapping[int, int],
 ) -> list[Violation]:
     """Empty iff every coloured edge uses a listed colour and no coloured
     pair blocks another coloured pair.  Total: never raises.
@@ -715,26 +695,25 @@ def validate_colouring(
 
 
 def first_violations(graph: LinearHypergraph, lists: WeightedListAssignment, sigma: EdgeCorrespondence,
-                     colouring: PartialColouring | Mapping[int, int], first: int | None = None) -> tuple[list[Violation], int]:
+                     colouring: Mapping[int, int], first: int | None = None) -> tuple[list[Violation], int]:
     """(the first `first` violations of `validate_colouring`, all for None;
     how many there are): those past `first` are counted, not built."""
-    colours = colouring.colours if isinstance(colouring, PartialColouring) else colouring
     m = graph.edge_count
-    ids = sorted(colours)  # each id once: the order of the (edge, colour) items
+    ids = sorted(colouring)  # each id once: the order of the (edge, colour) items
     known = [operator.index(e) for e in ids if 0 <= e < m]
     # List membership of the int64 colours, read off the pair table; any
     # other colour value goes through `lists.has`.
-    value, exact = _int64_colours(colours, known, m)
+    value, exact = _int64_colours(colouring, known, m)
     edge_of = lists.edge_of
     p = np.flatnonzero((edge_of >= 0) & (edge_of < m))
     p = p[exact[edge_of[p]] & (value[edge_of[p]] == lists.colour_of[p])]
     listed = np.zeros(m, dtype=bool)
     listed[edge_of[p]] = True
     all_listed = len(known) == len(ids) and listed[known].all()  # then no list violation
-    bad = [] if all_listed else [e for e in ids if not (0 <= e < m and (listed[e] if exact[e] else lists.has(e, colours[e])))]
+    bad = [] if all_listed else [e for e in ids if not (0 <= e < m and (listed[e] if exact[e] else lists.has(e, colouring[e])))]
     violations = [
         Violation("unknown-edge", (e,), f"edge {e} not in instance") if not 0 <= e < m
-        else Violation("list", (e, colours[e]), f"edge {e} coloured {colours[e]} which is not in its list")
+        else Violation("list", (e, colouring[e]), f"edge {e} coloured {colouring[e]} which is not in its list")
         for e in bad[:first]
     ]
     coloured = np.zeros(m, dtype=bool)
@@ -742,10 +721,10 @@ def first_violations(graph: LinearHypergraph, lists: WeightedListAssignment, sig
     pe, pf = graph.incident_pairs
     both = coloured[pe] & coloured[pf]
     pe, pf = pe[both], pf[both]
-    at = _blocking_at(sigma, pe, pf, colours, value, exact)
+    at = _blocking_at(sigma, pe, pf, colouring, value, exact)
     shown = at[: None if first is None else max(first - len(violations), 0)]
     for e, f in zip(pe[shown].tolist(), pf[shown].tolist()):
-        c, cf = colours[e], colours[f]
+        c, cf = colouring[e], colouring[f]
         violations.append(Violation("blocking", (e, f, c, cf), f"({e},{c}) blocks ({f},{cf})"))
     return violations, len(bad) + at.size
 
@@ -754,7 +733,7 @@ def restrict_lists(
     graph: LinearHypergraph,
     lists: WeightedListAssignment,
     sigma: EdgeCorrespondence,
-    colouring: PartialColouring | Mapping[int, int],
+    colouring: Mapping[int, int],
 ) -> WeightedListAssignment:
     """Lists for the uncoloured edges after removing every colour blocked
     by a coloured neighbour; weights unchanged on survivors.
@@ -763,23 +742,22 @@ def restrict_lists(
     the colour sigma_{f,e}(gamma(f)) leaves L(e).  Requires the colouring
     to be valid on its domain.
     """
-    colours = colouring.colours if isinstance(colouring, PartialColouring) else colouring
     # List membership is only checkable for edges still carrying a list:
     # colourings produced by earlier rounds refer to lists already dropped.
     listed = set(lists.edge_ids())
     problems = [
         v
-        for v in validate_colouring(graph, lists, sigma, colours)
+        for v in validate_colouring(graph, lists, sigma, colouring)
         if not (v.kind == "list" and v.subject[0] not in listed)
     ]
     if problems:
         raise PreconditionError(f"colouring invalid: {problems[0]}")
     kept = np.zeros(lists.mu.size, dtype=bool)
-    uncoloured = [e for e in lists.edge_ids() if e not in colours]
+    uncoloured = [e for e in lists.edge_ids() if e not in colouring]
     for e in uncoloured:
         blocked: set[int] = set()
         for f in graph.adjacent_edges(e):
-            cf = colours.get(f)
+            cf = colouring.get(f)
             if cf is None:
                 continue
             image = sigma.image(f, e, cf)

@@ -16,7 +16,7 @@ import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -39,16 +39,16 @@ class LinkAdjacency(Mapping[int, tuple[int, ...]]):
 
     Rows are indexed by edge id over the whole graph: the neighbours of
     node u are `idx[ptr[u]:ptr[u+1]]`, and `member[u]` says whether u is
-    a node (rows of other edges are empty)."""
+    a node (rows of other edges are empty).  `pair_u` and `pair_w` are
+    the pairs the rows are built from."""
 
-    def __init__(self, ptr: np.ndarray, idx: np.ndarray, member: np.ndarray):
+    def __init__(self, ptr: np.ndarray, idx: np.ndarray, member: np.ndarray, pair_u: np.ndarray, pair_w: np.ndarray):
         self.ptr, self.idx, self.member = ptr, idx, member
+        self.pair_u, self.pair_w = pair_u, pair_w
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Each adjacent pair once: arrays (u, w) with u < w, ascending."""
-        src = np.repeat(np.arange(self.member.size), np.diff(self.ptr))
-        lower = src < self.idx
-        return src[lower], self.idx[lower]
+        return self.pair_u, self.pair_w
 
     def __getitem__(self, u: int) -> tuple[int, ...]:
         if not (0 <= u < self.member.size and self.member[u]):
@@ -69,49 +69,45 @@ class VertexInstance:
     Nodes carry the original edge ids; two nodes are adjacent iff the
     edges share a vertex, and the blocking relation between a node pair is
     the original correspondence of that edge pair (restricted, by
-    linearity, to their single shared vertex).  `lists` has a row for
-    each node and for nothing else.
+    linearity, to their single shared vertex).  The nodes are the edges
+    of `lists`.
     """
 
-    nodes: tuple[int, ...]
     lists: WeightedListAssignment
     adjacency: LinkAdjacency
     sigma: EdgeCorrespondence
+
+    @property
+    def nodes(self) -> tuple[int, ...]:
+        return tuple(self.lists.edges.tolist())
 
 
 def to_link_instance(
     graph: LinearHypergraph,
     lists: WeightedListAssignment,
     sigma: EdgeCorrespondence,
-    active: set[int] | None = None,
 ) -> VertexInstance:
-    """Build the link-graph instance over `active` edges (default: all
-    edges carrying lists).  Lists, weights and correspondences transfer
-    unchanged; node ids equal edge ids so colourings transport back as-is.
-    The adjacency is `graph.incident_pairs` restricted to the active edges.
+    """Build the link-graph instance over the edges carrying lists.
+    Lists, weights and correspondences transfer unchanged; node ids equal
+    edge ids so colourings transport back as-is.  The adjacency is
+    `graph.incident_pairs` restricted to those edges.
     """
     m = graph.edge_count
-    if active is None:
-        nodes = lists.edges  # ascending and distinct
-    else:
-        active = set(active)
-        nodes = np.array(sorted(active), dtype=np.int64)
-        if not active.issuperset(lists.edge_ids()):
-            lists = lists.restrict_to_edges(active)
+    nodes = lists.edges  # ascending and distinct
     if nodes.size and not (0 <= nodes[0] and nodes[-1] < m):
-        raise PreconditionError(f"active edges must be edge ids below {m}")
+        raise PreconditionError(f"listed edges must be edge ids below {m}")
     member = np.zeros(m, dtype=bool)
     member[nodes] = True
     e, f = graph.incident_pairs
     both = member[e] & member[f]
     src = np.concatenate([e[both], f[both]])
-    dst = np.concatenate([f[both], e[both]])
+    pe, pf = np.split(src, 2)  # the pairs, as views of src
+    dst = np.concatenate([pf, pe])
     ptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=m), out=ptr[1:])
     return VertexInstance(
-        nodes=tuple(nodes.tolist()),
         lists=lists,
-        adjacency=LinkAdjacency(ptr, dst[np.argsort(src * m + dst)], member),
+        adjacency=LinkAdjacency(ptr, dst[np.argsort(src * m + dst)], member, pe, pf),
         sigma=sigma,
     )
 
@@ -169,17 +165,6 @@ class ResampleLog:
         }
 
 
-def _pick(colours: Sequence[int], cumulative: Sequence[float], u: float) -> int:
-    """The first colour whose cumulative weight exceeds u * total, where
-    total is the last cumulative weight; the last colour guards against
-    accumulated rounding."""
-    target = u * cumulative[-1]
-    for c, acc in zip(colours, cumulative):
-        if target < acc:
-            return c
-    return colours[-1]
-
-
 def sample_colour(lists: WeightedListAssignment, node: int, seed: int, counter: int) -> int:
     """Draw a colour for `node` with probability mu(node, c)/|L(node)|_mu,
     deterministically from the (seed, node, counter) stream.  |L(node)|_mu
@@ -189,7 +174,14 @@ def sample_colour(lists: WeightedListAssignment, node: int, seed: int, counter: 
     if a == b:
         raise PreconditionError(f"node {node} has an empty list")
     kind = rng.KIND_SAMPLE if counter == 0 else rng.KIND_RESAMPLE
-    return _pick(lists.colour_of[a:b].tolist(), np.cumsum(lists.mu[a:b]).tolist(), rng.uniform(seed, kind, node, counter))
+    colours, cumulative = lists.colour_of[a:b].tolist(), np.cumsum(lists.mu[a:b]).tolist()
+    # The first colour whose cumulative weight exceeds u * total; the last
+    # colour guards against accumulated rounding.
+    target = rng.uniform(seed, kind, node, counter) * cumulative[-1]
+    for c, acc in zip(colours, cumulative):
+        if target < acc:
+            return c
+    return colours[-1]
 
 
 def finish(
@@ -208,20 +200,20 @@ def finish(
     times the node count.  Raises PreconditionError when a node has an
     empty list or a weight that is negative or NaN.
     """
-    if iteration_cap is None:
-        iteration_cap = 100 * len(inst.nodes)
-    log = ResampleLog()
     lists, sigma, adj = inst.lists, inst.sigma, inst.adjacency
+    nodes = lists.edges
+    if iteration_cap is None:
+        iteration_cap = 100 * nodes.size
+    log = ResampleLog()
     size = adj.member.size
 
     # The pair range [lo[u], hi[u]) of every node u.
     lo = np.zeros(size, dtype=np.int64)
     hi = np.zeros(size, dtype=np.int64)
-    lo[lists.edges], hi[lists.edges] = lists.edge_ptr[:-1], lists.edge_ptr[1:]
-    nodes = np.asarray(inst.nodes, dtype=np.int64)
+    lo[nodes], hi[nodes] = lists.edge_ptr[:-1], lists.edge_ptr[1:]
     bare = np.flatnonzero(lo[nodes] == hi[nodes])
     if bare.size:
-        raise PreconditionError(f"node {inst.nodes[bare[0]]} has an empty list")
+        raise PreconditionError(f"node {nodes[bare[0]]} has an empty list")
     signed = np.flatnonzero(~(lists.mu >= 0))
     if signed.size:
         raise PreconditionError(f"node {lists.edge_of[signed[0]]} has a negative or NaN weight")
@@ -235,7 +227,7 @@ def finish(
     # above the target in each row, or the row's last colour.  `value`
     # holds the colour of every node (0 for other edge ids).
     value = np.zeros(size, dtype=np.int64)
-    if inst.nodes:
+    if nodes.size:
         start, stop = lists.edge_ptr[:-1], lists.edge_ptr[1:]
         target = rng.uniforms(seed, rng.KIND_SAMPLE, nodes, 0) * cumulative[stop - 1]
         above = cumulative > np.repeat(target, stop - start)
@@ -254,7 +246,7 @@ def finish(
     heap = [(u, w, current[u], current[w]) for u, w in zip(pe[at].tolist(), pf[at].tolist())]
     heapq.heapify(heap)
     if not heap:
-        return {u: current[u] for u in inst.nodes}, log
+        return {u: current[u] for u in nodes.tolist()}, log
 
     # Each neighbour slot's map: -1 for the identity, else 2 * row + d,
     # with d = 1 when the map sends the colour of the slot's own node.  The
@@ -320,4 +312,4 @@ def finish(
                         continue
                 a, b = (x, y) if x < y else (y, x)
                 heapq.heappush(heap, (a, b, current[a], current[b]))
-    return {u: current[u] for u in inst.nodes}, log
+    return {u: current[u] for u in nodes.tolist()}, log

@@ -51,7 +51,6 @@ from .core import (
     EdgeCorrespondence,
     InstanceError,
     LinearHypergraph,
-    PartialColouring,
     WeightedListAssignment,
     segment_ranges,
 )
@@ -619,19 +618,17 @@ def load_instance(path: str | Path) -> Instance:
     return inst
 
 
-def colouring_to_dict(colouring: PartialColouring | Mapping[int, int], complete: bool) -> dict:
-    colours = colouring.colours if isinstance(colouring, PartialColouring) else colouring
-    return {"complete": bool(complete), "colours": {str(e): int(c) for e, c in sorted(colours.items())}}
+def colouring_to_dict(colouring: Mapping[int, int], complete: bool) -> dict:
+    return {"complete": bool(complete), "colours": {str(e): int(c) for e, c in sorted(colouring.items())}}
 
 
-def dump_colouring(colouring, complete: bool, path: str | Path) -> None:
+def dump_colouring(colouring: Mapping[int, int], complete: bool, path: str | Path) -> None:
     """Write the colouring format: the text of
     `json.dumps(colouring_to_dict(colouring, complete), indent=2, sort_keys=True)`."""
-    colours = colouring.colours if isinstance(colouring, PartialColouring) else colouring
-    in_key_order = sorted(colours, key=str)
+    in_key_order = sorted(colouring, key=str)
     items = [None] * (2 * len(in_key_order))
     items[::2] = map(str, in_key_order)
-    items[1::2] = [int(colours[e]) for e in in_key_order]
+    items[1::2] = [int(colouring[e]) for e in in_key_order]
     _write(path, [
         ("colours", _block(['"%s": %s'] * len(in_key_order), _PAD, "{}") % tuple(items)),
         ("complete", "true" if complete else "false"),
@@ -658,7 +655,7 @@ def _edge_id(key: str) -> int:
     return e
 
 
-def load_colouring(path: str | Path) -> tuple[PartialColouring, bool]:
+def load_colouring(path: str | Path) -> tuple[dict[int, int], bool]:
     """The colouring at `path` and its `complete` flag.  Edge ids are
     read as `_edge_id` reads them and colours as the instance's list
     colours are (`_int64`): an int64, never a string; any other value
@@ -671,7 +668,7 @@ def load_colouring(path: str | Path) -> tuple[PartialColouring, bool]:
         complete = bool(data.get("complete", False))
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:  # InstanceError is a ValueError
         raise InstanceError(f"cannot read colouring {path}: {exc}") from exc
-    return PartialColouring(dict(zip(edges, values))), complete
+    return dict(zip(edges, values)), complete
 
 
 def load_vector(path: str | Path) -> dict[int, float]:

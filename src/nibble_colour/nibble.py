@@ -51,6 +51,12 @@ class ParameterDomainError(ValueError):
     """Parameters outside the domain where the procedure is defined."""
 
 
+def _check_eps(eps: float) -> None:
+    """Raise ParameterDomainError unless eps lies in (0, 1/4] (NaN does not)."""
+    if not (0.0 < eps <= 0.25):
+        raise ParameterDomainError(f"eps must lie in (0, 1/4], got {eps}")
+
+
 class DegenerateWeightError(ValueError):
     """A factor of an equalizing product is not positive."""
 
@@ -97,8 +103,7 @@ class NibbleParams:
     mode: str = "eps8"
 
     def __post_init__(self):
-        if not (0.0 < self.eps <= 0.25):
-            raise ParameterDomainError(f"eps must lie in (0, 1/4], got {self.eps}")
+        _check_eps(self.eps)
         if self.k < 2 or int(self.k) != self.k:
             raise ParameterDomainError(f"k must be an integer >= 2, got {self.k}")
         if self.L <= 0.0 or self.N <= 0.0:
@@ -166,6 +171,7 @@ def simulate_schedule(eps: float, k: int, delta: float, mode: str = "eps8") -> l
     """Deterministic trajectory (i, L_i, N_i, ratio_i) starting from
     L_0 = (1+eps) delta, N_0 = delta, iterating until the ratio reaches
     3ek or the iteration cap ceil(100 k ln(delta) / eps)."""
+    _check_eps(eps)
     if delta <= E_SQUARED:
         raise ParameterDomainError(f"delta must exceed e^2, got {delta}")
     try:
@@ -888,8 +894,11 @@ def drive(
 
     With `eps` None, eps is min(1/4, max(1/100, (L/N - 1)/2)) for the
     entering L and N, the instance's own (1/4 when N <= 0).
-    Raises ParameterDomainError when `retry_cap` is negative.
+    Raises ParameterDomainError when a given `eps` lies outside (0, 1/4]
+    or `retry_cap` is negative.
     """
+    if eps is not None:
+        _check_eps(eps)
     if retry_cap < 0:
         raise ParameterDomainError(f"retry_cap must be >= 0, got {retry_cap}")
     k = graph.k

@@ -212,7 +212,7 @@ def test_colour_brute_p3(tmp_path):
     prefix = tmp_path / "run"
     assert run(["colour", inst, "--mode", "brute", "--out-prefix", prefix]) == 0
     colouring, complete = load_colouring(Path(str(prefix) + ".colouring.json"))
-    assert complete and len(colouring.colours) == 2
+    assert complete and len(colouring) == 2
     assert run(["verify", inst, Path(str(prefix) + ".colouring.json")]) == 0
 
 

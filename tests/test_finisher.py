@@ -81,7 +81,9 @@ def test_link_adjacency_is_adjacent_edges_within_active():
         cases.append((graph, {e for e in range(graph.edge_count) if e % 2 == seed % 2}))
     for graph, active in cases:
         lists = WeightedListAssignment.unit({e: [0] for e in range(graph.edge_count)})
-        link = to_link_instance(graph, lists, EdgeCorrespondence(), active=active)
+        if active is not None:
+            lists = lists.restrict_to_edges(active)
+        link = to_link_instance(graph, lists, EdgeCorrespondence())
         keep = set(range(graph.edge_count)) if active is None else active
         expected = {u: tuple(f for f in graph.adjacent_edges(u) if f in keep) for u in sorted(keep)}
         assert link.nodes == tuple(sorted(keep))
@@ -99,11 +101,12 @@ def test_link_instance_keeps_lists_that_active_covers():
     g = path_graph(3)
     lists = WeightedListAssignment.unit({0: [1], 1: [2], 2: [3]})
     assert to_link_instance(g, lists, EdgeCorrespondence()).lists is lists
-    assert to_link_instance(g, lists, EdgeCorrespondence(), active={0, 1, 2}).lists is lists
-    sub = to_link_instance(g, lists, EdgeCorrespondence(), active={0, 2}).lists
-    assert as_dicts(sub) == ({0: (1,), 2: (3,)}, {(0, 1): 1.0, (2, 3): 1.0})
+    sub = lists.restrict_to_edges({0, 2})
+    link = to_link_instance(g, sub, EdgeCorrespondence())
+    assert link.lists is sub and link.nodes == (0, 2)
+    assert as_dicts(link.lists) == ({0: (1,), 2: (3,)}, {(0, 1): 1.0, (2, 3): 1.0})
     with pytest.raises(PreconditionError):
-        to_link_instance(g, lists, EdgeCorrespondence(), active={0, 3})
+        to_link_instance(g, WeightedListAssignment.unit({0: [1], 3: [2]}), EdgeCorrespondence())
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +325,7 @@ def _oracle_cases():
     for seed in range(10):  # an active subset
         graph, lists, sigma, _ = random_micro_instance(100 + seed)
         active = {e for e in lists.edge_ids() if rng.uniform(seed, 62, e) < 0.7} or {0}
-        yield "active", to_link_instance(graph, lists, sigma, active=active), seed, None
+        yield "active", to_link_instance(graph, lists.restrict_to_edges(active), sigma), seed, None
     for seed in range(5):  # stored maps on a star: rows of twenty neighbours
         g = LinearHypergraph.build(23, [(0, i) for i in range(1, 21)] + [(1, 21), (21, 22)], k=2)
         lists = WeightedListAssignment.build(

@@ -19,7 +19,6 @@ from nibble_colour.core import (
     EdgeCorrespondence,
     InstanceError,
     LinearHypergraph,
-    PartialColouring,
     WeightedListAssignment,
     segment_ranges,
 )
@@ -103,7 +102,7 @@ def test_colouring_round_trip(tmp_path):
     path = tmp_path / "col.json"
     dump_colouring({0: 1, 1: 3}, True, path)
     colouring, complete = load_colouring(path)
-    assert complete and colouring.colours == {0: 1, 1: 3}
+    assert complete and colouring == {0: 1, 1: 3}
     path.write_text("[]")
     with pytest.raises(InstanceError):
         load_colouring(path)
@@ -156,11 +155,11 @@ def test_dump_instance_writes_the_json_dumps_text(tmp_path_factory, inst):
     assert path.read_text() == _reference(instance_to_dict(inst))
 
 
-@given(st.dictionaries(st.integers(-1, 40) | _INT, _INT, max_size=20), st.booleans(), st.booleans())
+@given(st.dictionaries(st.integers(-1, 40) | _INT, _INT, max_size=20), st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_dump_colouring_writes_the_json_dumps_text(tmp_path_factory, colours, complete, wrapped):
+def test_dump_colouring_writes_the_json_dumps_text(tmp_path_factory, colours, complete):
     path = tmp_path_factory.mktemp("dump") / "colouring.json"
-    dump_colouring(PartialColouring(colours) if wrapped else colours, complete, path)
+    dump_colouring(colours, complete, path)
     assert path.read_text() == _reference(colouring_to_dict(colours, complete))
 
 

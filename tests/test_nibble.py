@@ -949,6 +949,28 @@ def test_drive_rejects_a_negative_retry_cap():
         drive(g, lists, EdgeCorrespondence(), eps=0.25, seed=5, retry_cap=-1)
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.1, 0.5, math.nan, math.inf])
+def test_an_eps_outside_its_domain_is_refused_before_any_work(monkeypatch, eps):
+    from nibble_colour.instance_io import Instance
+    from nibble_colour.pipeline import colour_instance
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a round structure was built")
+
+    monkeypatch.setattr(nibble.RoundStructure, "build", no_build)
+    g = LinearHypergraph.build(3, [(0, 1), (1, 2)], k=2)
+    lists = WeightedListAssignment.unit({0: [0, 1], 1: [0, 1]})
+    message = "eps must lie in \\(0, 1/4\\]"
+    with pytest.raises(ParameterDomainError, match=message):
+        drive(g, lists, EdgeCorrespondence(), eps=eps)
+    with pytest.raises(ParameterDomainError, match=message):
+        colour_instance(Instance(g, lists, EdgeCorrespondence(), (0, 1)), eps=eps)
+    with pytest.raises(ParameterDomainError, match=message):
+        simulate_schedule(eps, 2, 100.0)
+    with pytest.raises(ParameterDomainError, match=message):
+        NibbleParams(eps=eps, k=2, L=1e6, N=100.0)
+
+
 def test_drive_deterministic():
     from nibble_colour.harness import GeneratorSpec, build_local_lists, generate
 
